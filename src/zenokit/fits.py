@@ -124,26 +124,44 @@ class ReadoutCalibration:
 
 
 def _gradient_tolerance(cost: float, jtj_diag_max: float) -> float:
-    """Largest gradient norm still counted as converged.
+    """Largest gradient norm counted as converged while the search descends.
 
-    The nominal criterion is ``GRADIENT_TOL`` relative to the cost, but a
-    strict-descent search cannot resolve cost changes below machine
-    rounding, which leaves a gradient floor of about
-    ``sqrt(eps * cost * max diag(J^T J))``; half of that floor is
-    accepted, which keeps the gradient below 1e-8 of the residual scale
-    ``||r|| * sqrt(max diag(J^T J))``.
+    The nominal criterion is ``GRADIENT_TOL`` relative to the cost.  A
+    strict-descent search cannot resolve cost changes below the cost's
+    rounding error; taking that error as ``eps * cost`` gives a gradient
+    floor of about ``sqrt(eps * cost * max diag(J^T J))``, half of which is
+    accepted.  ``eps * cost`` underestimates the error when the residual
+    is small next to the data, because ``r = model - data`` is formed by
+    cancellation; :func:`_stall_tolerance` covers that case once the
+    search has stopped.
     """
     eps = np.finfo(float).eps
     floor = 0.5 * math.sqrt(eps * max(cost, 0.0) * max(jtj_diag_max, 0.0))
     return max(GRADIENT_TOL * max(1.0, cost), floor)
 
 
-def _lm_minimize(residual_jacobian, theta0, max_iterations=MAX_ITERATIONS):
+def _stall_tolerance(r_norm: float, data_norm: float, jtj_diag_max: float) -> float:
+    """Gradient norm below which a stalled search is at the rounding floor.
+
+    Each entry of ``r = model - data`` is formed by cancellation and is
+    off by about ``eps`` times the data entry, so the cost ``||r||^2 / 2``
+    is uncertain by about ``eps * ||r|| * (||r|| + ||data||)``.  A
+    Gauss-Newton step lowers the cost by about ``gnorm^2 / max diag(J^T J)``;
+    below that uncertainty no descent can be seen, and half of the
+    resulting gradient floor is accepted.
+    """
+    eps = np.finfo(float).eps
+    return 0.5 * math.sqrt(eps * r_norm * (r_norm + data_norm) * max(jtj_diag_max, 0.0))
+
+
+def _lm_minimize(residual_jacobian, theta0, data_norm, max_iterations=MAX_ITERATIONS):
     """Damped Gauss-Newton descent on 0.5*||r(theta)||^2.
 
-    ``residual_jacobian(theta) -> (r, J)`` with analytic ``J``.  Returns
+    ``residual_jacobian(theta) -> (r, J)`` with analytic ``J``; ``r`` is
+    model minus data and ``data_norm`` is the data's 2-norm.  Returns
     ``(theta, r, J, converged, iterations, gradient_norm)``; convergence
-    means the gradient norm fell below :func:`_gradient_tolerance`.
+    means the gradient norm fell below :func:`_gradient_tolerance`, or,
+    once no step makes progress, below :func:`_stall_tolerance`.
     """
     theta = np.array(theta0, dtype=float)
     r, J = residual_jacobian(theta)
@@ -186,7 +204,11 @@ def _lm_minimize(residual_jacobian, theta0, max_iterations=MAX_ITERATIONS):
             g = J.T @ r
             gnorm = float(np.max(np.abs(g)))
             diag_max = float(np.max(np.clip(np.einsum("ij,ij->j", J, J), 1.0, None)))
-            converged = gnorm <= _gradient_tolerance(cost, diag_max)
+            tolerance = max(
+                _gradient_tolerance(cost, diag_max),
+                _stall_tolerance(math.sqrt(2.0 * cost), data_norm, diag_max),
+            )
+            converged = gnorm <= tolerance
             break
     return theta, r, J, converged, iterations, gnorm
 
@@ -368,7 +390,9 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
     )
 
     fun = _damped_sine_residual_jacobian(times, signal)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(fun, theta0)
+    theta, r, J, converged, iterations, gnorm = _lm_minimize(
+        fun, theta0, data_norm=float(np.linalg.norm(signal))
+    )
     if not converged:
         raise FitError(
             f"damped-sine fit did not converge: {iterations} iterations, "
@@ -414,7 +438,9 @@ def fit_exponential(times, signal) -> tuple[float, FitReport]:
     else:
         theta0 = np.array([max(float(signal.max()), 1e-12), 0.0])
     fun = _exponential_residual_jacobian(times, signal)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(fun, theta0)
+    theta, r, J, converged, iterations, gnorm = _lm_minimize(
+        fun, theta0, data_norm=float(np.linalg.norm(signal))
+    )
     if not converged:
         raise FitError(
             f"exponential fit did not converge: {iterations} iterations, "
@@ -501,7 +527,9 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
     theta0 = np.array([a_cos, a_sin, env_off, base0, rate0, freq0])
 
     fun = _chevron_residual_jacobian(times, populations)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(fun, theta0)
+    theta, r, J, converged, iterations, gnorm = _lm_minimize(
+        fun, theta0, data_norm=float(np.linalg.norm(populations))
+    )
     if not converged:
         raise FitError(
             f"vacuum-Rabi fit did not converge: {iterations} iterations, "

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,36 @@ class TestGoldenFiles:
             assert (tmp_path / filename).read_bytes() == (
                 GOLDEN / name / filename
             ).read_bytes(), f"{name}/{filename} differs from golden{environment_note()}"
+
+
+class TestByteDeterminism:
+    """The oracle output does not depend on process state or BLAS threads."""
+
+    ORACLE = ["oracle", "--config", str(DATA / "oracle_config.json")]
+
+    @staticmethod
+    def outputs(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_two_runs_in_one_process(self, tmp_path):
+        assert run(self.ORACLE, tmp_path / "first") == 0
+        assert run(self.ORACLE, tmp_path / "second") == 0
+        first = self.outputs(tmp_path / "first")
+        assert first and first == self.outputs(tmp_path / "second")
+
+    def test_blas_thread_count(self, tmp_path):
+        produced = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "zenokit", *self.ORACLE, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            produced.append(self.outputs(out))
+        assert produced[0] and produced[0] == produced[1]
 
 
 class TestPredict:

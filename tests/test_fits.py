@@ -53,6 +53,23 @@ class TestDampedSine:
         assert abs(np.mean(shifts) - NU_S_MHZ) < 0.01 * NU_S_MHZ
         assert abs(np.mean(rates) - GAMMA_PHI_REF) < 0.01 * GAMMA_PHI_REF
 
+    @pytest.mark.parametrize("noise", [1e-4, 1e-3])
+    def test_noisy_traces_converge(self, noise):
+        # a fit that can no longer lower the cost stops with a gradient set
+        # by the cost's rounding error, which scales with the data, not the
+        # residual; such stalls must count as converged
+        rng = np.random.default_rng(20)
+        times = np.linspace(0.0, 2.0, 101)
+        for _ in range(300):
+            rate = rng.uniform(0.5, 4.0)
+            signal = (
+                0.45 * np.exp(-rate * times) * np.cos(TWO_PI * 5.0 * times + rng.uniform(-3, 3))
+                + 0.5
+                + rng.normal(0.0, noise, times.size)
+            )
+            _, fitted, _ = zk.fit_damped_sine(zk.RamseyTrace(times, signal, offset_freq=5.0))
+            assert fitted == pytest.approx(rate, rel=100 * noise)
+
     def test_deterministic_reports(self, ramsey_trace):
         rng = np.random.default_rng(4)
         noisy = ramsey_trace.signal + rng.normal(0.0, 0.01, ramsey_trace.times.size)

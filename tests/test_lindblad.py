@@ -5,6 +5,7 @@ import pytest
 
 import zenokit as zk
 from conftest import GAMMA_Q, G_D
+from zenokit import lindblad
 
 
 def plus_state(dim, excited_index):
@@ -88,6 +89,66 @@ class TestEvolve:
             zk.check_density_matrix(np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex))
         with pytest.raises(zk.StabilityError):
             zk.check_density_matrix(np.diag([1.1, -0.1]).astype(complex))
+
+
+def reference_rk4(model, t_final, dt=None, sample_stride=None):
+    """The per-step RK4 loop that the precomputed step matrix replaced.
+
+    Same step rule and sampling as ``evolve``; returns ``(times, states)``.
+    """
+    scale = model.rate_scale()
+    if dt is None:
+        dt = 0.01 / scale
+    n_steps = max(1, int(math.ceil(t_final / dt)))
+    dt = t_final / n_steps
+    if sample_stride is None:
+        sample_stride = max(1, -(-n_steps // 4000))
+    S = model.superoperator()
+    vec = model.initial_excited().reshape(-1)
+    times, states = [0.0], [vec]
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for step in range(1, n_steps + 1):
+        k1 = S @ vec
+        k2 = S @ (vec + half * k1)
+        k3 = S @ (vec + half * k2)
+        k4 = S @ (vec + dt * k3)
+        vec = vec + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % sample_stride == 0 or step == n_steps:
+            times.append(step * dt)
+            states.append(vec)
+    d = model.dim
+    return np.asarray(times), np.asarray(states).reshape(-1, d, d)
+
+
+class TestStepMatrix:
+    """``evolve`` applies the RK4 step as one matrix; pin it to the loop."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 10**9])
+    def test_matches_per_step_loop(self, strong_defect, stride):
+        model = zk.LindbladModel(
+            qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=strong_defect
+        )
+        n_steps = math.ceil(1.0 / (0.01 / model.rate_scale()))
+        assert n_steps % 7 != 0  # the last sample comes from a partial stride
+        times, states = reference_rk4(model, t_final=1.0, sample_stride=stride)
+        assert len(times) == 1 + n_steps // stride + (n_steps % stride > 0)
+        trajectory = zk.evolve(model, t_final=1.0, sample_stride=stride)
+        assert np.array_equal(trajectory.times, times)
+        assert trajectory.states.shape == states.shape
+        reference = np.einsum("tij,ji->t", states, model.excited_projector()).real
+        assert np.max(np.abs(trajectory.populations() - reference)) <= 1e-12
+
+    def test_first_failing_sample_is_named(self, monkeypatch):
+        # the excited population of rho0 = diag(1/2, 1/2) decays as exp(-t)/2,
+        # so the smallest eigenvalue crosses 1/4 at t = ln 2, in the second
+        # block of the batched check
+        monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", 0.25)
+        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=1.0)
+        rho0 = np.diag([0.5, 0.5]).astype(complex)
+        assert 0.694 / 0.002 > lindblad._CHECK_BLOCK
+        with pytest.raises(zk.StabilityError, match=r"^t=0\.694 us: eigenvalue .*reduce dt below"):
+            zk.evolve(model, rho0=rho0, t_final=2.0, dt=0.002)
 
 
 class TestExtractDecayRate:

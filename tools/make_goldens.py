@@ -6,7 +6,13 @@ byte-identical in one environment.  The fit-derived goldens (calibrate,
 fit_swap, flux_noise and the oracle_per_us column) carry round-off from
 the BLAS kernel and numpy's SIMD dispatch in their last digits, so the
 environment that wrote them is recorded in tests/golden/environment.json.
-Run from the repository root:
+
+A program change should move only the goldens it is about.  The script
+rewrites everything, so after a run restore from git whatever the change
+did not mean to move: tests/data/swap_linecut.csv comes from the RK4
+integrator and moves in its last digits whenever the integrator's
+arithmetic does, and tests/golden/fit_swap/ is rewritten with this host's
+BLAS round-off.  Run from the repository root:
 
     python3 tools/make_goldens.py
 """
