@@ -59,6 +59,7 @@ from .lindblad import (
     validate_kk,
 )
 from .spectrum import (
+    BathSpectrum,
     LorentzianFilter,
     ParametricSpectrum,
     TabulatedSpectrum,
@@ -68,5 +69,3 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
-
-BathSpectrum = TabulatedSpectrum | ParametricSpectrum

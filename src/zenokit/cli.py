@@ -9,8 +9,8 @@ convert-t1      fixed-delay survival CSV -> decay-rate spectrum CSV
 fit-swap        vacuum-Rabi linecut -> defect coupling and decay
 fit-flux-noise  echo traces -> quadratic dephasing-vs-amplitude fit
 
-Global flags ``--config``, ``--out`` and ``--seed`` may appear before or
-after the subcommand.  Structured parameters live in the JSON config
+Global flags ``--config`` and ``--out`` may appear before or after the
+subcommand.  Structured parameters live in the JSON config
 file; paths inside it resolve relative to the config file's directory.
 All referenced inputs are loaded and validated before any computation
 runs, outputs are written atomically at the end, and identical inputs
@@ -78,8 +78,6 @@ def main(argv=None) -> int:
     out_dir = Path(getattr(args, "out", "."))
     config_path = getattr(args, "config", None)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ParseError("--seed must be a non-negative integer")
         config, config_dir = _load_config(config_path)
         outputs = args.handler(args, config, config_dir, out_dir)
         for path, text in outputs.items():
@@ -107,13 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--out", type=Path, default=argparse.SUPPRESS, help="output directory (default .)"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="seed for commands with stochastic fixtures (reserved; all "
-        "current commands are deterministic)",
     )
     parser = argparse.ArgumentParser(prog="zenokit", parents=[common], description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,66 +309,47 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         decay=_as_float(defect_cfg, "decay_per_us"),
     )
     qubit_decay = _as_float(config, "qubit_decay_per_us", 0.0)
-
     try:
-        map_detunings = [mhz_to_angular(float(x)) for x in _require(config, "map_detunings_mhz")]
-        map_dephasings = [
-            mhz_to_angular(float(x)) for x in _require(config, "map_dephasings_mhz")
+        map_detunings = [float(x) for x in _require(config, "map_detunings_mhz")]
+        map_dephasings = [float(x) for x in _require(config, "map_dephasings_mhz")]
+        oracle_detunings = [float(x) for x in config.get("oracle_detunings_mhz", map_detunings)]
+        oracle_dephasings = [
+            float(x) for x in config.get("oracle_dephasings_mhz", map_dephasings)
         ]
+        dt = config.get("dt_us")
+        dt = None if dt is None else float(dt)
+        resolution = int(config.get("resolution", 20001))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"config: {exc}") from None
-    grid = decay_rate_map(map_detunings, map_dephasings, defect, qubit_decay)
+
+    # the MHz columns echo the configured values; converting the angular
+    # detuning back would carry the round-off of a GHz-carrier subtraction
+    grid = decay_rate_map(
+        [mhz_to_angular(x) for x in map_detunings],
+        [mhz_to_angular(x) for x in map_dephasings],
+        defect,
+        qubit_decay,
+    )
     map_rows = [
-        (angular_to_mhz(det), angular_to_mhz(gphi), grid[i, j])
+        (det, gphi, grid[i, j])
         for i, det in enumerate(map_detunings)
         for j, gphi in enumerate(map_dephasings)
     ]
 
-    try:
-        oracle_detunings = [
-            mhz_to_angular(float(x))
-            for x in config.get("oracle_detunings_mhz", config["map_detunings_mhz"])
-        ]
-        oracle_dephasings = [
-            mhz_to_angular(float(x))
-            for x in config.get("oracle_dephasings_mhz", config["map_dephasings_mhz"])
-        ]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config: {exc}") from None
+    coordinates = [(det, gphi) for det in oracle_detunings for gphi in oracle_dephasings]
     contexts = [
-        kk.MeasurementContext(freq=defect.freq + det, dephasing=gphi)
-        for det in oracle_detunings
-        for gphi in oracle_dephasings
+        kk.MeasurementContext(
+            freq=defect.freq + mhz_to_angular(det), dephasing=mhz_to_angular(gphi)
+        )
+        for det, gphi in coordinates
     ]
     spectrum = ParametricSpectrum(background=qubit_decay, peaks=(defect.spectral_peak(),))
-    try:
-        dt = config.get("dt_us")
-        dt = None if dt is None else float(dt)
-        resolution = int(config.get("resolution", 20001))
-        n_trunc = int(config.get("n_trunc", 2))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config: {exc}") from None
     rows = validate_kk(
-        spectrum,
-        defect,
-        contexts,
-        qubit_decay=qubit_decay,
-        resolution=resolution,
-        dt=dt,
-        n_trunc=n_trunc,
+        spectrum, defect, contexts, qubit_decay=qubit_decay, resolution=resolution, dt=dt
     )
     comparison_rows = [
-        (
-            angular_to_mhz(r.dephasing),
-            angular_to_mhz(r.detuning),
-            r.kk_rate,
-            r.purcell_rate,
-            r.oracle_rate,
-            r.dev_kk,
-            r.dev_purcell,
-            r.flagged,
-        )
-        for r in rows
+        (gphi, det, r.kk_rate, r.purcell_rate, r.oracle_rate, r.dev_kk, r.dev_purcell, r.flagged)
+        for (det, gphi), r in zip(coordinates, rows)
     ]
     return {
         out_dir / "comparison.csv": format_table_csv(COMPARISON_CSV_HEADER, comparison_rows),

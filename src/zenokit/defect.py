@@ -78,13 +78,27 @@ def generalized_purcell(qubit: QubitParams, defect: DefectParams) -> float:
     which must surface as an error rather than be silently patched.
     """
     width = effective_width(qubit, defect)
-    if not width > 0:
+    _require_positive_width(width)
+    return _purcell(qubit.decay, defect.coupling, width, qubit.freq - defect.freq)
+
+
+def _purcell(qubit_decay, coupling, width, delta):
+    """``gq + 2 g^2 W / (W^2 + delta^2)``; broadcasts over ``width`` and ``delta``.
+
+    The squares are products, not ``**2``: on a Python float ``**2``
+    calls libm ``pow``, which need not round like numpy's elementwise
+    square, so scalar and grid evaluations would differ in the last bit.
+    """
+    return qubit_decay + 2.0 * (coupling * coupling) * width / (width * width + delta * delta)
+
+
+def _require_positive_width(width) -> None:
+    bad = np.flatnonzero(~(np.asarray(width) > 0))
+    if bad.size:
         raise DomainError(
-            f"effective width must be > 0, got {width}; "
+            f"effective width must be > 0, got {np.ravel(width)[bad[0]]}; "
             "the fast-bath assumption behind the formula does not hold"
         )
-    delta = qubit.freq - defect.freq
-    return qubit.decay + 2.0 * defect.coupling**2 * width / (width**2 + delta**2)
 
 
 def resonant_purcell(coupling: float, kappa: float) -> float:
@@ -119,15 +133,19 @@ def decay_rate_map(
 
     Returns an array of shape ``(len(detunings), len(dephasings))`` whose
     ``[i, j]`` element uses ``detunings[i]`` and ``dephasings[j]``; every
-    grid point must satisfy the positive-width precondition.
+    grid point must satisfy the positive-width precondition.  Each
+    element equals :func:`generalized_purcell` at that point, bit for bit.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     dephasings = np.atleast_1d(np.asarray(dephasings, dtype=float))
     if detunings.size == 0 or dephasings.size == 0:
         raise DomainError("decay_rate_map needs non-empty grids")
-    out = np.empty((detunings.size, dephasings.size))
-    for i, delta in enumerate(detunings):
-        for j, gphi in enumerate(dephasings):
-            qubit = QubitParams(freq=defect.freq + delta, decay=qubit_decay, dephasing=gphi)
-            out[i, j] = generalized_purcell(qubit, defect)
-    return out
+    if qubit_decay < 0:
+        raise DomainError(f"qubit decay must be >= 0, got {qubit_decay}")
+    if np.any(dephasings < 0):
+        raise DomainError(f"dephasing must be >= 0, got {dephasings[dephasings < 0][0]}")
+    # the same operations, in the same order, as QubitParams + generalized_purcell
+    width = dephasings + defect.decay / 2.0 - qubit_decay / 2.0
+    _require_positive_width(width)
+    delta = (defect.freq + detunings) - defect.freq
+    return _purcell(qubit_decay, defect.coupling, width[None, :], delta[:, None])

@@ -280,8 +280,10 @@ def _log_envelope_rate(times, values, freq):
     z = np.asarray(values, dtype=float) - np.mean(values)
     rot = z * np.exp(-1j * TWO_PI * freq * times)
     if freq > 0:
+        # one fringe period, but no wider than the trace: a wider kernel
+        # makes the "same"-mode convolution longer than the trace
         dt = float(np.median(np.diff(times)))
-        win = max(1, int(round(1.0 / (freq * dt))))
+        win = min(max(1, int(round(1.0 / (freq * dt)))), len(times))
     else:
         win = 1
     kernel = np.ones(win) / win
@@ -422,24 +424,31 @@ def _exponential_residual_jacobian(times, signal):
     return fun
 
 
+def _exponential_seed(times, signal) -> np.ndarray:
+    """``(A, g)`` seed for ``A exp(-g t)``: a log-linear regression.
+
+    The regression runs over the positive samples; with fewer than two
+    of them the seed is the largest sample with no decay.
+    """
+    positive = signal > 0
+    if positive.sum() < 2:
+        return np.array([max(float(signal.max()), 1e-12), 0.0])
+    slope, intercept = np.polyfit(times[positive], np.log(signal[positive]), 1)
+    return np.array([math.exp(min(intercept, 700.0)), -slope])
+
+
 def fit_exponential(times, signal) -> tuple[float, FitReport]:
     """Fit ``A exp(-g t)`` and return ``(g, report)``.
 
-    Seeds from a log-linear regression over the positive samples.
+    Seeds from :func:`_exponential_seed`.
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if times.size < 2:
         raise DomainError("need >= 2 samples for an exponential fit")
-    positive = signal > 0
-    if positive.sum() >= 2:
-        slope, intercept = np.polyfit(times[positive], np.log(signal[positive]), 1)
-        theta0 = np.array([math.exp(min(intercept, 700.0)), -slope])
-    else:
-        theta0 = np.array([max(float(signal.max()), 1e-12), 0.0])
     fun = _exponential_residual_jacobian(times, signal)
     theta, r, J, converged, iterations, gnorm = _lm_minimize(
-        fun, theta0, data_norm=float(np.linalg.norm(signal))
+        fun, _exponential_seed(times, signal), data_norm=float(np.linalg.norm(signal))
     )
     if not converged:
         raise FitError(

@@ -27,7 +27,6 @@ FORMAT_TAG = "zenokit-v1"
 TRACE_CSV_HEADER = "time_us,signal"
 POPULATION_CSV_HEADER = "time_us,p1"
 T1_CSV_HEADER = "freq_mhz,p1"
-TRAJECTORY_CSV_HEADER = "time_us,p1,trace_error"
 COMPARISON_CSV_HEADER = (
     "gamma_phi_mhz,detuning_mhz,kk_per_us,eq2_per_us,oracle_per_us,dev_kk,dev_eq2,flag"
 )
@@ -139,12 +138,6 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     return repr(float(value))
-
-
-def format_trajectory_csv(trajectory, tag: str | None = FORMAT_TAG) -> str:
-    """Render an integrated trajectory as ``time_us,p1,trace_error`` rows."""
-    rows = zip(trajectory.times, trajectory.populations(), trajectory.trace_errors())
-    return format_table_csv(TRAJECTORY_CSV_HEADER, rows, tag=tag)
 
 
 def read_sidecar_json(trace_path) -> dict:

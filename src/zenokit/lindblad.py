@@ -6,9 +6,11 @@ Integrates
 
 with fixed-step RK4 in the frame rotating at the defect frequency, so
 only detunings and couplings (MHz scale) enter the integrator rather
-than GHz carriers.  The defect is a truncated harmonic oscillator; the
-readout resonator itself never appears, only its effect on the qubit
-(dephasing and Stark shift), which is exactly the regime the closed-form
+than GHz carriers.  The defect is a two-level system: from ``|e,0>``
+exchange and dephasing keep the excitation number and every jump lowers
+it, so no defect level above the first is ever populated.  The readout
+resonator itself never appears, only its effect on the qubit (dephasing
+and Stark shift), which is exactly the regime the closed-form
 predictions address.  The integrator is deliberately simple and
 deterministic: for dimensions this small, correctness and bit-stable
 output beat adaptive cleverness.
@@ -36,7 +38,13 @@ import numpy as np
 from . import kk
 from .defect import DefectParams, QubitParams, generalized_purcell
 from .errors import DomainError, FitError, OscillationWarning, StabilityError
-from .fits import FitReport, _exponential_residual_jacobian, _lm_minimize, _report
+from .fits import (
+    FitReport,
+    _exponential_residual_jacobian,
+    _exponential_seed,
+    _lm_minimize,
+    _report,
+)
 from .spectrum import ParametricSpectrum
 
 TRACE_TOL = 1e-9
@@ -68,28 +76,23 @@ class LindbladModel:
     qubit_decay : float
         Intrinsic qubit decay rate on the lowering operator.
     defect : DefectParams, optional
-        Coherently coupled lossy mode; omitted for a bare qubit.
-    n_trunc : int
-        Highest defect Fock state kept (>= 1 when a defect is present;
-        the default 2 leaves one level above the single-excitation
-        sector as a truncation watchdog).
+        Coherently coupled lossy two-level defect; omitted for a bare
+        qubit.  The basis is qubit (ground, excited) times defect
+        (ground, excited).
     """
 
     qubit_freq: float
     dephasing: float = 0.0
     qubit_decay: float = 0.0
     defect: DefectParams | None = None
-    n_trunc: int = 2
 
     def __post_init__(self):
         if self.dephasing < 0 or self.qubit_decay < 0:
             raise DomainError("dissipation rates must be >= 0")
-        if self.defect is not None and self.n_trunc < 1:
-            raise DomainError("need n_trunc >= 1 with a defect present")
 
     @property
     def dim(self) -> int:
-        return 2 * (self.n_trunc + 1) if self.defect is not None else 2
+        return 4 if self.defect is not None else 2
 
     @property
     def frame_freq(self) -> float:
@@ -99,15 +102,14 @@ class LindbladModel:
     def _qubit_op(self, op: np.ndarray) -> np.ndarray:
         if self.defect is None:
             return op
-        return np.kron(op, np.eye(self.n_trunc + 1, dtype=complex))
+        return np.kron(op, np.eye(2, dtype=complex))
 
     def hamiltonian(self) -> np.ndarray:
         """Rotating-frame Hamiltonian: detuning term plus exchange coupling."""
         detuning = self.qubit_freq - self.frame_freq
         H = 0.5 * detuning * self._qubit_op(_SIGMA_Z)
         if self.defect is not None:
-            lower = np.diag(np.sqrt(np.arange(1, self.n_trunc + 1)), 1).astype(complex)
-            swap = np.kron(_SIGMA_MINUS.conj().T, lower)
+            swap = np.kron(_SIGMA_MINUS.conj().T, _SIGMA_MINUS)
             H = H + self.defect.coupling * (swap + swap.conj().T)
         return H
 
@@ -119,8 +121,7 @@ class LindbladModel:
         if self.qubit_decay > 0:
             jumps.append((self.qubit_decay, self._qubit_op(_SIGMA_MINUS)))
         if self.defect is not None and self.defect.decay > 0:
-            lower = np.diag(np.sqrt(np.arange(1, self.n_trunc + 1)), 1).astype(complex)
-            jumps.append((self.defect.decay, np.kron(np.eye(2, dtype=complex), lower)))
+            jumps.append((self.defect.decay, np.kron(np.eye(2, dtype=complex), _SIGMA_MINUS)))
         return jumps
 
     def excited_projector(self) -> np.ndarray:
@@ -129,8 +130,7 @@ class LindbladModel:
     def initial_excited(self) -> np.ndarray:
         """|excited, vacuum><excited, vacuum|."""
         rho = np.zeros((self.dim, self.dim), dtype=complex)
-        idx = self.n_trunc + 1 if self.defect is not None else 1
-        rho[idx, idx] = 1.0
+        rho[self.dim // 2, self.dim // 2] = 1.0
         return rho
 
     def rate_scale(self) -> float:
@@ -338,15 +338,9 @@ def extract_decay_rate(
 
     tt = np.geomspace(lo, hi, samples)
     pp = np.interp(tt, t, p)
-    positive = pp > 0
-    if positive.sum() >= 2:
-        slope, intercept = np.polyfit(tt[positive], np.log(pp[positive]), 1)
-        theta0 = np.array([math.exp(min(intercept, 700.0)), -slope])
-    else:
-        theta0 = np.array([max(p_lo, 1e-12), 1.0 / (hi - lo)])
     fun = _exponential_residual_jacobian(tt, pp)
     theta, r, J, converged, iterations, gnorm = _lm_minimize(
-        fun, theta0, data_norm=float(np.linalg.norm(pp))
+        fun, _exponential_seed(tt, pp), data_norm=float(np.linalg.norm(pp))
     )
     report = _report(("amplitude", "decay_rate"), theta, r, J, converged, iterations, gnorm)
 
@@ -390,7 +384,6 @@ def validate_kk(
     qubit_decay: float = 0.0,
     resolution: int = 20001,
     dt: float | None = None,
-    n_trunc: int = 2,
     flag_threshold: float = 0.1,
 ) -> list[ComparisonRow]:
     """Compare convolution, closed-form, and density-matrix decay rates.
@@ -430,7 +423,6 @@ def validate_kk(
             dephasing=ctx.dephasing,
             qubit_decay=qubit_decay,
             defect=defect,
-            n_trunc=n_trunc,
         )
         # skip the fast defect-equilibration transient, then leave enough
         # window for a 1/e drop even when the closed form overestimates

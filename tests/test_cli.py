@@ -292,6 +292,39 @@ class TestOracleCommand:
         assert zeno_map[1] == "detuning_mhz,gamma_phi_mhz,Gamma_per_us"
         assert len(zeno_map) == 2 + 5 * 3  # tag + header + row-major grid
 
+    def test_coordinates_echo_the_config(self, tmp_path):
+        # none of these detunings survives defect.freq + 2 pi x - defect.freq
+        # and a division by 2 pi unchanged; the columns must not carry that
+        detunings, dephasings = [-1.3, 0.7, 2.9], [0.1, 0.35]
+        config = tmp_path / "config.json"
+        config.write_text(
+            dump_json(
+                {
+                    "defect": {"freq_mhz": 4300.0, "coupling_mhz": 0.1, "decay_per_us": 10.0},
+                    "qubit_decay_per_us": 0.01,
+                    "map_detunings_mhz": detunings,
+                    "map_dephasings_mhz": dephasings,
+                    "oracle_detunings_mhz": [0.7],
+                    "oracle_dephasings_mhz": [0.35],
+                }
+            )
+        )
+        assert run(["oracle", "--config", str(config)], tmp_path / "out") == 0
+        comparison = np.loadtxt(tmp_path / "out" / "comparison.csv", delimiter=",", skiprows=2)
+        assert (comparison[0], comparison[1]) == (0.35, 0.7)
+        zeno_map = np.loadtxt(tmp_path / "out" / "zeno_map.csv", delimiter=",", skiprows=2)
+        assert zeno_map[:, 0].tolist() == [d for d in detunings for _ in dephasings]
+        assert zeno_map[:, 1].tolist() == dephasings * len(detunings)
+
+    def test_n_trunc_key_is_ignored(self, tmp_path):
+        config = json.loads((DATA / "oracle_config.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(dump_json({**config, "n_trunc": 3}))
+        assert run(["oracle", "--config", str(path)], tmp_path / "out") == 0
+        for name in ("comparison.csv", "zeno_map.csv"):
+            expected = (GOLDEN / "oracle" / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == expected
+
 
 class TestFitCommands:
     def test_fit_swap_recovers_coupling(self, tmp_path):

@@ -102,6 +102,35 @@ class TestDecayRateMap:
         assert grid.shape == (1, 1)
         assert grid[0, 0] == expected
 
+    def test_grid_matches_scalar_formula_bitwise(self, strong_defect):
+        # the broadcast map evaluates the scalar expression elementwise, in
+        # the same order, so every element keeps the scalar's bytes
+        rng = np.random.default_rng(7)
+        detunings = rng.uniform(-300.0, 300.0, 40)
+        dephasings = np.concatenate(([0.0], rng.uniform(0.0, 50.0, 29)))
+        grid = zk.decay_rate_map(detunings, dephasings, strong_defect, qubit_decay=GAMMA_Q)
+        expected = [
+            [
+                zk.generalized_purcell(
+                    zk.QubitParams(freq=strong_defect.freq + det, decay=GAMMA_Q, dephasing=g),
+                    strong_defect,
+                )
+                for g in dephasings
+            ]
+            for det in detunings
+        ]
+        assert grid.shape == (40, 30)
+        assert np.array_equal(grid, expected)
+
+    @pytest.mark.parametrize(
+        "dephasings,qubit_decay",
+        [([1.0, -0.5], GAMMA_Q), ([1.0], -0.1), ([0.0, 1.0], 2.0 * GAMMA_1D)],
+        ids=["negative-dephasing", "negative-qubit-decay", "non-positive-width"],
+    )
+    def test_invalid_grid_point_rejected(self, strong_defect, dephasings, qubit_decay):
+        with pytest.raises(zk.DomainError):
+            zk.decay_rate_map([0.0, 1.0], dephasings, strong_defect, qubit_decay=qubit_decay)
+
     def test_resonant_column_monotone_decreasing(self, strong_defect):
         dephasings = np.linspace(0.0, 30.0, 40)
         grid = zk.decay_rate_map([0.0], dephasings, strong_defect, GAMMA_Q)

@@ -15,6 +15,7 @@ from conftest import (
     OFFSET_MHZ,
     R_MHZ,
     S_MHZ,
+    make_ramsey_signal,
 )
 from zenokit.fits import _DAMPED_SINE_NAMES, _damped_sine_residual_jacobian
 from zenokit.units import TWO_PI, mhz_to_angular
@@ -69,6 +70,35 @@ class TestDampedSine:
             )
             _, fitted, _ = zk.fit_damped_sine(zk.RamseyTrace(times, signal, offset_freq=5.0))
             assert fitted == pytest.approx(rate, rel=100 * noise)
+
+    def test_fast_decays_converge(self):
+        # noiseless traces at drive amplitude ~0.05 with the device
+        # calibration varied by 10-20%: the dephasing reaches
+        # ~8/us, the fringe peak can land on the lowest spectral bin, and
+        # the envelope-smoothing window must still fit inside the trace
+        rng = np.random.default_rng(5)
+        times = np.arange(0.0, 3.0, 0.004)
+        for _ in range(150):
+            eps = 0.05 * rng.uniform(0.97, 1.03)
+            S = S_MHZ * rng.uniform(0.9, 1.1)
+            K = K_MHZ * rng.uniform(0.8, 1.2)
+            R = R_MHZ * rng.uniform(0.9, 1.1)
+            stark = S * eps**2 + K * eps**4
+            dephasing = TWO_PI * R * eps**2
+            signal = make_ramsey_signal(
+                times,
+                stark_mhz=stark,
+                dephasing=dephasing,
+                amplitude=rng.uniform(0.4, 0.5),
+                phase=rng.uniform(-math.pi, math.pi),
+                baseline=rng.uniform(0.45, 0.55),
+            )
+            shift, rate, report = zk.fit_damped_sine(
+                zk.RamseyTrace(times, signal, offset_freq=OFFSET_MHZ, epsilon=eps)
+            )
+            assert report.converged
+            assert shift == pytest.approx(stark, rel=1e-9)
+            assert rate == pytest.approx(dephasing, rel=1e-9)
 
     def test_deterministic_reports(self, ramsey_trace):
         rng = np.random.default_rng(4)

@@ -194,21 +194,64 @@ class TestExtractDecayRate:
             zk.extract_decay_rate(trajectory, (0.1, 50.0))
 
 
-class TestTruncation:
-    def test_one_more_level_changes_nothing(self, adiabatic_defect):
-        rates = []
-        for n_trunc in (2, 3):
-            model = zk.LindbladModel(
-                qubit_freq=adiabatic_defect.freq,
-                dephasing=1.0,
-                qubit_decay=GAMMA_Q,
-                defect=adiabatic_defect,
-                n_trunc=n_trunc,
-            )
-            trajectory = zk.evolve(model, t_final=35.0)
-            rate, _ = zk.extract_decay_rate(trajectory, (1.2, 35.0))
-            rates.append(rate)
-        assert abs(rates[1] - rates[0]) / rates[0] < 1e-3
+def oscillator_superoperator(model):
+    """The model's Lindbladian with the defect as a 3-level oscillator.
+
+    Basis: qubit (ground, excited) times defect Fock states 0, 1, 2;
+    row-major vec(rho), as ``LindbladModel.superoperator``.
+    """
+    eye3 = np.eye(3, dtype=complex)
+    lower = np.diag([1.0, math.sqrt(2.0)], 1).astype(complex)
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    swap = np.kron(sm.conj().T, lower)
+    H = 0.5 * (model.qubit_freq - model.defect.freq) * np.kron(sz, eye3)
+    H = H + model.defect.coupling * (swap + swap.conj().T)
+    jumps = [
+        (0.5 * model.dephasing, np.kron(sz, eye3)),
+        (model.qubit_decay, np.kron(sm, eye3)),
+        (model.defect.decay, np.kron(np.eye(2), lower)),
+    ]
+    eye = np.eye(6, dtype=complex)
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for rate, L in jumps:
+        LdL = L.conj().T @ L
+        S += rate * (np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T)))
+    return S
+
+
+def exact_populations(S, rho0, projector, times):
+    """Tr(P rho(t)) with rho(t) = exp(S t) rho0, by eigendecomposition."""
+    eigvals, vecs = np.linalg.eig(S)
+    coef = np.linalg.solve(vecs, rho0.reshape(-1))
+    states = vecs @ (coef[:, None] * np.exp(eigvals[:, None] * times[None, :]))
+    d = rho0.shape[0]
+    return np.einsum("ijt,ji->t", states.reshape(d, d, -1), projector).real
+
+
+class TestTwoLevelDefect:
+    """From |e,0> no defect level above the first is reached."""
+
+    @pytest.mark.parametrize("defect_name", ["adiabatic_defect", "strong_defect"])
+    def test_matches_three_level_oscillator(self, request, defect_name):
+        defect = request.getfixturevalue(defect_name)
+        model = zk.LindbladModel(
+            qubit_freq=defect.freq + 3.0, dephasing=1.0, qubit_decay=GAMMA_Q, defect=defect
+        )
+        assert zk.LindbladModel(qubit_freq=0.0).dim == 2
+        assert model.dim == 4
+        assert model.initial_excited()[2, 2] == 1.0
+        times = np.array([0.05, 0.2, 0.5, 1.0])
+        two_level = exact_populations(
+            model.superoperator(), model.initial_excited(), model.excited_projector(), times
+        )
+        rho0 = np.zeros((6, 6), dtype=complex)
+        rho0[3, 3] = 1.0  # |excited, vacuum>
+        oscillator = exact_populations(
+            oscillator_superoperator(model), rho0, np.diag([0.0] * 3 + [1.0] * 3), times
+        )
+        assert np.all(oscillator > 1e-3)
+        assert np.max(np.abs(two_level - oscillator)) <= 1e-12
 
 
 class TestValidateKk:
@@ -278,33 +321,7 @@ class TestValidateKk:
             zk.validate_kk(good_spectrum, adiabatic_defect, ctx, qubit_decay=GAMMA_Q)
 
 
-class TestTrajectoryCsv:
-    def test_format_and_reparse(self, tmp_path):
-        from zenokit.io import TRAJECTORY_CSV_HEADER, format_trajectory_csv, read_columns_csv
-
-        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.2)
-        trajectory = zk.evolve(model, t_final=5.0, dt=0.05)
-        text = format_trajectory_csv(trajectory)
-        lines = text.splitlines()
-        assert lines[0] == "# zenokit-v1"
-        assert lines[1] == TRAJECTORY_CSV_HEADER
-        path = tmp_path / "trajectory.csv"
-        path.write_text(text)
-        times, p1, trace_err = read_columns_csv(path, TRAJECTORY_CSV_HEADER)
-        assert np.array_equal(times, trajectory.times)
-        assert np.array_equal(p1, trajectory.populations())
-        assert trace_err.max() < 1e-9
-
-
 class TestModelValidation:
     def test_negative_rates_rejected(self):
         with pytest.raises(zk.DomainError):
             zk.LindbladModel(qubit_freq=0.0, dephasing=-1.0)
-
-    def test_defect_needs_levels(self, strong_defect):
-        with pytest.raises(zk.DomainError):
-            zk.LindbladModel(qubit_freq=0.0, defect=strong_defect, n_trunc=0)
-
-    def test_dimensions(self, strong_defect):
-        assert zk.LindbladModel(qubit_freq=0.0).dim == 2
-        assert zk.LindbladModel(qubit_freq=0.0, defect=strong_defect, n_trunc=2).dim == 6
