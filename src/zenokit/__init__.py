@@ -30,22 +30,23 @@ from .errors import (
 from .fits import (
     FitReport,
     RamseyTrace,
-    ReadoutCalibration,
     fit_damped_sine,
     fit_dephasing_quadratic,
     fit_exponential,
     fit_flux_noise_quadratic,
     fit_stark_poly,
     fit_swap_chevron,
-    photons_from_stark,
     rate_from_fixed_delay,
 )
+from .io import format_spectrum_csv, read_spectrum_csv
 from .kk import (
     DELTA_LIMIT,
     KkResult,
     MeasurementContext,
+    ReadoutCalibration,
     decay_rate,
     default_window,
+    photons_from_stark,
     sweep,
     window_normalization,
 )
@@ -64,8 +65,6 @@ from .spectrum import (
     ParametricSpectrum,
     TabulatedSpectrum,
     TlsPeak,
-    format_spectrum_csv,
-    read_spectrum_csv,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from .defect import DefectParams, decay_rate_map
 from .errors import DomainError, FitError, ParseError, RangeError, StabilityError
 from .fits import (
     RamseyTrace,
-    ReadoutCalibration,
     fit_damped_sine,
     fit_dephasing_quadratic,
     fit_exponential,
@@ -52,19 +50,17 @@ from .io import (
     atomic_write_text,
     calibration_to_json,
     dump_json,
+    format_spectrum_csv,
     format_table_csv,
     read_calibration_json,
     read_columns_csv,
+    read_json_object,
     read_sidecar_json,
+    read_spectrum_csv,
     report_to_dict,
 )
 from .lindblad import validate_kk
-from .spectrum import (
-    ParametricSpectrum,
-    TabulatedSpectrum,
-    format_spectrum_csv,
-    read_spectrum_csv,
-)
+from .spectrum import ParametricSpectrum, TabulatedSpectrum
 from .units import angular_to_mhz, mhz_to_angular
 
 EXIT_OK = 0
@@ -82,7 +78,7 @@ def main(argv=None) -> int:
         outputs = args.handler(args, config, config_dir, out_dir)
         for path, text in outputs.items():
             atomic_write_text(path, text)
-    except (ParseError, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         return _fail(EXIT_PARSE, exc)
     except (DomainError, RangeError, FitError) as exc:
         return _fail(EXIT_DOMAIN, exc)
@@ -137,14 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(config_path):
     if config_path is None:
         return None, None
-    with open(config_path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{config_path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise ParseError(f"{config_path}: config must be a JSON object")
-    return config, Path(config_path).parent
+    return read_json_object(config_path), Path(config_path).parent
 
 
 def _require(config, key):
@@ -246,16 +235,10 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
 
     loaded = []
     for path in paths:
-        meta = read_sidecar_json(path)
-        if "epsilon" not in meta or "offset_mhz" not in meta:
-            raise ParseError(f"{path}: sidecar must carry 'epsilon' and 'offset_mhz'")
-        try:
-            offset = float(meta["offset_mhz"])
-            epsilon = float(meta["epsilon"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: sidecar: {exc}") from None
+        meta = read_sidecar_json(path, ("epsilon", "offset_mhz"))
         times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
-        loaded.append((path, RamseyTrace(times, signal, offset_freq=offset, epsilon=epsilon)))
+        trace = RamseyTrace(times, signal, offset_freq=meta["offset_mhz"], epsilon=meta["epsilon"])
+        loaded.append((path, trace))
 
     entries, failures = [], []
     for path, trace in loaded:
@@ -272,7 +255,7 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
     dephasing_points = [(eps, rate) for _, eps, _, rate, _ in entries]
     stark_quad, stark_quartic, stark_report = fit_stark_poly(stark_points)
     dephasing_quad, dephasing_report = fit_dephasing_quadratic(dephasing_points)
-    calibration = ReadoutCalibration(
+    calibration = kk.ReadoutCalibration(
         stark_quad=stark_quad,
         stark_quartic=stark_quartic,
         dephasing_quad=dephasing_quad,
@@ -389,13 +372,7 @@ def cmd_fit_flux_noise(args, config, config_dir, out_dir) -> dict[Path, str]:
     paths = _trace_paths(config, config_dir)
     loaded = []
     for path in paths:
-        meta = read_sidecar_json(path)
-        if "flux_amp" not in meta:
-            raise ParseError(f"{path}: sidecar must carry 'flux_amp'")
-        try:
-            flux_amp = float(meta["flux_amp"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: sidecar: {exc}") from None
+        flux_amp = read_sidecar_json(path, ("flux_amp",))["flux_amp"]
         times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
         loaded.append((path, flux_amp, times, signal))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, SignError
+from .errors import DomainError, FitError
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,51 +72,6 @@ class RamseyTrace:
             raise DomainError("times must be strictly increasing")
         times.setflags(write=False)
         signal.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ReadoutCalibration:
-    """Drive amplitude -> (Stark shift, dephasing, photon number) map.
-
-    Fields are angular (rad/us): ``stark_quad`` and ``stark_quartic`` are
-    the quadratic and quartic Stark coefficients, ``dephasing_quad`` the
-    quadratic dephasing coefficient, ``chi`` the signed dispersive shift.
-    The quartic Kerr term is retained but must stay subdominant over the
-    calibrated amplitude range; the Stark sign must match ``chi`` so the
-    inferred photon number stays non-negative.
-    """
-
-    stark_quad: float
-    stark_quartic: float
-    dephasing_quad: float
-    chi: float
-    max_epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.dephasing_quad < 0:
-            raise DomainError(f"dephasing coefficient must be >= 0, got {self.dephasing_quad}")
-        if self.chi == 0:
-            raise DomainError("dispersive shift chi must be nonzero")
-        if self.max_epsilon is not None and self.max_epsilon > 0:
-            eps = self.max_epsilon
-            if abs(self.stark_quartic) * eps**4 >= abs(self.stark_quad) * eps**2 and (
-                self.stark_quartic != 0.0
-            ):
-                raise DomainError(
-                    "quartic Stark term dominates the quadratic one at the "
-                    f"calibrated amplitude {eps}"
-                )
-            # raises SignError when the Stark and chi signs disagree
-            self.nbar(eps)
-
-    def stark_shift(self, epsilon: float) -> float:
-        return self.stark_quad * epsilon**2 + self.stark_quartic * epsilon**4
-
-    def dephasing(self, epsilon: float) -> float:
-        return self.dephasing_quad * epsilon**2
-
-    def nbar(self, epsilon: float) -> float:
-        return photons_from_stark(self.stark_shift(epsilon), self.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +142,10 @@ def _lm_minimize(residual_jacobian, theta0, data_norm, max_iterations=MAX_ITERAT
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new, J_new = residual_jacobian(theta + delta)
-            cost_new = 0.5 * float(r_new @ r_new)
+            # a wild trial step may overflow; its non-finite cost rejects it
+            with np.errstate(over="ignore"):
+                r_new, J_new = residual_jacobian(theta + delta)
+                cost_new = 0.5 * float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new < cost:
                 theta = theta + delta
                 r, J, cost = r_new, J_new, cost_new
@@ -606,23 +563,7 @@ def fit_flux_noise_quadratic(points) -> tuple[float, FitReport]:
 
 
 # ---------------------------------------------------------------------------
-# scalar conversions
-
-
-def photons_from_stark(stark_shift: float, chi: float) -> float:
-    """Mean photon number from ``stark_shift = 2 * chi * nbar``.
-
-    Raises :class:`SignError` when the signs of shift and dispersive
-    shift disagree (which would imply a negative photon number).
-    """
-    if chi == 0:
-        raise DomainError("dispersive shift chi must be nonzero")
-    nbar = stark_shift / (2.0 * chi)
-    if nbar < 0:
-        raise SignError(
-            f"stark shift {stark_shift} and chi {chi} imply negative photon number {nbar}"
-        )
-    return nbar
+# scalar conversion
 
 
 def rate_from_fixed_delay(p1: float, t_delay: float) -> float:

@@ -1,4 +1,10 @@
-"""File formats: strict CSV/JSON readers and atomic, tagged writers.
+"""File formats: the one module that reads and writes zenokit's files.
+
+Every input is opened here.  CSV inputs go through one strict table
+reader, :func:`read_columns_csv`, and JSON inputs through one object
+reader, :func:`read_json_object`; the format readers built on them
+(loss spectrum, trace sidecar, calibration) add only their own checks.
+The other modules hold models and numerics and open no file.
 
 Every output file embeds the format tag so downstream tooling can check
 what produced it; CSV files carry it as a leading ``#`` comment, JSON
@@ -10,7 +16,6 @@ from __future__ import annotations
 
 import io as _io
 import json
-import math
 import os
 import platform
 import tempfile
@@ -18,12 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .fits import FitReport, ReadoutCalibration
+from .errors import DomainError, ParseError
+from .fits import FitReport
+from .kk import ReadoutCalibration
+from .spectrum import TabulatedSpectrum
 from .units import angular_to_mhz, mhz_to_angular
 
 FORMAT_TAG = "zenokit-v1"
 
+SPECTRUM_CSV_HEADER = "freq_mhz,gamma_per_us"
 TRACE_CSV_HEADER = "time_us,signal"
 POPULATION_CSV_HEADER = "time_us,p1"
 T1_CSV_HEADER = "freq_mhz,p1"
@@ -32,6 +40,7 @@ COMPARISON_CSV_HEADER = (
 )
 ZENO_MAP_CSV_HEADER = "detuning_mhz,gamma_phi_mhz,Gamma_per_us"
 SWEEP_CSV_HEADER = "nbar,gamma_per_us"
+CALIBRATION_JSON_KEYS = ("S_mhz", "K_mhz", "R_mhz", "chi_mhz")
 
 # Environment variables that override numpy's and OpenBLAS's choice of
 # compute kernel at run time.
@@ -85,42 +94,82 @@ def environment_fingerprint() -> dict:
 def read_columns_csv(path, header: str) -> tuple[np.ndarray, ...]:
     """Strictly parse a numeric CSV whose header matches exactly.
 
-    Leading ``#`` comment lines are skipped; non-finite values, wrong
-    column counts, and header mismatches raise :class:`ParseError`.
+    ``path`` is a file path or an open text stream.  Leading ``#``
+    comment lines and blank lines are skipped.  A header mismatch, no
+    data rows, or a row with the wrong column count, a non-numeric or a
+    non-finite value raises :class:`ParseError`, naming the file and,
+    for a bad row, its line.  Returns one contiguous array per column.
     """
-    name = os.fspath(path)
-    n_cols = len(header.split(","))
+    if hasattr(path, "read"):
+        return _parse_columns(path, "<stream>", header)
     with open(path, "r", encoding="utf-8") as fh:
-        seen_header = None
-        lineno = 0
-        for line in fh:
-            lineno += 1
-            if line.startswith("#"):
-                continue
+        return _parse_columns(fh, os.fspath(path), header)
+
+
+def _parse_columns(fh, name: str, header: str) -> tuple[np.ndarray, ...]:
+    seen_header = None
+    lineno = 0
+    for line in fh:
+        lineno += 1
+        if not line.startswith("#"):
             seen_header = line.strip()
             break
-        if seen_header != header:
-            raise ParseError(f"{name}: expected header {header!r}, got {seen_header!r}")
-        columns = [[] for _ in range(n_cols)]
-        for line in fh:
-            lineno += 1
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_cols:
-                raise ParseError(f"{name}:{lineno}: expected {n_cols} columns")
-            for col, part in zip(columns, parts):
-                try:
-                    value = float(part)
-                except ValueError as exc:
-                    raise ParseError(f"{name}:{lineno}: {exc}") from None
-                if not math.isfinite(value):
-                    raise ParseError(f"{name}:{lineno}: non-finite value")
-                col.append(value)
-    if not columns[0]:
+    if seen_header != header:
+        raise ParseError(f"{name}: expected header {header!r}, got {seen_header!r}")
+    n_cols = header.count(",") + 1
+    lines, linenos = [], []
+    for lineno, line in enumerate(fh, lineno + 1):
+        if line.count(",") == n_cols - 1:
+            lines.append(line)
+            linenos.append(lineno)
+        elif line.strip():
+            raise ParseError(
+                f"{name}:{lineno}: expected {n_cols} columns, got {line.count(',') + 1}"
+            )
+    if not lines:
         raise ParseError(f"{name}: no data rows")
-    return tuple(np.asarray(c) for c in columns)
+    # float() every cell of one joined string and check finiteness once
+    # over the table, keeping per-row objects out of the hot loop; a
+    # failure is then traced back to its line
+    try:
+        table = np.array([*map(float, ",".join(lines).split(","))]).reshape(-1, n_cols)
+    except ValueError:
+        for lineno, line in zip(linenos, lines):
+            try:
+                [float(part.strip()) for part in line.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"{name}:{lineno}: {exc}") from None
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{name}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return tuple(table[:, j].copy() for j in range(n_cols))
+
+
+def read_spectrum_csv(path_or_file) -> TabulatedSpectrum:
+    """Parse a ``freq_mhz,gamma_per_us`` CSV into a tabulated spectrum.
+
+    The format is strict: the table rules of :func:`read_columns_csv`,
+    at least 2 rows, absolute ordinary frequencies in MHz sorted
+    strictly ascending, and non-negative rates.
+    """
+    freqs, rates = read_columns_csv(path_or_file, SPECTRUM_CSV_HEADER)
+    name = "<stream>" if hasattr(path_or_file, "read") else os.fspath(path_or_file)
+    if freqs.size < 2:
+        raise ParseError(f"{name}: need at least 2 data rows, got {freqs.size}")
+    steps = np.diff(freqs)
+    if np.any(steps == 0):
+        raise ParseError(f"{name}: duplicate frequencies")
+    if np.any(steps < 0):
+        raise ParseError(f"{name}: frequencies not sorted ascending")
+    if np.any(rates < 0):
+        raise ParseError(f"{name}: negative decay rate")
+    return TabulatedSpectrum(mhz_to_angular(freqs), rates)
+
+
+def format_spectrum_csv(spectrum: TabulatedSpectrum, tag: str | None = None) -> str:
+    """Render a tabulated spectrum back to the CSV format, MHz boundary units."""
+    rows = zip(angular_to_mhz(spectrum.omegas), spectrum.rates)
+    return format_table_csv(SPECTRUM_CSV_HEADER, rows, tag)
 
 
 def format_table_csv(header: str, rows, tag: str | None = FORMAT_TAG) -> str:
@@ -140,19 +189,45 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def read_sidecar_json(trace_path) -> dict:
-    """Metadata sidecar: ``foo.csv`` -> ``foo.json`` next to it."""
+def read_json_object(path) -> dict:
+    """Load a JSON file whose top level is an object.
+
+    Malformed JSON or another top-level value raises :class:`ParseError`
+    naming the file; a missing file raises ``open``'s ``OSError``.
+    """
+    name = os.fspath(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{name}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{name}: expected a JSON object")
+    return payload
+
+
+def _float_fields(payload: dict, keys, name) -> dict[str, float]:
+    fields = {}
+    for key in keys:
+        if key not in payload:
+            raise ParseError(f"{name}: missing key {key!r}")
+        try:
+            fields[key] = float(payload[key])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{name}: key {key!r}: {exc}") from None
+    return fields
+
+
+def read_sidecar_json(trace_path, keys) -> dict[str, float]:
+    """A trace's metadata sidecar, ``foo.csv`` -> ``foo.json`` next to it.
+
+    Each of ``keys`` must be present and convert to a float; returns
+    those values by key.
+    """
     sidecar = Path(trace_path).with_suffix(".json")
     if not sidecar.exists():
         raise ParseError(f"missing sidecar {sidecar} for trace {trace_path}")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{sidecar}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ParseError(f"{sidecar}: expected a JSON object")
-    return meta
+    return _float_fields(read_json_object(sidecar), keys, sidecar)
 
 
 def calibration_to_json(calibration: ReadoutCalibration) -> str:
@@ -168,22 +243,17 @@ def calibration_to_json(calibration: ReadoutCalibration) -> str:
 
 
 def read_calibration_json(path) -> ReadoutCalibration:
+    """Calibration JSON with the float fields :data:`CALIBRATION_JSON_KEYS`.
+
+    A calibration that violates :class:`ReadoutCalibration`'s invariants
+    is a malformed file here, so it raises :class:`ParseError` too.
+    """
     name = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{name}: {exc}") from None
+    fields = _float_fields(read_json_object(path), CALIBRATION_JSON_KEYS, name)
     try:
-        return ReadoutCalibration(
-            stark_quad=mhz_to_angular(float(payload["S_mhz"])),
-            stark_quartic=mhz_to_angular(float(payload["K_mhz"])),
-            dephasing_quad=mhz_to_angular(float(payload["R_mhz"])),
-            chi=mhz_to_angular(float(payload["chi_mhz"])),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{name}: missing calibration field {exc}") from None
-    except (TypeError, ValueError) as exc:
+        # the keys come in ReadoutCalibration's field order
+        return ReadoutCalibration(*(mhz_to_angular(v) for v in fields.values()))
+    except DomainError as exc:
         raise ParseError(f"{name}: {exc}") from None
 
 

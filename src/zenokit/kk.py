@@ -19,6 +19,10 @@ The trapezoid is the uniform rule ``step * (S - (y[0] + y[-1]) / 2)``
 with one scalar step and ``S`` the fixed-order :func:`pairwise_sum` of
 the integrand samples, so the result's bytes depend on neither the
 numpy version nor its SIMD dispatch nor the BLAS library.
+
+:class:`ReadoutCalibration` maps a drive amplitude to the Stark shift,
+dephasing and photon number that :class:`MeasurementContext` carries;
+the fits that produce its coefficients live in :mod:`zenokit.fits`.
 """
 from __future__ import annotations
 
@@ -28,8 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .fits import ReadoutCalibration
+from .errors import DomainError, SignError
 from .spectrum import BathSpectrum, LorentzianFilter, TabulatedSpectrum
 
 # Below this dephasing rate (rad/us) no realistic grid resolves the
@@ -37,6 +40,67 @@ from .spectrum import BathSpectrum, LorentzianFilter, TabulatedSpectrum
 DELTA_LIMIT = 1e-9
 
 DEFAULT_RESOLUTION = 4001
+
+
+@dataclass(frozen=True)
+class ReadoutCalibration:
+    """Drive amplitude -> (Stark shift, dephasing, photon number) map.
+
+    Fields are angular (rad/us): ``stark_quad`` and ``stark_quartic`` are
+    the quadratic and quartic Stark coefficients, ``dephasing_quad`` the
+    quadratic dephasing coefficient, ``chi`` the signed dispersive shift.
+    The quartic Kerr term is retained but must stay subdominant over the
+    calibrated amplitude range; the Stark sign must match ``chi`` so the
+    inferred photon number stays non-negative.
+    """
+
+    stark_quad: float
+    stark_quartic: float
+    dephasing_quad: float
+    chi: float
+    max_epsilon: float | None = None
+
+    def __post_init__(self):
+        if self.dephasing_quad < 0:
+            raise DomainError(f"dephasing coefficient must be >= 0, got {self.dephasing_quad}")
+        if self.chi == 0:
+            raise DomainError("dispersive shift chi must be nonzero")
+        if self.max_epsilon is not None and self.max_epsilon > 0:
+            eps = self.max_epsilon
+            if abs(self.stark_quartic) * eps**4 >= abs(self.stark_quad) * eps**2 and (
+                self.stark_quartic != 0.0
+            ):
+                raise DomainError(
+                    "quartic Stark term dominates the quadratic one at the "
+                    f"calibrated amplitude {eps}"
+                )
+            # raises SignError when the Stark and chi signs disagree
+            self.nbar(eps)
+
+    def stark_shift(self, epsilon: float) -> float:
+        return self.stark_quad * epsilon**2 + self.stark_quartic * epsilon**4
+
+    def dephasing(self, epsilon: float) -> float:
+        return self.dephasing_quad * epsilon**2
+
+    def nbar(self, epsilon: float) -> float:
+        return photons_from_stark(self.stark_shift(epsilon), self.chi)
+
+
+def photons_from_stark(stark_shift: float, chi: float) -> float:
+    """Mean photon number from ``stark_shift = 2 * chi * nbar``.
+
+    Raises :class:`SignError` when the signs of shift and dispersive
+    shift disagree (which would imply a negative photon number).
+    """
+    if chi == 0:
+        raise DomainError("dispersive shift chi must be nonzero")
+    nbar = stark_shift / (2.0 * chi)
+    if nbar < 0:
+        raise SignError(
+            f"stark shift {stark_shift} and chi {chi} imply negative photon number {nbar}"
+        )
+    return nbar
 
 
 @dataclass(frozen=True)

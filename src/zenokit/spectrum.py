@@ -7,21 +7,17 @@ peaks.  The Lorentzian filter is the unit-area weight that measurement-
 induced dephasing places around the Stark-shifted qubit frequency.
 
 All frequencies are angular (rad/us) and all rates are 1/us; see
-:mod:`zenokit.units` for the boundary conversions.
+:mod:`zenokit.units` for the boundary conversions.  The spectrum CSV
+format (MHz on disk) is read and written by :mod:`zenokit.io`.
 """
 from __future__ import annotations
 
-import io
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError, RangeError
-from .units import angular_to_mhz, mhz_to_angular
-
-SPECTRUM_CSV_HEADER = "freq_mhz,gamma_per_us"
+from .errors import DomainError, RangeError
 
 
 @dataclass(frozen=True)
@@ -178,68 +174,3 @@ class LorentzianFilter:
         delta = np.asarray(omega, dtype=float) - self.center
         out = (hw / math.pi) / (hw * hw + delta * delta)
         return float(out) if np.isscalar(omega) else out
-
-
-def read_spectrum_csv(path_or_file) -> TabulatedSpectrum:
-    """Parse a ``freq_mhz,gamma_per_us`` CSV into a tabulated spectrum.
-
-    The format is strict: exact header, absolute ordinary frequencies in
-    MHz sorted strictly ascending, finite non-negative rates.  Lines
-    starting with ``#`` before the header are ignored (output files carry
-    the format tag there).
-    """
-    if hasattr(path_or_file, "read"):
-        return _parse_spectrum(path_or_file, "<stream>")
-    with open(path_or_file, "r", encoding="utf-8") as fh:
-        return _parse_spectrum(fh, os.fspath(path_or_file))
-
-
-def _parse_spectrum(fh, name: str) -> TabulatedSpectrum:
-    header = None
-    lineno = 0
-    for line in fh:
-        lineno += 1
-        if line.startswith("#"):
-            continue
-        header = line.strip()
-        break
-    if header != SPECTRUM_CSV_HEADER:
-        raise ParseError(f"{name}: expected header {SPECTRUM_CSV_HEADER!r}, got {header!r}")
-    freqs, rates = [], []
-    for line in fh:
-        lineno += 1
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{name}:{lineno}: expected 2 columns, got {len(parts)}")
-        try:
-            f, g = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{name}:{lineno}: {exc}") from None
-        if not (math.isfinite(f) and math.isfinite(g)):
-            raise ParseError(f"{name}:{lineno}: non-finite value")
-        freqs.append(f)
-        rates.append(g)
-    if len(freqs) < 2:
-        raise ParseError(f"{name}: need at least 2 data rows, got {len(freqs)}")
-    freqs = np.asarray(freqs)
-    if np.any(np.diff(freqs) == 0):
-        raise ParseError(f"{name}: duplicate frequencies")
-    if np.any(np.diff(freqs) < 0):
-        raise ParseError(f"{name}: frequencies not sorted ascending")
-    if min(rates) < 0:
-        raise ParseError(f"{name}: negative decay rate")
-    return TabulatedSpectrum(mhz_to_angular(freqs), np.asarray(rates))
-
-
-def format_spectrum_csv(spectrum: TabulatedSpectrum, tag: str | None = None) -> str:
-    """Render a tabulated spectrum back to the CSV format, MHz boundary units."""
-    buf = io.StringIO()
-    if tag:
-        buf.write(f"# {tag}\n")
-    buf.write(SPECTRUM_CSV_HEADER + "\n")
-    for w, g in zip(spectrum.omegas, spectrum.rates):
-        buf.write(f"{angular_to_mhz(float(w))!r},{float(g)!r}\n")
-    return buf.getvalue()

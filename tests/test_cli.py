@@ -259,6 +259,87 @@ class TestCalibrate:
         assert run(["calibrate", "--config", str(config)], tmp_path) == 2
 
 
+GOOD_TRACE = "time_us,signal\n0.0,0.9\n0.004,0.8\n"
+GOOD_RAMSEY_SIDECAR = dump_json({"epsilon": 0.01, "offset_mhz": 10.0})
+
+
+def config_input(tmp_path, text):
+    """A ``predict`` run whose config file holds ``text``."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    return ["predict", "--config", str(config)], str(config)
+
+
+def trace_input(tmp_path, trace=GOOD_TRACE, sidecar=GOOD_RAMSEY_SIDECAR, command="calibrate"):
+    """A one-trace ``calibrate`` (or ``fit-flux-noise``) run."""
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / "t.csv").write_text(trace)
+    (traces / "t.json").write_text(sidecar)
+    config = tmp_path / "config.json"
+    config.write_text(dump_json({"chi_mhz": 0.98, "trace_dir": str(traces)}))
+    # the error names the trace or its sidecar
+    return [command, "--config", str(config)], str(traces / "t")
+
+
+def calibration_input(tmp_path, payload):
+    """A ``predict`` run whose calibration JSON holds ``payload``."""
+    calibration = tmp_path / "cal.json"
+    calibration.write_text(dump_json(payload))
+    config = tmp_path / "config.json"
+    config.write_text(
+        dump_json(
+            {
+                "spectrum_csv": str(DATA / "spectrum_flat.csv"),
+                "calibration_json": str(calibration),
+                "qubit_freq_mhz": 4884.0,
+                "amplitudes": [0.0],
+            }
+        )
+    )
+    return ["predict", "--config", str(config)], str(calibration)
+
+
+CALIBRATION = {"S_mhz": 825.0, "K_mhz": 5619.0, "R_mhz": 429.0, "chi_mhz": 0.98}
+
+MALFORMED_INPUTS = {
+    "config-not-json": lambda tmp: config_input(tmp, "{not json"),
+    "config-not-object": lambda tmp: config_input(tmp, "[1, 2]"),
+    "sidecar-not-json": lambda tmp: trace_input(tmp, sidecar="{"),
+    "sidecar-not-object": lambda tmp: trace_input(tmp, sidecar='"epsilon"'),
+    "sidecar-missing-key": lambda tmp: trace_input(tmp, sidecar=dump_json({"epsilon": 0.01})),
+    "sidecar-non-numeric": lambda tmp: trace_input(
+        tmp, sidecar=dump_json({"epsilon": "strong", "offset_mhz": 10.0})
+    ),
+    "flux-sidecar-missing-key": lambda tmp: trace_input(
+        tmp, sidecar=dump_json({"epsilon": 0.01}), command="fit-flux-noise"
+    ),
+    "calibration-missing-field": lambda tmp: calibration_input(
+        tmp, {k: v for k, v in CALIBRATION.items() if k != "R_mhz"}
+    ),
+    "calibration-non-numeric": lambda tmp: calibration_input(tmp, {**CALIBRATION, "K_mhz": [1]}),
+    "calibration-zero-chi": lambda tmp: calibration_input(tmp, {**CALIBRATION, "chi_mhz": 0.0}),
+    "trace-nan": lambda tmp: trace_input(tmp, trace="time_us,signal\n0.0,0.9\n0.004,nan\n"),
+    "trace-extra-column": lambda tmp: trace_input(
+        tmp, trace="time_us,signal\n0.0,0.9\n0.004,0.8,0.7\n"
+    ),
+    "trace-no-rows": lambda tmp: trace_input(tmp, trace="time_us,signal\n"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(case, tmp_path, capsys):
+    argv, culprit = MALFORMED_INPUTS[case](tmp_path)
+    assert run(argv, tmp_path / "out") == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ParseError"
+    assert error["exit_code"] == 2
+    assert culprit in error["message"]
+    if case in ("trace-nan", "trace-extra-column"):
+        assert f"{culprit}.csv:3:" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 class TestOracleCommand:
     def test_boundary_step_size_exits_4(self, tmp_path, capsys):
         # at the largest step the precondition allows, the positivity

@@ -71,6 +71,7 @@ class TestDampedSine:
             _, fitted, _ = zk.fit_damped_sine(zk.RamseyTrace(times, signal, offset_freq=5.0))
             assert fitted == pytest.approx(rate, rel=100 * noise)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fast_decays_converge(self):
         # noiseless traces at drive amplitude ~0.05 with the device
         # calibration varied by 10-20%: the dephasing reaches

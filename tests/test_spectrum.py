@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import zenokit as zk
 from conftest import GAMMA_Q, make_hotspot_spectrum
-from zenokit.spectrum import format_spectrum_csv, read_spectrum_csv
+from zenokit.io import format_spectrum_csv, read_spectrum_csv
 from zenokit.units import TWO_PI, angular_to_mhz, mhz_to_angular
 
 

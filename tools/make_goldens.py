@@ -24,8 +24,16 @@ import numpy as np
 
 import zenokit as zk
 from zenokit.cli import main as cli_main
-from zenokit.io import dump_json, environment_fingerprint
-from zenokit.spectrum import format_spectrum_csv
+from zenokit.io import (
+    POPULATION_CSV_HEADER,
+    SPECTRUM_CSV_HEADER,
+    T1_CSV_HEADER,
+    TRACE_CSV_HEADER,
+    dump_json,
+    environment_fingerprint,
+    format_spectrum_csv,
+    format_table_csv,
+)
 from zenokit.units import TWO_PI, mhz_to_angular
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,12 +48,6 @@ S_MHZ, K_MHZ, R_MHZ = 825.0, 5619.0, 429.0
 def write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def float_csv(header: str, rows) -> str:
-    lines = [header]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def make_spectra() -> None:
@@ -63,7 +65,7 @@ def make_spectra() -> None:
     flat_freqs = np.linspace(QUBIT_FREQ_MHZ - 15.0, QUBIT_FREQ_MHZ + 15.0, 11)
     write(
         DATA / "spectrum_flat.csv",
-        float_csv("freq_mhz,gamma_per_us", [(f, 0.02) for f in flat_freqs]),
+        format_table_csv(SPECTRUM_CSV_HEADER, [(f, 0.02) for f in flat_freqs], tag=None),
     )
 
 
@@ -103,7 +105,8 @@ def make_ramsey_traces() -> None:
             + 0.5
         )
         stem = DATA / "traces" / f"ramsey_{round(eps * 1000):03d}"
-        write(stem.with_suffix(".csv"), float_csv("time_us,signal", zip(times, signal)))
+        trace = format_table_csv(TRACE_CSV_HEADER, zip(times, signal), tag=None)
+        write(stem.with_suffix(".csv"), trace)
         write(stem.with_suffix(".json"), dump_json({"epsilon": eps, "offset_mhz": 10.0}))
     write(
         DATA / "calibrate_config.json",
@@ -138,7 +141,7 @@ def make_convert_t1_input() -> None:
     freqs = np.linspace(QUBIT_FREQ_MHZ - 15.0, QUBIT_FREQ_MHZ + 15.0, 121)
     rates = parametric.rate_at(mhz_to_angular(freqs))
     p1 = np.exp(-rates * 30.0)
-    write(DATA / "convert_t1_input.csv", float_csv("freq_mhz,p1", zip(freqs, p1)))
+    write(DATA / "convert_t1_input.csv", format_table_csv(T1_CSV_HEADER, zip(freqs, p1), tag=None))
 
 
 def make_swap_linecut() -> None:
@@ -147,7 +150,9 @@ def make_swap_linecut() -> None:
     trajectory = zk.evolve(model, t_final=1.2, sample_stride=4)
     write(
         DATA / "swap_linecut.csv",
-        float_csv("time_us,p1", zip(trajectory.times, trajectory.populations())),
+        format_table_csv(
+            POPULATION_CSV_HEADER, zip(trajectory.times, trajectory.populations()), tag=None
+        ),
     )
 
 
@@ -157,7 +162,8 @@ def make_echo_traces() -> None:
     for amp in (0.25, 0.5, 0.75, 1.0):
         signal = np.exp(-coefficient * amp**2 * times)
         stem = DATA / "echo" / f"echo_{round(amp * 100):03d}"
-        write(stem.with_suffix(".csv"), float_csv("time_us,signal", zip(times, signal)))
+        trace = format_table_csv(TRACE_CSV_HEADER, zip(times, signal), tag=None)
+        write(stem.with_suffix(".csv"), trace)
         write(stem.with_suffix(".json"), dump_json({"flux_amp": amp}))
     write(DATA / "flux_config.json", dump_json({"trace_dir": "echo"}))
 
