@@ -224,7 +224,7 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
     return {
         out_dir / "predict.json": dump_json({"format": FORMAT_TAG, "results": records}),
         out_dir / "predict.csv": format_table_csv(
-            SWEEP_CSV_HEADER, [(r.context.nbar, r.rate) for r in results]
+            SWEEP_CSV_HEADER, ([r.context.nbar for r in results], [r.rate for r in results])
         ),
     }
 
@@ -313,11 +313,11 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         defect,
         qubit_decay,
     )
-    map_rows = [
-        (det, gphi, grid[i, j])
-        for i, det in enumerate(map_detunings)
-        for j, gphi in enumerate(map_dephasings)
-    ]
+    map_columns = (
+        np.repeat(map_detunings, len(map_dephasings)),
+        np.tile(map_dephasings, len(map_detunings)),
+        grid.ravel(),
+    )
 
     coordinates = [(det, gphi) for det in oracle_detunings for gphi in oracle_dephasings]
     contexts = [
@@ -330,13 +330,19 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
     rows = validate_kk(
         spectrum, defect, contexts, qubit_decay=qubit_decay, resolution=resolution, dt=dt
     )
-    comparison_rows = [
-        (gphi, det, r.kk_rate, r.purcell_rate, r.oracle_rate, r.dev_kk, r.dev_purcell, r.flagged)
-        for (det, gphi), r in zip(coordinates, rows)
-    ]
+    comparison_columns = (
+        [gphi for _, gphi in coordinates],
+        [det for det, _ in coordinates],
+        [r.kk_rate for r in rows],
+        [r.purcell_rate for r in rows],
+        [r.oracle_rate for r in rows],
+        [r.dev_kk for r in rows],
+        [r.dev_purcell for r in rows],
+        [r.flagged for r in rows],
+    )
     return {
-        out_dir / "comparison.csv": format_table_csv(COMPARISON_CSV_HEADER, comparison_rows),
-        out_dir / "zeno_map.csv": format_table_csv(ZENO_MAP_CSV_HEADER, map_rows),
+        out_dir / "comparison.csv": format_table_csv(COMPARISON_CSV_HEADER, comparison_columns),
+        out_dir / "zeno_map.csv": format_table_csv(ZENO_MAP_CSV_HEADER, map_columns),
     }
 
 

@@ -10,24 +10,29 @@ Every output file embeds the format tag so downstream tooling can check
 what produced it; CSV files carry it as a leading ``#`` comment, JSON
 files as a ``"format"`` key.  Floats are serialized with ``repr``, which
 round-trips exactly, and writes go through a temp file + rename so a
-failing run never leaves a half-written output.
+failing run never leaves a half-written output.  CSV tables are written
+by column: :func:`format_table_csv` takes equal-length 1-D columns and
+formats each distinct value of a column once, so a map's coordinate
+columns cost one ``repr`` per grid line, not per point.
 """
 from __future__ import annotations
 
-import io as _io
 import json
 import os
 import platform
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fits import FitReport
 from .kk import ReadoutCalibration
 from .spectrum import TabulatedSpectrum
 from .units import angular_to_mhz, mhz_to_angular
+
+if TYPE_CHECKING:
+    from .fits import FitReport
 
 FORMAT_TAG = "zenokit-v1"
 
@@ -168,25 +173,44 @@ def read_spectrum_csv(path_or_file) -> TabulatedSpectrum:
 
 def format_spectrum_csv(spectrum: TabulatedSpectrum, tag: str | None = None) -> str:
     """Render a tabulated spectrum back to the CSV format, MHz boundary units."""
-    rows = zip(angular_to_mhz(spectrum.omegas), spectrum.rates)
-    return format_table_csv(SPECTRUM_CSV_HEADER, rows, tag)
+    columns = (angular_to_mhz(spectrum.omegas), spectrum.rates)
+    return format_table_csv(SPECTRUM_CSV_HEADER, columns, tag)
 
 
-def format_table_csv(header: str, rows, tag: str | None = FORMAT_TAG) -> str:
-    """Render rows of floats (or bools) under a fixed header."""
-    buf = _io.StringIO()
-    if tag:
-        buf.write(f"# {tag}\n")
-    buf.write(header + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
-    return buf.getvalue()
+def format_table_csv(header: str, columns, tag: str | None = FORMAT_TAG) -> str:
+    """Render equal-length 1-D columns under a fixed header.
+
+    ``header`` names one column per entry of ``columns``.  A bool column
+    is written as ``1``/``0``.  Any other column is converted to float64
+    and written with ``repr``, which round-trips exactly; ``repr`` runs
+    once per distinct bit pattern in the column, so ``-0.0`` and ``0.0``
+    stay apart.  The bytes are those of ``repr(float(v))`` per cell.  A
+    column that is not 1-D, a column count that differs from the
+    header's, or columns of unequal length raise ``ValueError``, so rows
+    passed in place of columns are refused rather than transposed.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    n_cols = header.count(",") + 1
+    if len(arrays) != n_cols:
+        raise ValueError(f"header {header!r} names {n_cols} columns, got {len(arrays)}")
+    if any(a.ndim != 1 for a in arrays):
+        raise ValueError(f"columns must be 1-D, got shapes {[a.shape for a in arrays]}")
+    if len({a.size for a in arrays}) > 1:
+        raise ValueError(f"columns differ in length: {[a.size for a in arrays]}")
+    lines = [f"# {tag}", header] if tag else [header]
+    lines += map(",".join, zip(*map(_column_cells, arrays), strict=True))
+    return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return repr(float(value))
+def _column_cells(column: np.ndarray) -> list[str]:
+    if column.dtype == np.bool_:
+        return ["1" if v else "0" for v in column.tolist()]
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    # one repr per distinct bit pattern: the int64 view keeps -0.0 apart
+    # from 0.0, which compare equal as floats
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array([*map(repr, patterns.view(np.float64).tolist())], dtype=object)
+    return cells[inverse].tolist()
 
 
 def read_json_object(path) -> dict:

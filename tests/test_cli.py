@@ -11,6 +11,7 @@ import pytest
 import zenokit as zk
 from zenokit.cli import main
 from zenokit.io import dump_json, environment_fingerprint
+from zenokit.units import mhz_to_angular
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -396,6 +397,47 @@ class TestOracleCommand:
         zeno_map = np.loadtxt(tmp_path / "out" / "zeno_map.csv", delimiter=",", skiprows=2)
         assert zeno_map[:, 0].tolist() == [d for d in detunings for _ in dephasings]
         assert zeno_map[:, 1].tolist() == dephasings * len(detunings)
+
+    def test_benchmark_size_map_is_written_row_major(self, tmp_path):
+        # 400 x 200, as the zeno-map benchmark runs it; the golden map is 5 x 3
+        detunings = np.linspace(-8.0, 8.0, 400).tolist()
+        dephasings = np.linspace(0.01, 4.0, 200).tolist()
+        defect_cfg = {"freq_mhz": 4300.0, "coupling_mhz": 0.3, "decay_per_us": 12.0}
+        config = tmp_path / "config.json"
+        config.write_text(
+            dump_json(
+                {
+                    "defect": defect_cfg,
+                    "qubit_decay_per_us": 0.01,
+                    "map_detunings_mhz": detunings,
+                    "map_dephasings_mhz": dephasings,
+                    "oracle_detunings_mhz": [],
+                    "oracle_dephasings_mhz": [],
+                }
+            )
+        )
+        assert run(["oracle", "--config", str(config)], tmp_path / "out") == 0
+        defect = zk.DefectParams(mhz_to_angular(4300.0), mhz_to_angular(0.3), 12.0)
+        grid = zk.decay_rate_map(
+            [mhz_to_angular(x) for x in detunings],
+            [mhz_to_angular(x) for x in dephasings],
+            defect,
+            0.01,
+        )
+        expected = ["# zenokit-v1", "detuning_mhz,gamma_phi_mhz,Gamma_per_us"]
+        for i, det in enumerate(detunings):
+            for j, gphi in enumerate(dephasings):
+                expected.append(f"{det!r},{gphi!r},{float(grid[i, j])!r}")
+        expected.append("")  # the file ends in a newline
+        # compare line by line: a diff of two 80000-line texts takes minutes
+        written = (tmp_path / "out" / "zeno_map.csv").read_text().split("\n")
+        assert len(written) == len(expected)
+        bad = [k for k, (a, b) in enumerate(zip(written, expected)) if a != b]
+        assert not bad, f"line {bad[0]}: {written[bad[0]]!r} != {expected[bad[0]]!r}"
+        assert (tmp_path / "out" / "comparison.csv").read_text() == (
+            "# zenokit-v1\n"
+            "gamma_phi_mhz,detuning_mhz,kk_per_us,eq2_per_us,oracle_per_us,dev_kk,dev_eq2,flag\n"
+        )
 
     def test_n_trunc_key_is_ignored(self, tmp_path):
         config = json.loads((DATA / "oracle_config.json").read_text())

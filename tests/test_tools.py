@@ -41,3 +41,16 @@ def test_fixture_makers_reproduce_committed_bytes(
     getattr(make_goldens, maker)()
     for name in files:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_every_fixture_maker_runs(make_goldens, tmp_path, monkeypatch):
+    # the makers not checked byte for byte above write through exp, cos
+    # or the integrator, whose last digits follow SIMD dispatch; running
+    # them still catches a call the package no longer accepts
+    monkeypatch.setattr(make_goldens, "DATA", tmp_path)
+    makers = [name for name in vars(make_goldens) if name.startswith("make_")]
+    for name in makers:
+        getattr(make_goldens, name)()
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    committed = sorted(p.relative_to(DATA) for p in DATA.rglob("*") if p.is_file())
+    assert written == committed

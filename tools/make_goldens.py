@@ -65,7 +65,9 @@ def make_spectra() -> None:
     flat_freqs = np.linspace(QUBIT_FREQ_MHZ - 15.0, QUBIT_FREQ_MHZ + 15.0, 11)
     write(
         DATA / "spectrum_flat.csv",
-        format_table_csv(SPECTRUM_CSV_HEADER, [(f, 0.02) for f in flat_freqs], tag=None),
+        format_table_csv(
+            SPECTRUM_CSV_HEADER, (flat_freqs, np.full_like(flat_freqs, 0.02)), tag=None
+        ),
     )
 
 
@@ -105,7 +107,7 @@ def make_ramsey_traces() -> None:
             + 0.5
         )
         stem = DATA / "traces" / f"ramsey_{round(eps * 1000):03d}"
-        trace = format_table_csv(TRACE_CSV_HEADER, zip(times, signal), tag=None)
+        trace = format_table_csv(TRACE_CSV_HEADER, (times, signal), tag=None)
         write(stem.with_suffix(".csv"), trace)
         write(stem.with_suffix(".json"), dump_json({"epsilon": eps, "offset_mhz": 10.0}))
     write(
@@ -141,7 +143,7 @@ def make_convert_t1_input() -> None:
     freqs = np.linspace(QUBIT_FREQ_MHZ - 15.0, QUBIT_FREQ_MHZ + 15.0, 121)
     rates = parametric.rate_at(mhz_to_angular(freqs))
     p1 = np.exp(-rates * 30.0)
-    write(DATA / "convert_t1_input.csv", format_table_csv(T1_CSV_HEADER, zip(freqs, p1), tag=None))
+    write(DATA / "convert_t1_input.csv", format_table_csv(T1_CSV_HEADER, (freqs, p1), tag=None))
 
 
 def make_swap_linecut() -> None:
@@ -151,7 +153,7 @@ def make_swap_linecut() -> None:
     write(
         DATA / "swap_linecut.csv",
         format_table_csv(
-            POPULATION_CSV_HEADER, zip(trajectory.times, trajectory.populations()), tag=None
+            POPULATION_CSV_HEADER, (trajectory.times, trajectory.populations()), tag=None
         ),
     )
 
@@ -162,7 +164,7 @@ def make_echo_traces() -> None:
     for amp in (0.25, 0.5, 0.75, 1.0):
         signal = np.exp(-coefficient * amp**2 * times)
         stem = DATA / "echo" / f"echo_{round(amp * 100):03d}"
-        trace = format_table_csv(TRACE_CSV_HEADER, zip(times, signal), tag=None)
+        trace = format_table_csv(TRACE_CSV_HEADER, (times, signal), tag=None)
         write(stem.with_suffix(".csv"), trace)
         write(stem.with_suffix(".json"), dump_json({"flux_amp": amp}))
     write(DATA / "flux_config.json", dump_json({"trace_dir": "echo"}))
