@@ -195,7 +195,6 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
         if config.get("window_mhz") is not None:
             lo, hi = config["window_mhz"]
             window = (mhz_to_angular(float(lo)), mhz_to_angular(float(hi)))
-        resolution = int(config.get("resolution", kk.DEFAULT_RESOLUTION))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"config: {exc}") from None
     residual = mhz_to_angular(_as_float(config, "residual_dephasing_mhz", 0.0))
@@ -206,14 +205,13 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
         qubit_freq,
         amplitudes,
         window=window,
-        resolution=resolution,
         residual_dephasing=residual,
     )
     records = [
         {
             "epsilon": eps,
             "nbar": r.context.nbar,
-            "stark_mhz": angular_to_mhz(r.context.freq - qubit_freq),
+            "stark_mhz": angular_to_mhz(calibration.stark_shift(eps)),
             "gamma_phi_mhz": angular_to_mhz(r.context.dephasing),
             "gamma_raw_per_us": r.raw_rate,
             "norm": r.norm,
@@ -301,7 +299,6 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         ]
         dt = config.get("dt_us")
         dt = None if dt is None else float(dt)
-        resolution = int(config.get("resolution", 20001))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"config: {exc}") from None
 
@@ -327,9 +324,7 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         for det, gphi in coordinates
     ]
     spectrum = ParametricSpectrum(background=qubit_decay, peaks=(defect.spectral_peak(),))
-    rows = validate_kk(
-        spectrum, defect, contexts, qubit_decay=qubit_decay, resolution=resolution, dt=dt
-    )
+    rows = validate_kk(spectrum, defect, contexts, qubit_decay=qubit_decay, dt=dt)
     comparison_columns = (
         [gphi for _, gphi in coordinates],
         [det for det, _ in coordinates],

@@ -3,22 +3,29 @@
 The decay rate of a continuously measured qubit is the average of the
 bath spectrum gamma_q(omega), weighted by a unit-area Lorentzian of
 half-width equal to the measurement-induced dephasing rate, centered on
-the Stark-shifted qubit frequency:
+the Stark-shifted qubit frequency (the Kofman-Kurizki universal formula,
+Nature 405, 546, 2000):
 
     Gamma = integral  gamma_q(omega) * L(omega; center, half_width) domega
 
-Measured spectra only cover a finite window, so the raw trapezoidal
-integral is divided by the analytic weight the Lorentzian carries inside
-that window (an arctan expression).  This amounts to assuming that
-outside the window gamma_q is well approximated by its in-window average.
-In the zero-dephasing limit the Lorentzian collapses to a delta function
+Measured spectra only cover a finite window, so the raw integral over
+the window is divided by the analytic weight the Lorentzian carries
+inside it (an arctan expression).  This amounts to assuming that outside
+the window gamma_q is well approximated by its in-window average.  In
+the zero-dephasing limit the Lorentzian collapses to a delta function
 and the result reduces to the spectrum evaluated at the qubit frequency
 (Fermi's golden rule).
 
-The trapezoid is the uniform rule ``step * (S - (y[0] + y[-1]) / 2)``
-with one scalar step and ``S`` the fixed-order :func:`pairwise_sum` of
-the integrand samples, so the result's bytes depend on neither the
-numpy version nor its SIMD dispatch nor the BLAS library.
+The window integral is exact, with no quadrature grid.  A tabulated
+spectrum is linear between its nodes, and each segment's integral
+against the Lorentzian is an arctan and a log term.  A parametric
+spectrum is a flat background plus Lorentzian peaks, and each peak
+times the filter integrates by complex partial fractions.  The
+tabulated path's arithmetic is elementwise float64, its ``arctan2`` and
+``log1p`` run on ``np.longdouble`` (libm, not numpy's SIMD loops), and its
+terms are added by the fixed-order :func:`pairwise_sum`; the parametric
+path is Python scalar arithmetic.  So the result's bytes depend on
+neither the numpy version nor its SIMD dispatch nor the BLAS library.
 
 :class:`ReadoutCalibration` maps a drive amplitude to the Stark shift,
 dephasing and photon number that :class:`MeasurementContext` carries;
@@ -26,6 +33,7 @@ the fits that produce its coefficients live in :mod:`zenokit.fits`.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,13 +41,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SignError
-from .spectrum import BathSpectrum, LorentzianFilter, TabulatedSpectrum
+from .spectrum import BathSpectrum, TabulatedSpectrum, TlsPeak
 
-# Below this dephasing rate (rad/us) no realistic grid resolves the
-# Lorentzian, and the analytic delta-function limit is strictly better.
+# Below this dephasing rate (1/us) the filter is taken as a delta
+# function (Fermi's golden rule); the convolution differs from that limit
+# by O(dephasing) times the spectrum's local slope.
 DELTA_LIMIT = 1e-9
 
+# Accepted and ignored by decay_rate and sweep; see decay_rate.
 DEFAULT_RESOLUTION = 4001
+
+# Relative pole separation below which a peak's two simple poles are
+# merged into one double pole.  Against mpmath, partial fractions erred
+# by up to ~2e-16/sep and the merged form by ~sep**2; the two cross near
+# 5e-6, where both stay below 5e-11.
+POLE_MERGE = 5e-6
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,7 @@ class KkResult:
 
     ``rate = raw_rate / norm`` is a weighted average of the spectrum over
     the window, so it lies between the window's min and max decay rate
-    (up to quadrature error).
+    (up to round-off).
     """
 
     context: MeasurementContext
@@ -218,6 +234,78 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(buf[0])
 
 
+def _tabulated_integral(
+    spectrum: TabulatedSpectrum, center: float, hw: float, lo: float, hi: float
+) -> float:
+    """Exact integral of the linear-interpolated table times the filter.
+
+    The nodes are ``[lo, omegas strictly inside (lo, hi), hi]``, so no
+    segment has zero length, and their values come from ``rate_at``, so
+    the ``hold``/``raise`` extrapolation applies outside the table.  On a
+    segment ``[u0, u1]`` (``u = omega - center``) with slope ``s`` and
+    ``a = f(u0) - s * u0`` the integral is
+    ``a * atan2((u1 - u0) * hw, hw**2 + u0 * u1) / pi
+    + s * hw * log((hw**2 + u1**2) / (hw**2 + u0**2)) / (2 pi)``.
+    """
+    omegas = spectrum.omegas
+    nodes = np.concatenate(([lo], omegas[(omegas > lo) & (omegas < hi)], [hi]))
+    f = spectrum.rate_at(nodes)
+    u = nodes - center
+    u0, u1 = u[:-1], u[1:]
+    du = u1 - u0
+    slope = np.diff(f) / du
+    # longdouble arctan2/log1p are libm's, whose bytes do not follow
+    # numpy's SIMD dispatch as the float64 loops' do.  The log term is
+    # +-log1p(x) with x >= 0, the ratio of the larger to the smaller
+    # hw**2 + u**2 minus one, so it keeps full relative accuracy when the
+    # ratio nears 1 (hw wide against the segment).
+    hw2 = hw * hw
+    d_atan = np.arctan2(du * hw, hw2 + u0 * u1, dtype=np.longdouble).astype(float)
+    u_sum = u0 + u1
+    excess = du * np.abs(u_sum) / (hw2 + np.minimum(u0 * u0, u1 * u1))
+    d_log = np.copysign(np.log1p(excess, dtype=np.longdouble).astype(float), u_sum)
+    terms = (f[:-1] - slope * u0) * d_atan / math.pi + slope * hw * d_log / (2.0 * math.pi)
+    return pairwise_sum(terms)
+
+
+def _peak_integral(peak: TlsPeak, center: float, hw: float, lo: float, hi: float) -> float:
+    """Exact integral of one Lorentzian peak times the filter over ``[lo, hi]``.
+
+    In ``x = omega - center`` the integrand is
+    ``2 g^2 a (hw/pi) / (((x - d)^2 + a^2) (x^2 + hw^2))`` with peak
+    half-width ``a`` and offset ``d``: simple poles at ``z1 = d + i a``
+    and ``z2 = i hw`` (and conjugates), integrated by partial fractions
+    with the principal log, which is continuous on the real axis since
+    no pole lies on it.  When the poles nearly coincide (relative
+    separation below ``POLE_MERGE``) both are replaced by their midpoint
+    ``m + i b``, whose double pole integrates to
+    ``(x - m) / (2 b^2 ((x - m)^2 + b^2)) + atan((x - m) / b) / (2 b^3)``;
+    the integral is symmetric in the two poles, so this is off by
+    O(separation**2).
+    """
+    a = 0.5 * peak.width
+    z1, z2 = complex(peak.center - center, a), complex(0.0, hw)
+    x0, x1 = lo - center, hi - center
+    if abs(z1 - z2) < POLE_MERGE * (a + hw):
+        m, b = 0.5 * z1.real, 0.5 * (a + hw)
+
+        def primitive(x):
+            t = x - m
+            return t / (2.0 * b * b * (t * t + b * b)) + math.atan(t / b) / (2.0 * b**3)
+
+        integral = primitive(x1) - primitive(x0)
+    else:
+        # 1/((x-z1)(x-z1*)(x-z2)(x-z2*)) = sum_k A_k/(x-z_k) + conjugates
+        a1 = 1.0 / ((z1 - z1.conjugate()) * (z1 - z2) * (z1 - z2.conjugate()))
+        a2 = 1.0 / ((z2 - z2.conjugate()) * (z2 - z1) * (z2 - z1.conjugate()))
+
+        def log_span(z):
+            return cmath.log(x1 - z) - cmath.log(x0 - z)
+
+        integral = 2.0 * (a1 * log_span(z1) + a2 * log_span(z2)).real
+    return 2.0 * peak.coupling_sq * a * (hw / math.pi) * integral
+
+
 def decay_rate(
     spectrum: BathSpectrum,
     context: MeasurementContext,
@@ -235,10 +323,8 @@ def decay_rate(
     window : (float, float), optional
         Integration window in rad/us; defaults per ``default_window``.
     resolution : int
-        Number of uniform grid points (>= 101) for the trapezoid rule
-        ``step * (S - (y[0] + y[-1]) / 2)``, where
-        ``step = (hi - lo) / (resolution - 1)`` and ``S`` is the
-        fixed-order :func:`pairwise_sum` of the integrand samples ``y``.
+        Ignored: the integral is exact.  Kept so existing callers keep
+        working; values below 101 still raise :class:`DomainError`.
 
     Returns
     -------
@@ -249,10 +335,9 @@ def decay_rate(
     -----
     Below ``DELTA_LIMIT`` the dephasing is treated as exactly zero: the
     result is the spectrum at the shifted qubit frequency with norm 1.
-    Above it the caller owns grid adequacy: the normalization is
-    analytic, so a grid step larger than the filter half-width silently
-    under-samples the Lorentzian; keep ``(hi - lo) / resolution`` a few
-    times smaller than the smallest dephasing rate in play.
+    Above it the window integral is evaluated in closed form: per table
+    segment for a tabulated spectrum, and as ``background * norm`` plus
+    one partial-fraction integral per peak for a parametric one.
     """
     if context.dephasing < DELTA_LIMIT:
         rate = float(spectrum.rate_at(context.freq))
@@ -266,14 +351,14 @@ def decay_rate(
     if resolution < 101:
         raise DomainError(f"resolution must be >= 101 grid points, got {resolution}")
 
-    filt = LorentzianFilter(center=context.freq, half_width=context.dephasing)
-    grid = np.linspace(lo, hi, int(resolution))
-    y = spectrum.rate_at(grid) * filt.density_at(grid)
-    # One scalar step: np.diff(grid) carries relative errors up to ~5e-10
-    # at |omega| ~ 3e4 rad/us.
-    step = (hi - lo) / (int(resolution) - 1)
-    raw = step * (pairwise_sum(y) - 0.5 * (float(y[0]) + float(y[-1])))
+    center, hw = context.freq, context.dephasing
     norm = window_normalization(context, (lo, hi))
+    if isinstance(spectrum, TabulatedSpectrum):
+        raw = _tabulated_integral(spectrum, center, hw, lo, hi)
+    else:
+        raw = spectrum.background * norm
+        for peak in spectrum.peaks:
+            raw += _peak_integral(peak, center, hw, lo, hi)
     return KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
 
 
@@ -290,7 +375,8 @@ def sweep(
 
     Each amplitude is mapped through the readout calibration to a
     measurement context and evaluated with :func:`decay_rate`; the output
-    order matches the input order.
+    order matches the input order.  ``resolution`` is passed on to
+    :func:`decay_rate`, which ignores it.
     """
     amps = np.asarray(amplitudes, dtype=float)
     if amps.size and amps.min() < 0:

@@ -382,7 +382,6 @@ def validate_kk(
     defect: DefectParams,
     contexts,
     qubit_decay: float = 0.0,
-    resolution: int = 20001,
     dt: float | None = None,
     flag_threshold: float = 0.1,
 ) -> list[ComparisonRow]:
@@ -414,7 +413,7 @@ def validate_kk(
     rows = []
     for ctx in contexts:
         detuning = ctx.freq - defect.freq
-        kk_rate = kk.decay_rate(spectrum, ctx, resolution=resolution).rate
+        kk_rate = kk.decay_rate(spectrum, ctx).rate
         purcell = generalized_purcell(
             QubitParams(freq=ctx.freq, decay=qubit_decay, dephasing=ctx.dephasing), defect
         )

@@ -67,16 +67,13 @@ def test_c02_lorentzian_convolution_matrix():
             spectrum = zk.ParametricSpectrum(
                 background=0.0, peaks=(STRONG_DEFECT.spectral_peak(),)
             )
-            window, resolution = convolution_window(
-                GAMMA_1D, dephasing, detuning, qubit_freq
-            )
+            window = convolution_window(GAMMA_1D, dephasing, detuning, qubit_freq)
             span = window[1] - window[0]
             assert span >= 2 * 50.0 * (dephasing + GAMMA_1D) * (1.0 - 1e-9)
             numeric = zk.decay_rate(
                 spectrum,
                 zk.MeasurementContext(freq=qubit_freq, dephasing=dephasing),
                 window=window,
-                resolution=resolution,
             ).rate
             exact = lorentzian_pair_rate(G_D**2, GAMMA_1D, dephasing, detuning)
             deviation = abs(numeric - exact) / exact

@@ -64,11 +64,41 @@ class TestGoldenFiles:
                 GOLDEN / name / filename
             ).read_bytes(), f"{name}/{filename} differs from golden{environment_note()}"
 
+    @pytest.mark.parametrize(
+        "command,name,config",
+        [
+            ("predict", "predict", "predict_config.json"),
+            ("predict", "predict_flat", "predict_flat_config.json"),
+            ("oracle", "oracle", "oracle_config.json"),
+        ],
+    )
+    def test_resolution_key_is_ignored(self, command, name, config, tmp_path):
+        # the convolution is exact; configs of earlier versions set a grid size
+        payload = json.loads((DATA / config).read_text())
+        for key in ("spectrum_csv", "calibration_json"):
+            if key in payload:
+                payload[key] = str(DATA / payload[key])
+        path = tmp_path / "config.json"
+        path.write_text(dump_json({**payload, "resolution": 51}))
+        assert run([command, "--config", str(path)], tmp_path / "out") == 0
+        for golden in sorted((GOLDEN / name).iterdir()):
+            assert (tmp_path / "out" / golden.name).read_bytes() == golden.read_bytes()
+
 
 class TestByteDeterminism:
-    """The oracle output does not depend on process state or BLAS threads."""
+    """The oracle output does not depend on process state or BLAS threads.
+
+    The convolution outputs (``predict``, and ``oracle``'s ``kk_per_us``,
+    ``eq2_per_us`` and map) also keep their bytes when numpy's AVX-512
+    dispatch is switched off or OpenBLAS runs another kernel.  Disabling
+    a feature the host lacks changes nothing, so the check runs anywhere.
+    """
 
     ORACLE = ["oracle", "--config", str(DATA / "oracle_config.json")]
+    KERNEL_SWITCHES = {
+        "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"},
+        "haswell_blas": {"OPENBLAS_CORETYPE": "Haswell"},
+    }
 
     @staticmethod
     def outputs(directory):
@@ -93,6 +123,35 @@ class TestByteDeterminism:
             assert result.returncode == 0, result.stderr
             produced.append(self.outputs(out))
         assert produced[0] and produced[0] == produced[1]
+
+    @staticmethod
+    def convolution_bytes(directory):
+        """Every file but the fit-derived columns of comparison.csv."""
+        outputs = TestByteDeterminism.outputs(directory)
+        comparison = outputs.pop("comparison.csv", None)
+        if comparison is not None:
+            # gamma_phi, detuning, kk_per_us, eq2_per_us; the rest come from the fit
+            outputs["comparison.csv"] = b"\n".join(
+                b",".join(line.split(b",")[:4]) for line in comparison.splitlines()
+            )
+        return outputs
+
+    @pytest.mark.parametrize("switch", sorted(KERNEL_SWITCHES))
+    def test_kernel_switch_keeps_convolution_bytes(self, switch, tmp_path):
+        for name, argv in GOLDEN_CASES:
+            if name not in ("predict", "predict_flat", "oracle"):
+                continue
+            assert run(argv, tmp_path / "default" / name) == 0
+            out = tmp_path / switch / name
+            result = subprocess.run(
+                [sys.executable, "-m", "zenokit", *argv, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, **self.KERNEL_SWITCHES[switch]},
+            )
+            assert result.returncode == 0, result.stderr
+            expected = self.convolution_bytes(tmp_path / "default" / name)
+            assert expected and self.convolution_bytes(out) == expected, name
 
 
 class TestPredict:
@@ -133,7 +192,6 @@ class TestPredict:
                     "qubit_freq_mhz": 4884.0,
                     "amplitudes": [0.05],
                     "window_mhz": [4883.0, 4885.0],
-                    "resolution": 20001,
                 }
             )
         )

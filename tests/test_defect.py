@@ -177,14 +177,11 @@ class TestAgainstConvolution:
             background=0.0, peaks=(strong_defect.spectral_peak(),)
         )
         qubit_freq = strong_defect.freq + detuning
-        window, resolution = convolution_window(
-            strong_defect.decay, dephasing, detuning, qubit_freq
-        )
+        window = convolution_window(strong_defect.decay, dephasing, detuning, qubit_freq)
         numeric = zk.decay_rate(
             spectrum,
             zk.MeasurementContext(freq=qubit_freq, dephasing=dephasing),
             window=window,
-            resolution=resolution,
         ).rate
         closed = zk.generalized_purcell(
             zk.QubitParams(freq=qubit_freq, dephasing=dephasing), strong_defect

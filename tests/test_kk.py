@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zenokit as zk
@@ -23,17 +23,15 @@ def lorentzian_pair_rate(coupling_sq, width, dephasing, detuning):
 
 
 def convolution_window(width, dephasing, detuning, center):
-    """Window/resolution tight enough for 1e-3 agreement.
+    """Window wide enough for 1e-3 agreement with the whole-axis result.
 
     The analytic normalization assumes the spectrum continues flat
     outside the window, which inflates a lone-peak result by roughly
     (2/pi) * dephasing / half_width; the half-width below keeps that
-    bias under ~3e-4 while the step resolves both the peak and filter.
+    bias under ~3e-4.
     """
     half = max(50.0 * (dephasing + width), 2200.0 * dephasing, 3.0 * abs(detuning))
-    step = min(dephasing if dephasing > 0 else width, width / 2.0) / 8.0
-    resolution = int(math.ceil(2.0 * half / step)) + 1
-    return (center - half, center + half), resolution
+    return (center - half, center + half)
 
 
 class TestNormalization:
@@ -85,16 +83,6 @@ class TestPairwiseSum:
         bound = math.ceil(math.log2(values.size)) * np.finfo(float).eps * np.abs(values).sum()
         assert abs(pairwise_sum(values) - math.fsum(values)) <= bound
 
-    def test_trapezoid_matches_numpy(self):
-        s = make_hotspot_spectrum()
-        ctx = zk.MeasurementContext(freq=QUBIT_FREQ, dephasing=TWO_PI * 0.3)
-        lo, hi = s.omega_min, s.omega_max
-        grid = np.linspace(lo, hi, 4001)
-        filt = zk.LorentzianFilter(center=ctx.freq, half_width=ctx.dephasing)
-        expected = np.trapezoid(s.rate_at(grid) * filt.density_at(grid), grid)
-        raw = zk.decay_rate(s, ctx, resolution=4001).raw_rate
-        assert raw == pytest.approx(expected, rel=1e-12)
-
 
 class TestDecayRate:
     def test_flat_spectrum_returns_background(self):
@@ -108,9 +96,7 @@ class TestDecayRate:
         s = zk.TabulatedSpectrum(grid, np.full(301, 0.02))
         for freq, hw in ((0.0, 1.0), (-30.0, 5.0), (42.0, 0.2)):
             ctx = zk.MeasurementContext(freq=freq, dephasing=hw)
-            assert zk.decay_rate(s, ctx, resolution=40001).rate == pytest.approx(
-                0.02, rel=1e-8
-            )
+            assert zk.decay_rate(s, ctx).rate == pytest.approx(0.02, rel=1e-14)
 
     def test_delta_limit_is_interpolated_spectrum(self):
         s = make_hotspot_spectrum()
@@ -133,17 +119,18 @@ class TestDecayRate:
         peak = zk.TlsPeak(center=QUBIT_FREQ - detuning, width=width, coupling_sq=G_D**2)
         s = zk.ParametricSpectrum(background=0.0, peaks=(peak,))
         ctx = zk.MeasurementContext(freq=QUBIT_FREQ, dephasing=dephasing)
-        window, resolution = convolution_window(width, dephasing, detuning, QUBIT_FREQ)
-        result = zk.decay_rate(s, ctx, window=window, resolution=resolution)
+        window = convolution_window(width, dephasing, detuning, QUBIT_FREQ)
+        result = zk.decay_rate(s, ctx, window=window)
         expected = lorentzian_pair_rate(G_D**2, width, dephasing, detuning)
         assert result.rate == pytest.approx(expected, rel=1e-3)
 
     def test_grid_convergence_at_default_resolution(self):
+        # the integral is exact, so the resolution keyword is inert
         s = make_hotspot_spectrum()
         ctx = zk.MeasurementContext(freq=QUBIT_FREQ, dephasing=TWO_PI * 0.3)
-        coarse = zk.decay_rate(s, ctx, resolution=4001).rate
-        fine = zk.decay_rate(s, ctx, resolution=8001).rate
-        assert abs(fine - coarse) / coarse < 1e-4
+        coarse = zk.decay_rate(s, ctx, resolution=4001)
+        fine = zk.decay_rate(s, ctx, resolution=8001)
+        assert coarse == fine
 
     def test_window_bounds_rate(self):
         s = make_hotspot_spectrum()
@@ -196,6 +183,115 @@ class TestDecayRate:
         assert general == pytest.approx(scale_odd * base, rel=1e-12)
 
 
+def quad_window_integral(spectrum, center, hw, lo, hi):
+    """Independent reference: adaptive quadrature of the window integral.
+
+    Integrates in ``t = omega - center`` so the filter sees exact offsets
+    (``omega`` itself has ~7e-15 rad/us spacing near 50 rad/us), with
+    breakpoints at the table nodes, at the centre, and at ``hw * 10**k``
+    on either side of it, so every piece is smooth on its own scale.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def integrand(t):
+        return spectrum.rate_at(center + t) * (hw / math.pi) / (hw * hw + t * t)
+
+    a, b = lo - center, hi - center
+    points = {a, b, 0.0, *(float(w - center) for w in spectrum.omegas)}
+    points |= {sign * hw * 10.0**k for k in range(12) for sign in (-1.0, 1.0)}
+    points = sorted(p for p in points if a <= p <= b)
+    parts = [
+        integrate.quad(integrand, p, q, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for p, q in zip(points[:-1], points[1:])
+    ]
+    return math.fsum(parts)
+
+
+def mpmath_pair_integral(peak, center, hw, lo, hi):
+    """Independent reference: one peak times the filter, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, c, d = mpmath.mpf(peak.width) / 2, mpmath.mpf(center), mpmath.mpf(peak.center)
+        h = mpmath.mpf(hw)
+
+        def integrand(w):
+            return (2 * peak.coupling_sq * a / (a * a + (w - d) ** 2)) * (h / mpmath.pi) / (
+                h * h + (w - c) ** 2
+            )
+
+        return float(mpmath.quad(integrand, sorted({lo, hi, center, peak.center})))
+
+
+class TestExactIntegral:
+    """The closed forms against adaptive quadrature and high precision."""
+
+    # a steep segment under a wide filter: the log term's ratio is 1 + 2e-8
+    @example(
+        gaps=[0.01], rates=[1e-3] + [1.0] * 12, log_hw=3.0, case="centre on node", frac=0.0,
+        node=0,
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=12),
+        rates=st.lists(st.floats(1e-3, 1.0), min_size=13, max_size=13),
+        log_hw=st.floats(-6.0, 3.0),
+        case=st.sampled_from(["centre on node", "centre anywhere", "beyond grid", "edge on node"]),
+        frac=st.floats(0.0, 1.0),
+        node=st.integers(0, 12),
+    )
+    def test_tabulated_matches_quadrature(self, gaps, rates, log_hw, case, frac, node):
+        omegas = 50.0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        s = zk.TabulatedSpectrum(omegas, rates[: omegas.size])
+        hw = 10.0**log_hw
+        lo, hi = s.omega_min, s.omega_max
+        span = hi - lo
+        center = lo - 0.5 * span + 2.0 * span * frac
+        if case == "centre on node":
+            center = float(omegas[node % omegas.size])
+        elif case == "beyond grid":
+            lo, hi = lo - 0.3 * span, hi + 0.2 * span  # held flat outside
+        elif case == "edge on node":
+            hi = float(omegas[max(1, node % omegas.size)])
+        ctx = zk.MeasurementContext(freq=center, dephasing=hw)
+        raw = zk.decay_rate(s, ctx, window=(lo, hi)).raw_rate
+        expected = quad_window_integral(s, center, hw, lo, hi)
+        assert raw == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    def test_raise_policy_refuses_a_window_beyond_the_grid(self):
+        s = make_hotspot_spectrum(extrapolation="raise")
+        ctx = zk.MeasurementContext(freq=QUBIT_FREQ, dephasing=1.0)
+        inside = zk.decay_rate(s, ctx, window=(s.omega_min + 1.0, s.omega_max - 1.0))
+        assert inside.rate > 0.0
+        with pytest.raises(zk.RangeError):
+            zk.decay_rate(s, ctx, window=(s.omega_min - 1.0, s.omega_max))
+
+    @pytest.mark.parametrize("direction", ["offset", "width"])
+    @pytest.mark.parametrize("separation", [0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.1])
+    def test_peak_pair_near_coincident_poles(self, separation, direction):
+        # poles d + i a (peak) and i hw (filter), relative separation
+        # |d + i (a - hw)| / (a + hw); both coincide at 0
+        center, a = 10.0, 1.0
+        offset = 2.0 * a * separation if direction == "offset" else 0.0
+        hw = a * (1.0 + 2.0 * separation) if direction == "width" else a
+        peak = zk.TlsPeak(center=center + offset, width=2.0 * a, coupling_sq=1.3)
+        s = zk.ParametricSpectrum(background=0.0, peaks=(peak,))
+        lo, hi = center - 40.0, center + 60.0
+        raw = zk.decay_rate(s, zk.MeasurementContext(center, hw), window=(lo, hi)).raw_rate
+        expected = mpmath_pair_integral(peak, center, hw, lo, hi)
+        assert raw == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.123, -2.5])
+    def test_continuous_into_golden_rule(self, offset):
+        hw = 10.0 * zk.kk.DELTA_LIMIT
+        probe = QUBIT_FREQ + offset
+        tabulated = make_hotspot_spectrum()
+        peak = zk.TlsPeak(center=QUBIT_FREQ + 1.0, width=2.0, coupling_sq=0.5)
+        parametric = zk.ParametricSpectrum(background=0.01, peaks=(peak,))
+        for s in (tabulated, parametric):
+            rate = zk.decay_rate(s, zk.MeasurementContext(probe, hw)).rate
+            assert rate == pytest.approx(s.rate_at(probe), rel=1e-6)
+
+
 class TestSweep:
     def test_zero_amplitude_is_unmeasured_rate(self, device_calibration):
         s = make_hotspot_spectrum()
@@ -206,8 +302,6 @@ class TestSweep:
     def test_antizeno_rising_for_hotspot_under_shift(self):
         # hot spot below the qubit, calibration shifting downward:
         # the decay rate grows monotonically until the peak is crossed.
-        # fine resolution so even the narrowest filter in the sweep is
-        # resolved by the grid
         cal = zk.ReadoutCalibration(
             stark_quad=-mhz_to_angular(825.0),
             stark_quartic=-mhz_to_angular(5619.0),
@@ -216,7 +310,7 @@ class TestSweep:
         )
         s = make_hotspot_spectrum(offset_mhz=-3.0)
         amplitudes = np.linspace(0.0, 0.05, 21)
-        results = zk.sweep(s, cal, QUBIT_FREQ, amplitudes, resolution=120001)
+        results = zk.sweep(s, cal, QUBIT_FREQ, amplitudes)
         rates = np.array([r.rate for r in results])
         shifts = np.array([r.context.freq - QUBIT_FREQ for r in results])
         before_peak = shifts >= -mhz_to_angular(3.0)
@@ -228,7 +322,7 @@ class TestSweep:
         # the valley, so the rate decreases initially
         s = make_hotspot_spectrum(offset_mhz=0.0)
         amplitudes = np.linspace(0.0, 0.02, 11)
-        results = zk.sweep(s, device_calibration, QUBIT_FREQ, amplitudes, resolution=120001)
+        results = zk.sweep(s, device_calibration, QUBIT_FREQ, amplitudes)
         rates = np.array([r.rate for r in results])
         assert np.all(np.diff(rates) <= 0)
 

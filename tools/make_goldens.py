@@ -84,7 +84,6 @@ def make_predict_configs() -> None:
         "calibration_json": "calibration.json",
         "qubit_freq_mhz": QUBIT_FREQ_MHZ,
         "amplitudes": amplitudes,
-        "resolution": 40001,
         "residual_dephasing_mhz": 0.0,
     }
     write(
