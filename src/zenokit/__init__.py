@@ -61,7 +61,6 @@ from .lindblad import (
 )
 from .spectrum import (
     BathSpectrum,
-    LorentzianFilter,
     ParametricSpectrum,
     TabulatedSpectrum,
     TlsPeak,

@@ -144,7 +144,9 @@ def _require(config, key):
     return config[key]
 
 
-def _resolve(config_dir, path) -> Path:
+def _resolve(config_dir, path, key) -> Path:
+    if not isinstance(path, str):
+        raise ParseError(f"config: key {key!r} must hold a path string, got {path!r}")
     path = Path(path)
     if not path.is_absolute() and config_dir is not None:
         path = config_dir / path
@@ -152,6 +154,8 @@ def _resolve(config_dir, path) -> Path:
 
 
 def _as_float(config, key, default=None):
+    if config is not None and not isinstance(config, dict):
+        raise ParseError(f"config: expected an object holding key {key!r}, got {config!r}")
     value = config.get(key, default) if config else default
     if value is None and default is None:
         raise ParseError(f"config: missing required key {key!r}")
@@ -163,9 +167,12 @@ def _as_float(config, key, default=None):
 
 def _trace_paths(config, config_dir) -> list[Path]:
     if config is not None and "traces" in config:
-        paths = [_resolve(config_dir, p) for p in config["traces"]]
+        traces = config["traces"]
+        if not isinstance(traces, list):
+            raise ParseError(f"config: key 'traces' must be a list of paths, got {traces!r}")
+        paths = [_resolve(config_dir, p, "traces") for p in traces]
     elif config is not None and "trace_dir" in config:
-        directory = _resolve(config_dir, config["trace_dir"])
+        directory = _resolve(config_dir, config["trace_dir"], "trace_dir")
         if not directory.is_dir():
             raise ParseError(f"trace directory {directory} does not exist")
         paths = sorted(directory.glob("*.csv"))
@@ -184,9 +191,11 @@ def _trace_paths(config, config_dir) -> list[Path]:
 
 
 def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
-    spectrum = read_spectrum_csv(_resolve(config_dir, _require(config, "spectrum_csv")))
+    spectrum = read_spectrum_csv(
+        _resolve(config_dir, _require(config, "spectrum_csv"), "spectrum_csv")
+    )
     calibration = read_calibration_json(
-        _resolve(config_dir, _require(config, "calibration_json"))
+        _resolve(config_dir, _require(config, "calibration_json"), "calibration_json")
     )
     qubit_freq = mhz_to_angular(_as_float(config, "qubit_freq_mhz"))
     try:
@@ -297,8 +306,6 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         oracle_dephasings = [
             float(x) for x in config.get("oracle_dephasings_mhz", map_dephasings)
         ]
-        dt = config.get("dt_us")
-        dt = None if dt is None else float(dt)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"config: {exc}") from None
 
@@ -324,7 +331,7 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         for det, gphi in coordinates
     ]
     spectrum = ParametricSpectrum(background=qubit_decay, peaks=(defect.spectral_peak(),))
-    rows = validate_kk(spectrum, defect, contexts, qubit_decay=qubit_decay, dt=dt)
+    rows = validate_kk(spectrum, defect, contexts, qubit_decay=qubit_decay)
     comparison_columns = (
         [gphi for _, gphi in coordinates],
         [det for det, _ in coordinates],

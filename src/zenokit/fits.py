@@ -78,38 +78,39 @@ class RamseyTrace:
 # Levenberg-Marquardt core
 
 
-def _gradient_tolerance(cost: float, jtj_diag_max: float) -> float:
+def _gradient_tolerance(cost: float, curvature: float) -> float:
     """Largest gradient norm counted as converged while the search descends.
 
     The nominal criterion is ``GRADIENT_TOL`` relative to the cost.  A
     strict-descent search cannot resolve cost changes below the cost's
     rounding error; taking that error as ``eps * cost`` gives a gradient
-    floor of about ``sqrt(eps * cost * max diag(J^T J))``, half of which is
-    accepted.  ``eps * cost`` underestimates the error when the residual
-    is small next to the data, because ``r = model - data`` is formed by
-    cancellation; :func:`_stall_tolerance` covers that case once the
-    search has stopped.
+    floor of about ``sqrt(eps * cost * curvature)``, half of which is
+    accepted; ``curvature = max(1, max_j ||J_j||^2)`` is the scale both
+    tolerances take.  ``eps * cost`` underestimates the error when the
+    residual is small next to the data, because ``r = model - data`` is
+    formed by cancellation; :func:`_stall_tolerance` covers that case
+    once the search has stopped.
     """
     eps = np.finfo(float).eps
-    floor = 0.5 * math.sqrt(eps * max(cost, 0.0) * max(jtj_diag_max, 0.0))
+    floor = 0.5 * math.sqrt(eps * max(cost, 0.0) * curvature)
     return max(GRADIENT_TOL * max(1.0, cost), floor)
 
 
-def _stall_tolerance(r_norm: float, data_norm: float, jtj_diag_max: float) -> float:
+def _stall_tolerance(r_norm: float, data_norm: float, curvature: float) -> float:
     """Gradient norm below which a stalled search is at the rounding floor.
 
     Each entry of ``r = model - data`` is formed by cancellation and is
     off by about ``eps`` times the data entry, so the cost ``||r||^2 / 2``
     is uncertain by about ``eps * ||r|| * (||r|| + ||data||)``.  A
-    Gauss-Newton step lowers the cost by about ``gnorm^2 / max diag(J^T J)``;
+    Gauss-Newton step lowers the cost by about ``gnorm^2 / curvature``;
     below that uncertainty no descent can be seen, and half of the
     resulting gradient floor is accepted.
     """
     eps = np.finfo(float).eps
-    return 0.5 * math.sqrt(eps * r_norm * (r_norm + data_norm) * max(jtj_diag_max, 0.0))
+    return 0.5 * math.sqrt(eps * r_norm * (r_norm + data_norm) * curvature)
 
 
-def _lm_minimize(residual_jacobian, theta0, data_norm, max_iterations=MAX_ITERATIONS):
+def _lm_minimize(residual_jacobian, theta0, data_norm):
     """Damped Gauss-Newton descent on 0.5*||r(theta)||^2.
 
     ``residual_jacobian(theta) -> (r, J)`` with analytic ``J``; ``r`` is
@@ -125,14 +126,14 @@ def _lm_minimize(residual_jacobian, theta0, data_norm, max_iterations=MAX_ITERAT
     iterations = 0
     converged = False
     gnorm = np.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         g = J.T @ r
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         jtj = J.T @ J
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0
-        if gnorm <= _gradient_tolerance(cost, float(diag.max())):
+        if gnorm <= _gradient_tolerance(cost, max(1.0, float(diag.max()))):
             converged = True
             break
         step_done = False
@@ -160,10 +161,10 @@ def _lm_minimize(residual_jacobian, theta0, data_norm, max_iterations=MAX_ITERAT
         if step_done == "stop" or not step_done:
             g = J.T @ r
             gnorm = float(np.max(np.abs(g)))
-            diag_max = float(np.max(np.clip(np.einsum("ij,ij->j", J, J), 1.0, None)))
+            curvature = max(1.0, float(np.einsum("ij,ij->j", J, J).max()))
             tolerance = max(
-                _gradient_tolerance(cost, diag_max),
-                _stall_tolerance(math.sqrt(2.0 * cost), data_norm, diag_max),
+                _gradient_tolerance(cost, curvature),
+                _stall_tolerance(math.sqrt(2.0 * cost), data_norm, curvature),
             )
             converged = gnorm <= tolerance
             break
@@ -180,7 +181,7 @@ def _uncertainties(r: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _report(names, theta, r, J, converged, iterations, gnorm, warnings=()) -> FitReport:
+def _report(names, theta, r, J, converged, iterations, gnorm) -> FitReport:
     sig = _uncertainties(r, J)
     return FitReport(
         parameters=dict(zip(names, (float(v) for v in theta))),
@@ -189,7 +190,6 @@ def _report(names, theta, r, J, converged, iterations, gnorm, warnings=()) -> Fi
         converged=converged,
         iterations=iterations,
         gradient_norm=gnorm,
-        warnings=tuple(warnings),
     )
 
 
@@ -202,7 +202,7 @@ def _spectrum_peak(times, values, f_window=None):
 
     Resamples to a uniform grid, applies a Hann window against leakage,
     and refines the peak bin parabolically on the log magnitude.
-    Returns ``(freq, peak_height, median_height)``.
+    Returns ``(freq, peak_height)``.
     """
     n = len(times)
     uniform_t = np.linspace(times[0], times[-1], n)
@@ -221,15 +221,14 @@ def _spectrum_peak(times, values, f_window=None):
             search[0] = 0.0
     k = int(np.argmax(search))
     if k == 0 or search[k] == 0.0:
-        return 0.0, 0.0, float(np.median(mags[1:])) if mags.size > 1 else 0.0
+        return 0.0, 0.0
     shift = 0.0
     if 1 <= k < mags.size - 1 and mags[k - 1] > 0 and mags[k + 1] > 0:
         la, lb, lc = np.log(mags[k - 1 : k + 2])
         denom = la - 2.0 * lb + lc
         if denom < 0:
             shift = float(np.clip(0.5 * (la - lc) / denom, -0.5, 0.5))
-    noise = float(np.median(mags[1:])) if mags.size > 1 else 0.0
-    return float((k + shift) * dfreq), float(mags[k]), noise
+    return float((k + shift) * dfreq), float(mags[k])
 
 
 def _log_envelope_rate(times, values, freq):
@@ -339,7 +338,7 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
     if spread <= 1e-14 * (1.0 + abs(float(np.mean(signal)))):
         raise FitError("constant signal: nothing to fit")
 
-    freq0, peak, _ = _spectrum_peak(times, signal)
+    freq0, peak = _spectrum_peak(times, signal)
     if peak == 0.0:
         raise FitError("no oscillating component found in the trace")
     rate0 = _log_envelope_rate(times, signal, freq0)
@@ -483,7 +482,7 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
         raise FitError("constant linecut: nothing to fit")
 
     window = (0.5 * f_guess, 2.0 * f_guess) if f_guess > 0 else None
-    freq0, peak, _ = _spectrum_peak(times, populations, f_window=window)
+    freq0, peak = _spectrum_peak(times, populations, f_window=window)
     if peak == 0.0:
         raise FitError("no oscillating component found in the linecut")
     rate0 = _log_envelope_rate(times, populations, freq0)

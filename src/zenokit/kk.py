@@ -368,15 +368,13 @@ def sweep(
     qubit_freq: float,
     amplitudes: Sequence[float],
     window: tuple[float, float] | None = None,
-    resolution: int = DEFAULT_RESOLUTION,
     residual_dephasing: float = 0.0,
 ) -> list[KkResult]:
     """Predicted decay rate across a sorted sweep of drive amplitudes.
 
     Each amplitude is mapped through the readout calibration to a
     measurement context and evaluated with :func:`decay_rate`; the output
-    order matches the input order.  ``resolution`` is passed on to
-    :func:`decay_rate`, which ignores it.
+    order matches the input order.
     """
     amps = np.asarray(amplitudes, dtype=float)
     if amps.size and amps.min() < 0:
@@ -390,7 +388,6 @@ def sweep(
                 calibration, qubit_freq, float(eps), residual_dephasing
             ),
             window=window,
-            resolution=resolution,
         )
         for eps in amps
     ]

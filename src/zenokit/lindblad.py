@@ -58,6 +58,12 @@ _CHECK_BLOCK = 256
 # trajectory is declared non-exponential
 OSCILLATION_FRACTION = 0.1
 
+# log-spaced samples the decay-rate fit resamples the window onto
+FIT_SAMPLES = 60
+
+# relative miss of the convolution against the oracle that flags a row
+FLAG_THRESHOLD = 0.1
+
 _SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)   # ground, excited
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -298,14 +304,12 @@ def evolve(
 def extract_decay_rate(
     trajectory: Trajectory,
     fit_window: tuple[float, float],
-    samples: int = 60,
-    override: bool = False,
 ) -> tuple[float, FitReport]:
     """Single-exponential decay rate of the excited population.
 
-    The population is resampled on logarithmically spaced times inside
-    ``fit_window`` (reliable over orders of magnitude of decay) and fit
-    to ``A exp(-rate t)``.  If the residual anywhere exceeds
+    The population is resampled on ``FIT_SAMPLES`` logarithmically
+    spaced times inside ``fit_window`` (reliable over orders of magnitude
+    of decay) and fit to ``A exp(-rate t)``.  If the residual anywhere exceeds
     ``OSCILLATION_FRACTION`` of the fitted envelope, the trajectory is
     not exponential: an :class:`OscillationWarning` is emitted and noted
     on the report; that is the signature of coherent qubit-defect
@@ -315,7 +319,7 @@ def extract_decay_rate(
     ------
     DomainError
         Window outside the trajectory, or population drops by less than
-        1/e inside it and ``override`` is not set.
+        1/e inside it.
     FitError
         No convergence and no detected oscillation.
     """
@@ -330,13 +334,13 @@ def extract_decay_rate(
         raise DomainError(f"fit window ends at {hi} but trajectory stops at {t[-1]}")
     p_lo = float(np.interp(lo, t, p))
     p_hi = float(np.interp(hi, t, p))
-    if not override and p_hi > p_lo / math.e:
+    if p_hi > p_lo / math.e:
         raise DomainError(
             f"population only drops from {p_lo:.4g} to {p_hi:.4g} in the window; "
-            "need a 1/e drop or override=True"
+            "need a 1/e drop"
         )
 
-    tt = np.geomspace(lo, hi, samples)
+    tt = np.geomspace(lo, hi, FIT_SAMPLES)
     pp = np.interp(tt, t, p)
     fun = _exponential_residual_jacobian(tt, pp)
     theta, r, J, converged, iterations, gnorm = _lm_minimize(
@@ -366,8 +370,6 @@ def extract_decay_rate(
 class ComparisonRow:
     """One context in the prediction-vs-oracle table (rates in 1/us)."""
 
-    dephasing: float
-    detuning: float
     kk_rate: float
     purcell_rate: float
     oracle_rate: float
@@ -382,8 +384,6 @@ def validate_kk(
     defect: DefectParams,
     contexts,
     qubit_decay: float = 0.0,
-    dt: float | None = None,
-    flag_threshold: float = 0.1,
 ) -> list[ComparisonRow]:
     """Compare convolution, closed-form, and density-matrix decay rates.
 
@@ -393,7 +393,7 @@ def validate_kk(
     each measurement context the oracle evolves the full qubit+defect
     density matrix and fits a decay rate over a window that skips the
     initial fast transient; rows where the convolution misses the oracle
-    by more than ``flag_threshold`` are flagged (the regime where the
+    by more than ``FLAG_THRESHOLD`` are flagged (the regime where the
     excitation coherently returns from the defect and the spectral
     picture breaks down).
     """
@@ -412,7 +412,6 @@ def validate_kk(
 
     rows = []
     for ctx in contexts:
-        detuning = ctx.freq - defect.freq
         kk_rate = kk.decay_rate(spectrum, ctx).rate
         purcell = generalized_purcell(
             QubitParams(freq=ctx.freq, decay=qubit_decay, dephasing=ctx.dephasing), defect
@@ -428,7 +427,7 @@ def validate_kk(
         t_start = 12.0 / (defect.decay + 2.0 * ctx.dephasing)
         slow_rate = min(purcell, defect.decay / 2.0 + qubit_decay)
         t_final = t_start + 4.5 / slow_rate
-        trajectory = evolve(model, t_final=t_final, dt=dt)
+        trajectory = evolve(model, t_final=t_final)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OscillationWarning)
             oracle_rate, report = extract_decay_rate(trajectory, (t_start, t_final))
@@ -436,14 +435,12 @@ def validate_kk(
         dev_purcell = abs(purcell - oracle_rate) / abs(oracle_rate)
         rows.append(
             ComparisonRow(
-                dephasing=ctx.dephasing,
-                detuning=detuning,
                 kk_rate=kk_rate,
                 purcell_rate=purcell,
                 oracle_rate=oracle_rate,
                 dev_kk=dev_kk,
                 dev_purcell=dev_purcell,
-                flagged=dev_kk > flag_threshold,
+                flagged=dev_kk > FLAG_THRESHOLD,
                 oscillating=bool(report.warnings),
             )
         )

@@ -1,10 +1,9 @@
-"""Bath spectra and the Lorentzian measurement filter.
+"""Bath spectra.
 
 The qubit's frequency-dependent decay rate gamma_q(omega) is represented
 either as a measured table (linear interpolation between grid points) or
 as a parametric model: a flat background plus a sum of Lorentzian defect
-peaks.  The Lorentzian filter is the unit-area weight that measurement-
-induced dephasing places around the Stark-shifted qubit frequency.
+peaks.
 
 All frequencies are angular (rad/us) and all rates are 1/us; see
 :mod:`zenokit.units` for the boundary conversions.  The spectrum CSV
@@ -12,7 +11,6 @@ format (MHz on disk) is read and written by :mod:`zenokit.io`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,30 +145,3 @@ class ParametricSpectrum:
 
 BathSpectrum = TabulatedSpectrum | ParametricSpectrum
 
-
-@dataclass(frozen=True)
-class LorentzianFilter:
-    """Unit-area Lorentzian weight centered on the dephasing-broadened qubit.
-
-    ``density_at`` evaluates ``(1/pi) * hw / (hw**2 + (omega - center)**2)``
-    with ``hw = half_width``; the peak value is ``1 / (pi * half_width)``
-    and the analytic integral over the whole axis is exactly 1.  The
-    ``half_width = 0`` delta-function limit is not representable here and
-    is handled by the caller.
-    """
-
-    center: float
-    half_width: float
-
-    def __post_init__(self):
-        if not self.half_width > 0:
-            raise DomainError(
-                f"filter half-width must be > 0 (delta limit handled by caller), "
-                f"got {self.half_width}"
-            )
-
-    def density_at(self, omega):
-        hw = self.half_width
-        delta = np.asarray(omega, dtype=float) - self.center
-        out = (hw / math.pi) / (hw * hw + delta * delta)
-        return float(out) if np.isscalar(omega) else out

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
 sys.path.insert(0, str(ROOT))
-from perfbench import refs  # noqa: E402  (needs the repository root on the path)
+from perfbench import refs, workloads  # noqa: E402  (needs the repository root on the path)
 from perfbench.tracer import Tracer  # noqa: E402
 
 MODULES = ("cli", "kk", "spectrum", "defect", "lindblad", "fits", "io")
@@ -50,3 +50,8 @@ def test_reference_oracle_builds_its_own_model(adiabatic_defect):
     )
     assert rate == pytest.approx(purcell, rel=0.05)
     assert not oscillating
+
+
+def test_flag_threshold_matches_the_gate():
+    # the oracle-crosscheck gate recomputes each row's flag with its own copy
+    assert zk.lindblad.FLAG_THRESHOLD == workloads.FLAG_THRESHOLD

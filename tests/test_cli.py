@@ -322,11 +322,17 @@ GOOD_TRACE = "time_us,signal\n0.0,0.9\n0.004,0.8\n"
 GOOD_RAMSEY_SIDECAR = dump_json({"epsilon": 0.01, "offset_mhz": 10.0})
 
 
-def config_input(tmp_path, text):
-    """A ``predict`` run whose config file holds ``text``."""
+def config_input(tmp_path, text, command="predict"):
+    """A ``command`` run whose config file holds ``text``."""
     config = tmp_path / "config.json"
     config.write_text(text)
-    return ["predict", "--config", str(config)], str(config)
+    return [command, "--config", str(config)], str(config)
+
+
+def config_key_input(tmp_path, command, payload, key):
+    """A ``command`` run whose config gives ``key`` a value of the wrong type."""
+    argv, _ = config_input(tmp_path, dump_json(payload), command)
+    return argv, repr(key)
 
 
 def trace_input(tmp_path, trace=GOOD_TRACE, sidecar=GOOD_RAMSEY_SIDECAR, command="calibrate"):
@@ -383,6 +389,32 @@ MALFORMED_INPUTS = {
         tmp, trace="time_us,signal\n0.0,0.9\n0.004,0.8,0.7\n"
     ),
     "trace-no-rows": lambda tmp: trace_input(tmp, trace="time_us,signal\n"),
+    "config-defect-not-object": lambda tmp: config_key_input(
+        tmp,
+        "oracle",
+        {"defect": [4300, 0.1, 10], "map_detunings_mhz": [0.0], "map_dephasings_mhz": [0.0]},
+        "freq_mhz",
+    ),
+    "config-spectrum-path-not-string": lambda tmp: config_key_input(
+        tmp,
+        "predict",
+        {
+            "spectrum_csv": 5,
+            "calibration_json": str(DATA / "calibration.json"),
+            "qubit_freq_mhz": 4884.0,
+            "amplitudes": [0.0],
+        },
+        "spectrum_csv",
+    ),
+    "config-traces-not-paths": lambda tmp: config_key_input(
+        tmp, "calibrate", {"chi_mhz": 0.98, "traces": [1, 2]}, "traces"
+    ),
+    "config-traces-not-list": lambda tmp: config_key_input(
+        tmp, "calibrate", {"chi_mhz": 0.98, "traces": "x.csv"}, "traces"
+    ),
+    "config-trace-dir-null": lambda tmp: config_key_input(
+        tmp, "calibrate", {"chi_mhz": 0.98, "trace_dir": None}, "trace_dir"
+    ),
 }
 
 
@@ -400,26 +432,15 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
 
 
 class TestOracleCommand:
-    def test_boundary_step_size_exits_4(self, tmp_path, capsys):
-        # at the largest step the precondition allows, the positivity
-        # undershoot of oscillating populations exceeds tolerance
-        scale = max(2.0 * 2 * math.pi * 1.6, 1 / 0.103)
-        config = tmp_path / "config.json"
-        config.write_text(
-            dump_json(
-                {
-                    "defect": {"freq_mhz": 4300.0, "coupling_mhz": 1.6, "decay_per_us": 1 / 0.103},
-                    "qubit_decay_per_us": 0.01,
-                    "map_detunings_mhz": [0.0],
-                    "map_dephasings_mhz": [0.0],
-                    "dt_us": 0.05 / scale,
-                }
-            )
-        )
-        assert run(["oracle", "--config", str(config)], tmp_path / "out") == 4
+    def test_stability_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        # with no trace tolerance, the first sample's round-off trips the check
+        monkeypatch.setattr(zk.lindblad, "TRACE_TOL", 0.0)
+        out = tmp_path / "out"
+        assert run(["oracle", "--config", str(DATA / "oracle_config.json")], out) == 4
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "StabilityError"
         assert "dt" in error["message"]
+        assert not out.exists()
 
     def test_outputs_have_expected_headers(self, tmp_path):
         assert run(["oracle", "--config", str(DATA / "oracle_config.json")], tmp_path) == 0
@@ -497,14 +518,23 @@ class TestOracleCommand:
             "gamma_phi_mhz,detuning_mhz,kk_per_us,eq2_per_us,oracle_per_us,dev_kk,dev_eq2,flag\n"
         )
 
-    def test_n_trunc_key_is_ignored(self, tmp_path):
+    @staticmethod
+    def assert_golden_with(tmp_path, key, value):
+        """The golden oracle config plus ``key`` still writes the golden bytes."""
         config = json.loads((DATA / "oracle_config.json").read_text())
         path = tmp_path / "config.json"
-        path.write_text(dump_json({**config, "n_trunc": 3}))
+        path.write_text(dump_json({**config, key: value}))
         assert run(["oracle", "--config", str(path)], tmp_path / "out") == 0
         for name in ("comparison.csv", "zeno_map.csv"):
             expected = (GOLDEN / "oracle" / name).read_bytes()
             assert (tmp_path / "out" / name).read_bytes() == expected
+
+    def test_dt_us_key_is_ignored(self, tmp_path):
+        # the step follows the rate scale; versions that read dt_us refused 1 us
+        self.assert_golden_with(tmp_path, "dt_us", 1.0)
+
+    def test_n_trunc_key_is_ignored(self, tmp_path):
+        self.assert_golden_with(tmp_path, "n_trunc", 3)
 
 
 class TestFitCommands:

@@ -184,8 +184,6 @@ class TestExtractDecayRate:
         trajectory = zk.evolve(model, t_final=10.0, dt=0.05)
         with pytest.raises(zk.DomainError):
             zk.extract_decay_rate(trajectory, (0.1, 10.0))  # only 10% decay
-        rate, _ = zk.extract_decay_rate(trajectory, (0.1, 10.0), override=True)
-        assert rate == pytest.approx(0.01, rel=1e-4)
 
     def test_window_beyond_trajectory(self):
         model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.5)

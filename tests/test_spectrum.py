@@ -1,10 +1,7 @@
 import io
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import zenokit as zk
 from conftest import GAMMA_Q, make_hotspot_spectrum
@@ -93,41 +90,6 @@ class TestTabulated:
     def test_invalid_grids(self, omegas, rates):
         with pytest.raises(zk.DomainError):
             zk.TabulatedSpectrum(omegas, rates)
-
-
-class TestLorentzianFilter:
-    def test_peak_value(self):
-        f = zk.LorentzianFilter(center=5.0, half_width=1.0)
-        assert f.density_at(5.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-
-    def test_half_width_definition(self):
-        f = zk.LorentzianFilter(center=5.0, half_width=0.7)
-        peak = f.density_at(5.0)
-        assert f.density_at(5.0 + 0.7) == pytest.approx(peak / 2, rel=1e-12)
-        assert f.density_at(5.0 - 0.7) == pytest.approx(peak / 2, rel=1e-12)
-
-    def test_integral_over_100_widths(self):
-        # (2/pi) * arctan(100) = 0.99363...
-        f = zk.LorentzianFilter(center=0.0, half_width=1.0)
-        grid = np.linspace(-100.0, 100.0, 400001)
-        integral = np.trapezoid(f.density_at(grid), grid)
-        assert integral == pytest.approx(2.0 / math.pi * math.atan(100.0), abs=1e-4)
-        assert integral == pytest.approx(0.99363, abs=1e-4)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(zk.DomainError):
-            zk.LorentzianFilter(center=0.0, half_width=0.0)
-
-    @settings(max_examples=200)
-    @given(
-        center=st.floats(-1e3, 1e3),
-        half_width=st.floats(1e-3, 1e3),
-        delta=st.floats(0.0, 1e4),
-    )
-    def test_symmetry_about_center(self, center, half_width, delta):
-        f = zk.LorentzianFilter(center=center, half_width=half_width)
-        left, right = f.density_at(center - delta), f.density_at(center + delta)
-        assert left == pytest.approx(right, rel=1e-12)
 
 
 class TestSpectrumCsv:
