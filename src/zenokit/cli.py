@@ -10,18 +10,21 @@ fit-swap        vacuum-Rabi linecut -> defect coupling and decay
 fit-flux-noise  echo traces -> quadratic dephasing-vs-amplitude fit
 
 Global flags ``--config`` and ``--out`` may appear before or after the
-subcommand.  Structured parameters live in the JSON config
-file; paths inside it resolve relative to the config file's directory.
-All referenced inputs are loaded and validated before any computation
-runs, outputs are written atomically at the end, and identical inputs
-produce byte-identical outputs.  Exit codes: 0 success, 2 parse error,
-3 domain/fit error, 4 integrator stability error; failures emit a
-machine-readable JSON object on stderr.
+subcommand.  Structured parameters live in the JSON config file, which
+all but ``convert-t1`` and ``fit-swap`` require; paths inside it resolve
+relative to the config file's directory.  All referenced inputs are
+loaded and validated before any computation runs, outputs are written
+atomically at the end, and identical inputs produce byte-identical
+outputs.  ``calibrate`` and ``fit-flux-noise`` report every failed trace
+fit in one ``trace fits failed for:`` error.  Exit codes: 0 success,
+2 parse error, 3 domain/fit error, 4 integrator stability error;
+failures emit a machine-readable JSON object on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +60,6 @@ from .io import (
     read_json_object,
     read_sidecar_json,
     read_spectrum_csv,
-    report_to_dict,
 )
 from .lindblad import validate_kk
 from .spectrum import ParametricSpectrum, TabulatedSpectrum
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
     out_dir = Path(getattr(args, "out", "."))
     config_path = getattr(args, "config", None)
     try:
-        config, config_dir = _load_config(config_path)
+        config, config_dir = _load_config(config_path, args.command)
         outputs = args.handler(args, config, config_dir, out_dir)
         for path, text in outputs.items():
             atomic_write_text(path, text)
@@ -130,15 +132,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(config_path):
-    if config_path is None:
-        return None, None
-    return read_json_object(config_path), Path(config_path).parent
+def _load_config(config_path, command):
+    if config_path is not None:
+        return read_json_object(config_path), Path(config_path).parent
+    if command not in ("convert-t1", "fit-swap"):
+        raise ParseError("this subcommand requires --config")
+    return None, None
 
 
 def _require(config, key):
-    if config is None:
-        raise ParseError("this subcommand requires --config")
     if key not in config:
         raise ParseError(f"config: missing required key {key!r}")
     return config[key]
@@ -154,24 +156,34 @@ def _resolve(config_dir, path, key) -> Path:
 
 
 def _as_float(config, key, default=None):
-    if config is not None and not isinstance(config, dict):
+    if not isinstance(config, dict):
         raise ParseError(f"config: expected an object holding key {key!r}, got {config!r}")
-    value = config.get(key, default) if config else default
-    if value is None and default is None:
-        raise ParseError(f"config: missing required key {key!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"config: key {key!r} must be a number, got {value!r}") from None
+    value = _require(config, key) if default is None else config.get(key, default)
+    # float(True) is 1.0, so a JSON boolean is refused before the conversion
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"config: key {key!r} holds {value!r}, not a number")
+
+
+def _as_floats(config, key, default=None, length=None) -> list[float]:
+    """:func:`_as_float` on each element of the list under ``key``."""
+    values = _require(config, key) if default is None else config.get(key, default)
+    if not isinstance(values, list) or length not in (None, len(values)):
+        size = f"{length} " if length else ""
+        raise ParseError(f"config: key {key!r} must hold a list of {size}numbers, got {values!r}")
+    return [_as_float({key: value}, key) for value in values]
 
 
 def _trace_paths(config, config_dir) -> list[Path]:
-    if config is not None and "traces" in config:
+    if "traces" in config:
         traces = config["traces"]
         if not isinstance(traces, list):
             raise ParseError(f"config: key 'traces' must be a list of paths, got {traces!r}")
         paths = [_resolve(config_dir, p, "traces") for p in traces]
-    elif config is not None and "trace_dir" in config:
+    elif "trace_dir" in config:
         directory = _resolve(config_dir, config["trace_dir"], "trace_dir")
         if not directory.is_dir():
             raise ParseError(f"trace directory {directory} does not exist")
@@ -186,6 +198,33 @@ def _trace_paths(config, config_dir) -> list[Path]:
     return paths
 
 
+def _fit_traces(
+    config, config_dir, sidecar_keys, fit, fit_args=lambda meta, times, signal: (times, signal)
+) -> list[tuple]:
+    """``fit(*fit_args(meta, times, signal))`` on every configured trace.
+
+    Every sidecar and CSV is read, and every ``fit_args`` built (which
+    validates the fit's input), before the first fit.  The FitErrors are
+    raised as one naming each failed file.  Returns ``(path, meta,
+    result)`` per trace.
+    """
+    inputs = []
+    for path in _trace_paths(config, config_dir):
+        meta = read_sidecar_json(path, sidecar_keys)
+        times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
+        inputs.append((path, meta, fit_args(meta, times, signal)))
+
+    fitted, failures = [], []
+    for path, meta, args in inputs:
+        try:
+            fitted.append((path, meta, fit(*args)))
+        except FitError as exc:
+            failures.append(f"{path.name}: {exc}")
+    if failures:
+        raise FitError("trace fits failed for: " + "; ".join(failures))
+    return fitted
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -198,14 +237,10 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
         _resolve(config_dir, _require(config, "calibration_json"), "calibration_json")
     )
     qubit_freq = mhz_to_angular(_as_float(config, "qubit_freq_mhz"))
-    try:
-        amplitudes = [float(a) for a in _require(config, "amplitudes")]
-        window = None
-        if config.get("window_mhz") is not None:
-            lo, hi = config["window_mhz"]
-            window = (mhz_to_angular(float(lo)), mhz_to_angular(float(hi)))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config: {exc}") from None
+    amplitudes = _as_floats(config, "amplitudes")
+    window = None
+    if config.get("window_mhz") is not None:
+        window = tuple(mhz_to_angular(x) for x in _as_floats(config, "window_mhz", length=2))
     residual = mhz_to_angular(_as_float(config, "residual_dephasing_mhz", 0.0))
 
     results = kk.sweep(
@@ -238,25 +273,16 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
     chi = mhz_to_angular(_as_float(config, "chi_mhz"))
-    paths = _trace_paths(config, config_dir)
-
-    loaded = []
-    for path in paths:
-        meta = read_sidecar_json(path, ("epsilon", "offset_mhz"))
-        times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
-        trace = RamseyTrace(times, signal, offset_freq=meta["offset_mhz"], epsilon=meta["epsilon"])
-        loaded.append((path, trace))
-
-    entries, failures = [], []
-    for path, trace in loaded:
-        try:
-            shift_mhz, rate, report = fit_damped_sine(trace)
-        except FitError as exc:
-            failures.append(f"{path.name}: {exc}")
-            continue
-        entries.append((path, trace.epsilon, shift_mhz, rate, report))
-    if failures:
-        raise FitError("trace fits failed for: " + "; ".join(failures))
+    fitted = _fit_traces(
+        config,
+        config_dir,
+        ("epsilon", "offset_mhz"),
+        fit_damped_sine,
+        lambda meta, times, signal: (
+            RamseyTrace(times, signal, offset_freq=meta["offset_mhz"], epsilon=meta["epsilon"]),
+        ),
+    )
+    entries = [(path, meta["epsilon"], *result) for path, meta, result in fitted]
 
     stark_points = [(eps, mhz_to_angular(shift)) for _, eps, shift, _, _ in entries]
     dephasing_points = [(eps, rate) for _, eps, _, rate, _ in entries]
@@ -278,12 +304,12 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
                 "epsilon": eps,
                 "stark_mhz": shift,
                 "gamma_phi_mhz": angular_to_mhz(rate),
-                "report": report_to_dict(report),
+                "report": asdict(report),
             }
             for path, eps, shift, rate, report in entries
         ],
-        "stark_fit": report_to_dict(stark_report),
-        "dephasing_fit": report_to_dict(dephasing_report),
+        "stark_fit": asdict(stark_report),
+        "dephasing_fit": asdict(dephasing_report),
     }
     return {
         out_dir / "calibration.json": calibration_to_json(calibration),
@@ -299,15 +325,10 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         decay=_as_float(defect_cfg, "decay_per_us"),
     )
     qubit_decay = _as_float(config, "qubit_decay_per_us", 0.0)
-    try:
-        map_detunings = [float(x) for x in _require(config, "map_detunings_mhz")]
-        map_dephasings = [float(x) for x in _require(config, "map_dephasings_mhz")]
-        oracle_detunings = [float(x) for x in config.get("oracle_detunings_mhz", map_detunings)]
-        oracle_dephasings = [
-            float(x) for x in config.get("oracle_dephasings_mhz", map_dephasings)
-        ]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config: {exc}") from None
+    map_detunings = _as_floats(config, "map_detunings_mhz")
+    map_dephasings = _as_floats(config, "map_dephasings_mhz")
+    oracle_detunings = _as_floats(config, "oracle_detunings_mhz", map_detunings)
+    oracle_dephasings = _as_floats(config, "oracle_dephasings_mhz", map_dephasings)
 
     # the MHz columns echo the configured values; converting the angular
     # detuning back would carry the round-off of a GHz-carrier subtraction
@@ -371,44 +392,29 @@ def cmd_fit_swap(args, config, config_dir, out_dir) -> dict[Path, str]:
         "format": FORMAT_TAG,
         "coupling_mhz": angular_to_mhz(coupling),
         "defect_decay_per_us": defect_decay,
-        "report": report_to_dict(report),
+        "report": asdict(report),
     }
     return {out_dir / "swap_fit.json": dump_json(payload)}
 
 
 def cmd_fit_flux_noise(args, config, config_dir, out_dir) -> dict[Path, str]:
-    paths = _trace_paths(config, config_dir)
-    loaded = []
-    for path in paths:
-        flux_amp = read_sidecar_json(path, ("flux_amp",))["flux_amp"]
-        times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
-        loaded.append((path, flux_amp, times, signal))
-
-    points, per_trace, failures = [], [], []
-    for path, amp, times, signal in loaded:
-        try:
-            rate, report = fit_exponential(times, signal)
-        except FitError as exc:
-            failures.append(f"{path.name}: {exc}")
-            continue
-        points.append((amp, rate))
-        per_trace.append(
-            {
-                "file": path.name,
-                "flux_amp": amp,
-                "gamma_phi_mhz": angular_to_mhz(rate),
-                "report": report_to_dict(report),
-            }
-        )
-    if failures:
-        raise FitError("echo fits failed for: " + "; ".join(failures))
-
+    fitted = _fit_traces(config, config_dir, ("flux_amp",), fit_exponential)
+    points = [(meta["flux_amp"], rate) for _, meta, (rate, _) in fitted]
+    per_trace = [
+        {
+            "file": path.name,
+            "flux_amp": meta["flux_amp"],
+            "gamma_phi_mhz": angular_to_mhz(rate),
+            "report": asdict(report),
+        }
+        for path, meta, (rate, report) in fitted
+    ]
     coefficient, fit_report = fit_flux_noise_quadratic(points)
     payload = {
         "format": FORMAT_TAG,
         "quadratic_coef_mhz": angular_to_mhz(coefficient),
         "traces": per_trace,
-        "report": report_to_dict(fit_report),
+        "report": asdict(fit_report),
     }
     return {out_dir / "flux_noise_fit.json": dump_json(payload)}
 

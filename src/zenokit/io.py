@@ -22,7 +22,6 @@ import os
 import platform
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,9 +29,6 @@ from .errors import DomainError, ParseError
 from .kk import ReadoutCalibration
 from .spectrum import TabulatedSpectrum
 from .units import angular_to_mhz, mhz_to_angular
-
-if TYPE_CHECKING:
-    from .fits import FitReport
 
 FORMAT_TAG = "zenokit-v1"
 
@@ -99,14 +95,12 @@ def environment_fingerprint() -> dict:
 def read_columns_csv(path, header: str) -> tuple[np.ndarray, ...]:
     """Strictly parse a numeric CSV whose header matches exactly.
 
-    ``path`` is a file path or an open text stream.  Leading ``#``
+    ``path`` is a file path, not an open stream.  Leading ``#``
     comment lines and blank lines are skipped.  A header mismatch, no
     data rows, or a row with the wrong column count, a non-numeric or a
     non-finite value raises :class:`ParseError`, naming the file and,
     for a bad row, its line.  Returns one contiguous array per column.
     """
-    if hasattr(path, "read"):
-        return _parse_columns(path, "<stream>", header)
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_columns(fh, os.fspath(path), header)
 
@@ -150,15 +144,15 @@ def _parse_columns(fh, name: str, header: str) -> tuple[np.ndarray, ...]:
     return tuple(table[:, j].copy() for j in range(n_cols))
 
 
-def read_spectrum_csv(path_or_file) -> TabulatedSpectrum:
+def read_spectrum_csv(path) -> TabulatedSpectrum:
     """Parse a ``freq_mhz,gamma_per_us`` CSV into a tabulated spectrum.
 
     The format is strict: the table rules of :func:`read_columns_csv`,
     at least 2 rows, absolute ordinary frequencies in MHz sorted
     strictly ascending, and non-negative rates.
     """
-    freqs, rates = read_columns_csv(path_or_file, SPECTRUM_CSV_HEADER)
-    name = "<stream>" if hasattr(path_or_file, "read") else os.fspath(path_or_file)
+    freqs, rates = read_columns_csv(path, SPECTRUM_CSV_HEADER)
+    name = os.fspath(path)
     if freqs.size < 2:
         raise ParseError(f"{name}: need at least 2 data rows, got {freqs.size}")
     steps = np.diff(freqs)
@@ -280,14 +274,3 @@ def read_calibration_json(path) -> ReadoutCalibration:
     except DomainError as exc:
         raise ParseError(f"{name}: {exc}") from None
 
-
-def report_to_dict(report: FitReport) -> dict:
-    return {
-        "parameters": dict(report.parameters),
-        "uncertainties": dict(report.uncertainties),
-        "residual_norm": report.residual_norm,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "gradient_norm": report.gradient_norm,
-        "warnings": list(report.warnings),
-    }

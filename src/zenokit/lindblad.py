@@ -184,36 +184,31 @@ class Trajectory:
 
 def check_density_matrix(rho: np.ndarray, context: str = "density matrix") -> None:
     """Enforce Hermiticity, unit trace, and positivity tolerances."""
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > HERMITICITY_TOL:
-        raise StabilityError(f"{context}: Hermiticity error {herm:.2e} > {HERMITICITY_TOL}")
-    trace_err = abs(float(np.trace(rho).real) - 1.0)
-    if trace_err > TRACE_TOL:
-        raise StabilityError(f"{context}: trace error {trace_err:.2e} > {TRACE_TOL}")
-    eigmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if eigmin < EIGENVALUE_TOL:
-        raise StabilityError(f"{context}: eigenvalue {eigmin:.2e} < {EIGENVALUE_TOL}")
+    found = _first_violation(rho[np.newaxis])
+    if found:
+        raise StabilityError(f"{context}: {found[1]}")
 
 
-def _check_samples(states: np.ndarray, times: np.ndarray, dt: float) -> None:
-    """:func:`check_density_matrix` on every sample after the first, batched.
-
-    The samples are checked in blocks of ``_CHECK_BLOCK`` so the
-    temporaries stay small; the first failing sample is handed to
-    :func:`check_density_matrix` itself, so the error is the one it raises.
+def _first_violation(rho: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first matrix of the stack ``rho`` that breaks a
+    tolerance, and what it breaks; the tolerances are checked in the
+    order Hermiticity, trace, positivity.  ``None`` when all pass.
     """
-    for start in range(1, len(states), _CHECK_BLOCK):
-        rho = states[start : start + _CHECK_BLOCK]
-        rho_h = rho.conj().transpose(0, 2, 1)
-        herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
-        trace_err = np.abs(np.einsum("tii->t", rho).real - 1.0)
-        eigmin = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
-        bad = (herm > HERMITICITY_TOL) | (trace_err > TRACE_TOL) | (eigmin < EIGENVALUE_TOL)
-        for i in start + np.flatnonzero(bad):
-            try:
-                check_density_matrix(states[i], f"t={times[i]:.6g} us")
-            except StabilityError as exc:
-                raise StabilityError(f"{exc}; reduce dt below {dt:.3e}") from None
+    rho_h = rho.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
+    trace_err = np.abs(np.einsum("tii->t", rho).real - 1.0)
+    eigmin = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+    bad = np.flatnonzero(
+        (herm > HERMITICITY_TOL) | (trace_err > TRACE_TOL) | (eigmin < EIGENVALUE_TOL)
+    )
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if herm[i] > HERMITICITY_TOL:
+        return i, f"Hermiticity error {herm[i]:.2e} > {HERMITICITY_TOL}"
+    if trace_err[i] > TRACE_TOL:
+        return i, f"trace error {trace_err[i]:.2e} > {TRACE_TOL}"
+    return i, f"eigenvalue {eigmin[i]:.2e} < {EIGENVALUE_TOL}"
 
 
 def evolve(
@@ -297,7 +292,12 @@ def evolve(
     if rest:
         np.matmul(np.linalg.matrix_power(step, rest), flat[n_full], out=flat[-1])
     states = flat.reshape(-1, d, d)
-    _check_samples(states, times, dt)
+    for start in range(1, times.size, _CHECK_BLOCK):
+        found = _first_violation(states[start : start + _CHECK_BLOCK])
+        if found:
+            i, problem = found
+            t = times[start + i]
+            raise StabilityError(f"t={t:.6g} us: {problem}; reduce dt below {dt:.3e}")
     return Trajectory(model=model, times=times, states=states)
 
 

@@ -318,6 +318,100 @@ class TestCalibrate:
         assert run(["calibrate", "--config", str(config)], tmp_path) == 2
 
 
+def trace_dir_config(tmp_path, traces):
+    """A config whose ``trace_dir`` holds ``traces``: name -> (signal, sidecar or None)."""
+    directory = tmp_path / "traces"
+    directory.mkdir()
+    times = np.arange(0.0, 3.0, 0.004)
+    for name, (signal, sidecar) in traces.items():
+        write_csv(directory / f"{name}.csv", "time_us,signal", zip(times, signal(times)))
+        if sidecar is not None:
+            (directory / f"{name}.json").write_text(dump_json(sidecar))
+    config = tmp_path / "config.json"
+    config.write_text(dump_json({"chi_mhz": 0.98, "trace_dir": str(directory)}))
+    return str(config)
+
+
+def constant(times):
+    return np.full(times.size, 0.5)
+
+
+def ringing(times):
+    return 0.4 * np.cos(2 * math.pi * 10.0 * times) + 0.5
+
+
+RAMSEY_SIDECAR = {"epsilon": 0.01, "offset_mhz": 10.0}
+
+
+class TestTraceBatch:
+    """``calibrate`` and ``fit-flux-noise`` read every trace, then fit each."""
+
+    def test_calibrate_names_every_failed_fit(self, tmp_path, capsys):
+        # a constant signal has no fringe to fit
+        config = trace_dir_config(
+            tmp_path,
+            {name: (constant, RAMSEY_SIDECAR) for name in ("flat_a", "flat_b")},
+        )
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FitError"
+        assert error["message"].startswith("trace fits failed for: flat_a.csv: ")
+        assert "; flat_b.csv: " in error["message"]
+        assert not out.exists()
+
+    def test_fit_flux_noise_names_every_failed_fit(self, tmp_path, capsys, monkeypatch):
+        # a constant echo signal fits a zero decay rate, so the fit is made
+        # to fail here; the loop under test is the one calibrate runs
+        def refuse(times, signal):
+            raise zk.FitError("exponential fit did not converge")
+
+        monkeypatch.setattr("zenokit.cli.fit_exponential", refuse)
+        config = trace_dir_config(
+            tmp_path, {name: (constant, {"flux_amp": 0.5}) for name in ("flat_a", "flat_b")}
+        )
+        out = tmp_path / "out"
+        assert run(["fit-flux-noise", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FitError"
+        assert error["message"] == (
+            "trace fits failed for: flat_a.csv: exponential fit did not converge; "
+            "flat_b.csv: exponential fit did not converge"
+        )
+        assert not out.exists()
+
+    def test_every_trace_is_read_before_the_first_fit(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(trace):
+            calls.append(trace)
+            return zk.fit_damped_sine(trace)
+
+        monkeypatch.setattr("zenokit.cli.fit_damped_sine", counting)
+        config = trace_dir_config(
+            tmp_path, {"a": (ringing, RAMSEY_SIDECAR), "b": (ringing, None)}
+        )
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", config], out) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ParseError"
+        assert "b.json" in error["message"]
+        assert calls == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "calibrate", "oracle", "fit-flux-noise"])
+def test_missing_config_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command], out) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParseError",
+        "message": "this subcommand requires --config",
+        "exit_code": 2,
+    }
+    assert not out.exists()
+
+
 GOOD_TRACE = "time_us,signal\n0.0,0.9\n0.004,0.8\n"
 GOOD_RAMSEY_SIDECAR = dump_json({"epsilon": 0.01, "offset_mhz": 10.0})
 
@@ -366,6 +460,14 @@ def calibration_input(tmp_path, payload):
 
 
 CALIBRATION = {"S_mhz": 825.0, "K_mhz": 5619.0, "R_mhz": 429.0, "chi_mhz": 0.98}
+PREDICT = {
+    "spectrum_csv": str(DATA / "spectrum_flat.csv"),
+    "calibration_json": str(DATA / "calibration.json"),
+    "qubit_freq_mhz": 4884.0,
+    "amplitudes": [0.0, 0.01],
+}
+DEFECT = {"freq_mhz": 4300.0, "coupling_mhz": 0.1, "decay_per_us": 10.0}
+ORACLE = {"defect": DEFECT, "map_detunings_mhz": [0.0], "map_dephasings_mhz": [0.1]}
 
 MALFORMED_INPUTS = {
     "config-not-json": lambda tmp: config_input(tmp, "{not json"),
@@ -414,6 +516,28 @@ MALFORMED_INPUTS = {
     ),
     "config-trace-dir-null": lambda tmp: config_key_input(
         tmp, "calibrate", {"chi_mhz": 0.98, "trace_dir": None}, "trace_dir"
+    ),
+    # float(True) is 1.0, so a boolean would otherwise pass as a number
+    "config-freq-bool": lambda tmp: config_key_input(
+        tmp, "predict", {**PREDICT, "qubit_freq_mhz": True}, "qubit_freq_mhz"
+    ),
+    "config-amplitude-bool": lambda tmp: config_key_input(
+        tmp, "predict", {**PREDICT, "amplitudes": [True, 0.01]}, "amplitudes"
+    ),
+    "config-defect-decay-bool": lambda tmp: config_key_input(
+        tmp, "oracle", {**ORACLE, "defect": {**DEFECT, "decay_per_us": False}}, "decay_per_us"
+    ),
+    "config-amplitudes-not-list": lambda tmp: config_key_input(
+        tmp, "predict", {**PREDICT, "amplitudes": 5}, "amplitudes"
+    ),
+    "config-window-one-value": lambda tmp: config_key_input(
+        tmp, "predict", {**PREDICT, "window_mhz": [4880]}, "window_mhz"
+    ),
+    "config-map-not-list": lambda tmp: config_key_input(
+        tmp, "oracle", {**ORACLE, "map_detunings_mhz": "x"}, "map_detunings_mhz"
+    ),
+    "config-oracle-dephasing-not-number": lambda tmp: config_key_input(
+        tmp, "oracle", {**ORACLE, "oracle_dephasings_mhz": [0.1, "a"]}, "oracle_dephasings_mhz"
     ),
 }
 

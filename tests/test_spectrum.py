@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -92,23 +90,30 @@ class TestTabulated:
             zk.TabulatedSpectrum(omegas, rates)
 
 
+def read_text(tmp_path, text):
+    """``read_spectrum_csv`` on a file holding ``text``."""
+    path = tmp_path / "spectrum.csv"
+    path.write_text(text)
+    return read_spectrum_csv(path)
+
+
 class TestSpectrumCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         s = make_hotspot_spectrum()
         text = format_spectrum_csv(s, tag="zenokit-v1")
-        back = read_spectrum_csv(io.StringIO(text))
+        back = read_text(tmp_path, text)
         assert np.allclose(back.omegas, s.omegas, rtol=1e-15)
         assert np.array_equal(back.rates, s.rates)
 
-    def test_parses_simple_file(self):
+    def test_parses_simple_file(self, tmp_path):
         text = "freq_mhz,gamma_per_us\n4870.0,0.01\n4880.0,0.02\n"
-        s = read_spectrum_csv(io.StringIO(text))
+        s = read_text(tmp_path, text)
         assert s.omegas[0] == pytest.approx(mhz_to_angular(4870.0))
         assert s.rates[1] == 0.02
 
-    def test_leading_comment_allowed(self):
+    def test_leading_comment_allowed(self, tmp_path):
         text = "# zenokit-v1\nfreq_mhz,gamma_per_us\n1.0,0.1\n2.0,0.2\n"
-        s = read_spectrum_csv(io.StringIO(text))
+        s = read_text(tmp_path, text)
         assert angular_to_mhz(s.omegas[-1]) == pytest.approx(2.0)
 
     @pytest.mark.parametrize(
@@ -124,9 +129,9 @@ class TestSpectrumCsv:
             "freq_mhz,gamma_per_us\n1.0,abc\n2.0,0.2\n",     # non-numeric
         ],
     )
-    def test_rejects_malformed(self, text):
+    def test_rejects_malformed(self, text, tmp_path):
         with pytest.raises(zk.ParseError):
-            read_spectrum_csv(io.StringIO(text))
+            read_text(tmp_path, text)
 
 
 def test_hotspot_fixture_sane():

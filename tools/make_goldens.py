@@ -44,6 +44,20 @@ QUBIT_FREQ_MHZ = 4884.0
 CHI_MHZ = 0.98
 S_MHZ, K_MHZ, R_MHZ = 825.0, 5619.0, 429.0
 
+# the loss spectrum behind both the hotspot table and the T1 survival scan:
+# a flat background plus one defect peak 3 MHz above the qubit
+CENTER = mhz_to_angular(QUBIT_FREQ_MHZ)
+HOTSPOT = zk.ParametricSpectrum(
+    background=0.01,
+    peaks=(
+        zk.TlsPeak(
+            center=CENTER + mhz_to_angular(3.0),
+            width=TWO_PI * 1.5,
+            coupling_sq=0.25 * TWO_PI * 1.5 * 0.1,
+        ),
+    ),
+)
+
 
 def write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -51,15 +65,8 @@ def write(path: Path, text: str) -> None:
 
 
 def make_spectra() -> None:
-    center = mhz_to_angular(QUBIT_FREQ_MHZ)
-    peak = zk.TlsPeak(
-        center=center + mhz_to_angular(3.0),
-        width=TWO_PI * 1.5,
-        coupling_sq=0.25 * TWO_PI * 1.5 * 0.1,
-    )
-    parametric = zk.ParametricSpectrum(background=0.01, peaks=(peak,))
-    grid = np.linspace(center - mhz_to_angular(15.0), center + mhz_to_angular(15.0), 601)
-    hotspot = parametric.tabulate(grid)
+    grid = np.linspace(CENTER - mhz_to_angular(15.0), CENTER + mhz_to_angular(15.0), 601)
+    hotspot = HOTSPOT.tabulate(grid)
     write(DATA / "spectrum_hotspot.csv", format_spectrum_csv(hotspot, tag=None))
 
     flat_freqs = np.linspace(QUBIT_FREQ_MHZ - 15.0, QUBIT_FREQ_MHZ + 15.0, 11)
@@ -132,15 +139,8 @@ def make_oracle_config() -> None:
 
 
 def make_convert_t1_input() -> None:
-    center = mhz_to_angular(QUBIT_FREQ_MHZ)
-    peak = zk.TlsPeak(
-        center=center + mhz_to_angular(3.0),
-        width=TWO_PI * 1.5,
-        coupling_sq=0.25 * TWO_PI * 1.5 * 0.1,
-    )
-    parametric = zk.ParametricSpectrum(background=0.01, peaks=(peak,))
     freqs = np.linspace(QUBIT_FREQ_MHZ - 15.0, QUBIT_FREQ_MHZ + 15.0, 121)
-    rates = parametric.rate_at(mhz_to_angular(freqs))
+    rates = HOTSPOT.rate_at(mhz_to_angular(freqs))
     p1 = np.exp(-rates * 30.0)
     write(DATA / "convert_t1_input.csv", format_table_csv(T1_CSV_HEADER, (freqs, p1), tag=None))
 
