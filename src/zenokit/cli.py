@@ -56,13 +56,17 @@ from .io import (
     format_spectrum_csv,
     format_table_csv,
     read_calibration_json,
+    json_number,
+    json_numbers,
+    json_value,
     read_columns_csv,
     read_json_object,
     read_sidecar_json,
     read_spectrum_csv,
+    spectrum_from_mhz,
 )
 from .lindblad import validate_kk
-from .spectrum import ParametricSpectrum, TabulatedSpectrum
+from .spectrum import ParametricSpectrum
 from .units import angular_to_mhz, mhz_to_angular
 
 EXIT_OK = 0
@@ -140,12 +144,6 @@ def _load_config(config_path, command):
     return None, None
 
 
-def _require(config, key):
-    if key not in config:
-        raise ParseError(f"config: missing required key {key!r}")
-    return config[key]
-
-
 def _resolve(config_dir, path, key) -> Path:
     if not isinstance(path, str):
         raise ParseError(f"config: key {key!r} must hold a path string, got {path!r}")
@@ -153,28 +151,6 @@ def _resolve(config_dir, path, key) -> Path:
     if not path.is_absolute() and config_dir is not None:
         path = config_dir / path
     return path
-
-
-def _as_float(config, key, default=None):
-    if not isinstance(config, dict):
-        raise ParseError(f"config: expected an object holding key {key!r}, got {config!r}")
-    value = _require(config, key) if default is None else config.get(key, default)
-    # float(True) is 1.0, so a JSON boolean is refused before the conversion
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ParseError(f"config: key {key!r} holds {value!r}, not a number")
-
-
-def _as_floats(config, key, default=None, length=None) -> list[float]:
-    """:func:`_as_float` on each element of the list under ``key``."""
-    values = _require(config, key) if default is None else config.get(key, default)
-    if not isinstance(values, list) or length not in (None, len(values)):
-        size = f"{length} " if length else ""
-        raise ParseError(f"config: key {key!r} must hold a list of {size}numbers, got {values!r}")
-    return [_as_float({key: value}, key) for value in values]
 
 
 def _trace_paths(config, config_dir) -> list[Path]:
@@ -231,17 +207,17 @@ def _fit_traces(
 
 def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
     spectrum = read_spectrum_csv(
-        _resolve(config_dir, _require(config, "spectrum_csv"), "spectrum_csv")
+        _resolve(config_dir, json_value(config, "spectrum_csv", "config"), "spectrum_csv")
     )
     calibration = read_calibration_json(
-        _resolve(config_dir, _require(config, "calibration_json"), "calibration_json")
+        _resolve(config_dir, json_value(config, "calibration_json", "config"), "calibration_json")
     )
-    qubit_freq = mhz_to_angular(_as_float(config, "qubit_freq_mhz"))
-    amplitudes = _as_floats(config, "amplitudes")
+    qubit_freq = mhz_to_angular(json_number(config, "qubit_freq_mhz", "config"))
+    amplitudes = json_numbers(config, "amplitudes", "config")
     window = None
     if config.get("window_mhz") is not None:
-        window = tuple(mhz_to_angular(x) for x in _as_floats(config, "window_mhz", length=2))
-    residual = mhz_to_angular(_as_float(config, "residual_dephasing_mhz", 0.0))
+        window = tuple(map(mhz_to_angular, json_numbers(config, "window_mhz", "config", length=2)))
+    residual = mhz_to_angular(json_number(config, "residual_dephasing_mhz", "config", 0.0))
 
     results = kk.sweep(
         spectrum,
@@ -272,15 +248,13 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 
 def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
-    chi = mhz_to_angular(_as_float(config, "chi_mhz"))
+    chi = mhz_to_angular(json_number(config, "chi_mhz", "config"))
     fitted = _fit_traces(
         config,
         config_dir,
         ("epsilon", "offset_mhz"),
         fit_damped_sine,
-        lambda meta, times, signal: (
-            RamseyTrace(times, signal, offset_freq=meta["offset_mhz"], epsilon=meta["epsilon"]),
-        ),
+        lambda meta, times, signal: (RamseyTrace(times, signal, offset_freq=meta["offset_mhz"]),),
     )
     entries = [(path, meta["epsilon"], *result) for path, meta, result in fitted]
 
@@ -318,17 +292,17 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 
 def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
-    defect_cfg = _require(config, "defect")
+    defect_cfg = json_value(config, "defect", "config")
     defect = DefectParams(
-        freq=mhz_to_angular(_as_float(defect_cfg, "freq_mhz")),
-        coupling=mhz_to_angular(_as_float(defect_cfg, "coupling_mhz")),
-        decay=_as_float(defect_cfg, "decay_per_us"),
+        freq=mhz_to_angular(json_number(defect_cfg, "freq_mhz", "config")),
+        coupling=mhz_to_angular(json_number(defect_cfg, "coupling_mhz", "config")),
+        decay=json_number(defect_cfg, "decay_per_us", "config"),
     )
-    qubit_decay = _as_float(config, "qubit_decay_per_us", 0.0)
-    map_detunings = _as_floats(config, "map_detunings_mhz")
-    map_dephasings = _as_floats(config, "map_dephasings_mhz")
-    oracle_detunings = _as_floats(config, "oracle_detunings_mhz", map_detunings)
-    oracle_dephasings = _as_floats(config, "oracle_dephasings_mhz", map_dephasings)
+    qubit_decay = json_number(config, "qubit_decay_per_us", "config", 0.0)
+    map_detunings = json_numbers(config, "map_detunings_mhz", "config")
+    map_dephasings = json_numbers(config, "map_dephasings_mhz", "config")
+    oracle_detunings = json_numbers(config, "oracle_detunings_mhz", "config", map_detunings)
+    oracle_dephasings = json_numbers(config, "oracle_dephasings_mhz", "config", map_dephasings)
 
     # the MHz columns echo the configured values; converting the angular
     # detuning back would carry the round-off of a GHz-carrier subtraction
@@ -371,8 +345,6 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
     freqs, populations = read_columns_csv(args.input, T1_CSV_HEADER)
-    if np.any(np.diff(freqs) <= 0):
-        raise ParseError(f"{args.input}: frequencies must be strictly ascending")
     if not args.t_delay > 0:
         raise DomainError(f"--t-delay must be > 0, got {args.t_delay}")
     rates = []
@@ -381,7 +353,7 @@ def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
             rates.append(rate_from_fixed_delay(float(p1), args.t_delay))
         except DomainError as exc:
             raise DomainError(f"{args.input}: row {i + 1} (freq {freqs[i]} MHz): {exc}") from None
-    spectrum = TabulatedSpectrum(mhz_to_angular(freqs), np.asarray(rates))
+    spectrum = spectrum_from_mhz(freqs, rates, args.input)
     return {out_dir / "spectrum.csv": format_spectrum_csv(spectrum, tag=FORMAT_TAG)}
 
 

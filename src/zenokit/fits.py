@@ -47,31 +47,37 @@ class FitReport:
     warnings: tuple[str, ...] = ()
 
 
+def _samples(times, signal, minimum) -> tuple[np.ndarray, np.ndarray]:
+    """``(times, signal)`` as float arrays: 1-D, of equal length, at least
+    ``minimum`` samples, times strictly increasing; else DomainError."""
+    times = np.asarray(times, dtype=float)
+    signal = np.asarray(signal, dtype=float)
+    if times.ndim != 1 or times.shape != signal.shape:
+        raise DomainError("times and signal must be 1-D arrays of equal length")
+    if times.size < minimum:
+        raise DomainError(f"need >= {minimum} samples, got {times.size}")
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("times must be strictly increasing")
+    return times, signal
+
+
 @dataclass(frozen=True)
 class RamseyTrace:
     """A Ramsey fringe record: signal vs free-evolution time.
 
     ``offset_freq`` is the deliberate fringe offset in MHz that separates
-    the frequency-shift and decay time scales; ``epsilon`` tags the
-    readout drive amplitude the trace was taken at (DAC units).
+    the frequency-shift and decay time scales.  The samples must pass
+    :func:`_samples` with at least 8 of them.
     """
 
     times: np.ndarray
     signal: np.ndarray
     offset_freq: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        signal = np.asarray(self.signal, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "signal", signal)
-        if times.ndim != 1 or times.shape != signal.shape:
-            raise DomainError("times and signal must be 1-D arrays of equal length")
-        if times.size >= 2 and not np.all(np.diff(times) > 0):
-            raise DomainError("times must be strictly increasing")
-        times.setflags(write=False)
-        signal.setflags(write=False)
+        for name, array in zip(("times", "signal"), _samples(self.times, self.signal, 8)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +237,18 @@ def _spectrum_peak(times, values, f_window=None):
     return float((k + shift) * dfreq), float(mags[k])
 
 
+def _oscillation_seed(times, signal, f_window=None):
+    """Frequency and decay seeds of a damped oscillation, and the signal's
+    range; FitError if the signal is constant or does not oscillate."""
+    spread = float(np.ptp(signal))
+    if spread <= 1e-14 * (1.0 + abs(float(np.mean(signal)))):
+        raise FitError("constant signal: nothing to fit")
+    freq, peak = _spectrum_peak(times, signal, f_window)
+    if peak == 0.0:
+        raise FitError("no oscillating component found in the trace")
+    return freq, _log_envelope_rate(times, signal, freq), spread
+
+
 def _log_envelope_rate(times, values, freq):
     """Decay-rate seed from a linear fit to the log demodulated envelope."""
     z = np.asarray(values, dtype=float) - np.mean(values)
@@ -320,28 +338,19 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
     Raises
     ------
     DomainError
-        Fewer than 8 samples, or the trace spans less than 1.5 periods
-        of the expected (offset) frequency.
+        The trace spans less than 1.5 periods of the expected (offset)
+        frequency.
     FitError
         Constant signal, or no convergence within the iteration budget.
     """
     times, signal = trace.times, trace.signal
-    if times.size < 8:
-        raise DomainError(f"need >= 8 samples, got {times.size}")
     if trace.offset_freq > 0:
         span_periods = (times[-1] - times[0]) * trace.offset_freq
         if span_periods < 1.5:
             raise DomainError(
                 f"trace spans {span_periods:.2f} expected periods, need >= 1.5"
             )
-    spread = float(np.ptp(signal))
-    if spread <= 1e-14 * (1.0 + abs(float(np.mean(signal)))):
-        raise FitError("constant signal: nothing to fit")
-
-    freq0, peak = _spectrum_peak(times, signal)
-    if peak == 0.0:
-        raise FitError("no oscillating component found in the trace")
-    rate0 = _log_envelope_rate(times, signal, freq0)
+    freq0, rate0, _ = _oscillation_seed(times, signal)
     a_cos, a_sin, base0 = _quadrature_projection(times, signal, freq0, rate0)
     theta0 = np.array(
         [math.hypot(a_cos, a_sin), rate0, freq0, math.atan2(-a_sin, a_cos), base0]
@@ -396,12 +405,10 @@ def _exponential_seed(times, signal) -> np.ndarray:
 def fit_exponential(times, signal) -> tuple[float, FitReport]:
     """Fit ``A exp(-g t)`` and return ``(g, report)``.
 
-    Seeds from :func:`_exponential_seed`.
+    Seeds from :func:`_exponential_seed`.  Needs :func:`_samples` with
+    at least 2; a fitted amplitude <= 0 is no decay and raises FitError.
     """
-    times = np.asarray(times, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    if times.size < 2:
-        raise DomainError("need >= 2 samples for an exponential fit")
+    times, signal = _samples(times, signal, 2)
     fun = _exponential_residual_jacobian(times, signal)
     theta, r, J, converged, iterations, gnorm = _lm_minimize(
         fun, _exponential_seed(times, signal), data_norm=float(np.linalg.norm(signal))
@@ -411,6 +418,8 @@ def fit_exponential(times, signal) -> tuple[float, FitReport]:
             f"exponential fit did not converge: {iterations} iterations, "
             f"gradient norm {gnorm:.3e}"
         )
+    if not theta[0] > 0:
+        raise FitError(f"exponential fit found amplitude {theta[0]:.3e}, not a positive decay")
     report = _report(_EXP_NAMES, theta, r, J, converged, iterations, gnorm)
     return report.parameters["decay_rate"], report
 
@@ -469,23 +478,11 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
     (coupling, defect_decay, report)
         Coupling in rad/us, decay in 1/us.
     """
-    times = np.asarray(times, dtype=float)
-    populations = np.asarray(populations, dtype=float)
-    if times.ndim != 1 or times.shape != populations.shape:
-        raise DomainError("times and populations must be 1-D arrays of equal length")
-    if times.size < 8:
-        raise DomainError(f"need >= 8 samples, got {times.size}")
+    times, populations = _samples(times, populations, 8)
     if f_guess > 0 and (times[-1] - times[0]) * f_guess < 2.0:
         raise DomainError("linecut must span >= 2 expected oscillation periods")
-    spread = float(np.ptp(populations))
-    if spread <= 1e-14:
-        raise FitError("constant linecut: nothing to fit")
-
     window = (0.5 * f_guess, 2.0 * f_guess) if f_guess > 0 else None
-    freq0, peak = _spectrum_peak(times, populations, f_window=window)
-    if peak == 0.0:
-        raise FitError("no oscillating component found in the linecut")
-    rate0 = _log_envelope_rate(times, populations, freq0)
+    freq0, rate0, spread = _oscillation_seed(times, populations, window)
     a_cos, a_sin, env_off, base0 = _quadrature_projection(
         times, populations, freq0, rate0, with_decaying_baseline=True
     )

@@ -2,8 +2,9 @@
 
 Every input is opened here.  CSV inputs go through one strict table
 reader, :func:`read_columns_csv`, and JSON inputs through one object
-reader, :func:`read_json_object`; the format readers built on them
-(loss spectrum, trace sidecar, calibration) add only their own checks.
+reader, :func:`read_json_object`, whose numbers go through one number
+reader, :func:`json_number` (a list: :func:`json_numbers`).  A spectrum
+file is held to the spectrum's own invariants, by :func:`spectrum_from_mhz`.
 The other modules hold models and numerics and open no file.
 
 Every output file embeds the format tag so downstream tooling can check
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -110,7 +112,7 @@ def _parse_columns(fh, name: str, header: str) -> tuple[np.ndarray, ...]:
     lineno = 0
     for line in fh:
         lineno += 1
-        if not line.startswith("#"):
+        if line.strip() and not line.startswith("#"):
             seen_header = line.strip()
             break
     if seen_header != header:
@@ -148,21 +150,18 @@ def read_spectrum_csv(path) -> TabulatedSpectrum:
     """Parse a ``freq_mhz,gamma_per_us`` CSV into a tabulated spectrum.
 
     The format is strict: the table rules of :func:`read_columns_csv`,
-    at least 2 rows, absolute ordinary frequencies in MHz sorted
-    strictly ascending, and non-negative rates.
+    then the spectrum's own (see :func:`spectrum_from_mhz`).
     """
-    freqs, rates = read_columns_csv(path, SPECTRUM_CSV_HEADER)
-    name = os.fspath(path)
-    if freqs.size < 2:
-        raise ParseError(f"{name}: need at least 2 data rows, got {freqs.size}")
-    steps = np.diff(freqs)
-    if np.any(steps == 0):
-        raise ParseError(f"{name}: duplicate frequencies")
-    if np.any(steps < 0):
-        raise ParseError(f"{name}: frequencies not sorted ascending")
-    if np.any(rates < 0):
-        raise ParseError(f"{name}: negative decay rate")
-    return TabulatedSpectrum(mhz_to_angular(freqs), rates)
+    return spectrum_from_mhz(*read_columns_csv(path, SPECTRUM_CSV_HEADER), path)
+
+
+def spectrum_from_mhz(freqs_mhz, rates, path) -> TabulatedSpectrum:
+    """The :class:`TabulatedSpectrum` of columns read from ``path``; its
+    ``DomainError`` is raised as a :class:`ParseError` naming the file."""
+    try:
+        return TabulatedSpectrum(mhz_to_angular(freqs_mhz), rates)
+    except DomainError as exc:
+        raise ParseError(f"{os.fspath(path)}: {exc}") from None
 
 
 def format_spectrum_csv(spectrum: TabulatedSpectrum, tag: str | None = None) -> str:
@@ -224,28 +223,54 @@ def read_json_object(path) -> dict:
     return payload
 
 
-def _float_fields(payload: dict, keys, name) -> dict[str, float]:
-    fields = {}
-    for key in keys:
-        if key not in payload:
-            raise ParseError(f"{name}: missing key {key!r}")
-        try:
-            fields[key] = float(payload[key])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{name}: key {key!r}: {exc}") from None
-    return fields
+def json_value(payload, key, name, default=None):
+    """``payload[key]`` of the JSON input ``name``, or ``default`` if given.
+
+    A missing key, or a ``payload`` that is not an object, raises
+    :class:`ParseError` naming ``name`` and ``key``.
+    """
+    if not isinstance(payload, dict):
+        raise ParseError(f"{name}: expected an object holding key {key!r}, got {payload!r}")
+    if default is None and key not in payload:
+        raise ParseError(f"{name}: missing key {key!r}")
+    return payload.get(key, default)
+
+
+def json_number(payload, key, name, default=None) -> float:
+    """:func:`json_value` as a float; it must be a finite JSON number.
+
+    A boolean, a string, NaN, an infinity or an int beyond float range
+    raises :class:`ParseError` naming ``name`` and ``key``.
+    """
+    value = json_value(payload, key, name, default)
+    # type(), not isinstance(): a bool is an int.  The exact comparison
+    # refuses NaN, infinities and the ints that float() overflows on.
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ParseError(f"{name}: key {key!r} holds {value!r}, not a finite number")
+
+
+def json_numbers(payload, key, name, default=None, length=None) -> list[float]:
+    """:func:`json_number` on each element of the list under ``key``,
+    which must hold ``length`` elements if that is given."""
+    values = json_value(payload, key, name, default)
+    if not isinstance(values, list) or length not in (None, len(values)):
+        size = f"{length} " if length else ""
+        raise ParseError(f"{name}: key {key!r} must hold a list of {size}numbers, got {values!r}")
+    return [json_number({key: value}, key, name) for value in values]
 
 
 def read_sidecar_json(trace_path, keys) -> dict[str, float]:
     """A trace's metadata sidecar, ``foo.csv`` -> ``foo.json`` next to it.
 
-    Each of ``keys`` must be present and convert to a float; returns
-    those values by key.
+    Each of ``keys`` must hold a :func:`json_number`; returns those
+    values by key.
     """
     sidecar = Path(trace_path).with_suffix(".json")
     if not sidecar.exists():
         raise ParseError(f"missing sidecar {sidecar} for trace {trace_path}")
-    return _float_fields(read_json_object(sidecar), keys, sidecar)
+    payload = read_json_object(sidecar)
+    return {key: json_number(payload, key, sidecar) for key in keys}
 
 
 def calibration_to_json(calibration: ReadoutCalibration) -> str:
@@ -261,16 +286,18 @@ def calibration_to_json(calibration: ReadoutCalibration) -> str:
 
 
 def read_calibration_json(path) -> ReadoutCalibration:
-    """Calibration JSON with the float fields :data:`CALIBRATION_JSON_KEYS`.
+    """Calibration JSON with the :func:`json_number` fields
+    :data:`CALIBRATION_JSON_KEYS`.
 
     A calibration that violates :class:`ReadoutCalibration`'s invariants
     is a malformed file here, so it raises :class:`ParseError` too.
     """
     name = os.fspath(path)
-    fields = _float_fields(read_json_object(path), CALIBRATION_JSON_KEYS, name)
+    payload = read_json_object(path)
+    fields = [json_number(payload, key, name) for key in CALIBRATION_JSON_KEYS]
     try:
         # the keys come in ReadoutCalibration's field order
-        return ReadoutCalibration(*(mhz_to_angular(v) for v in fields.values()))
+        return ReadoutCalibration(*map(mhz_to_angular, fields))
     except DomainError as exc:
         raise ParseError(f"{name}: {exc}") from None
 

@@ -78,9 +78,7 @@ def make_ramsey_signal(
 @pytest.fixture
 def ramsey_trace():
     times = np.arange(0.0, 3.0, 0.004)
-    return zk.RamseyTrace(
-        times, make_ramsey_signal(times), offset_freq=OFFSET_MHZ, epsilon=EPSILON_REF
-    )
+    return zk.RamseyTrace(times, make_ramsey_signal(times), offset_freq=OFFSET_MHZ)
 
 
 @pytest.fixture

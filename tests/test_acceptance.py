@@ -11,7 +11,6 @@ import pytest
 
 import zenokit as zk
 from conftest import (
-    EPSILON_REF,
     GAMMA_1D,
     GAMMA_PHI_REF,
     GAMMA_Q,
@@ -220,9 +219,7 @@ def test_c08_oracle_integrity_and_order():
 
 def test_c09_fit_recovery():
     times = np.arange(0.0, 3.0, 0.004)
-    trace = zk.RamseyTrace(
-        times, make_ramsey_signal(times), offset_freq=OFFSET_MHZ, epsilon=EPSILON_REF
-    )
+    trace = zk.RamseyTrace(times, make_ramsey_signal(times), offset_freq=OFFSET_MHZ)
     shift, rate, _ = zk.fit_damped_sine(trace)
     assert abs(shift - NU_S_MHZ) <= 1e-6 * NU_S_MHZ
     assert abs(rate - GAMMA_PHI_REF) <= 1e-6 * GAMMA_PHI_REF

@@ -380,6 +380,23 @@ class TestTraceBatch:
         )
         assert not out.exists()
 
+    def test_fit_flux_noise_refuses_inverted_echo(self, tmp_path, capsys):
+        # an unchecked fit takes -exp(-t) on these times as a converged
+        # decay with amplitude -0.18 and rate 4e10/us
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        times = np.linspace(0.1, 2.0, 40)
+        write_csv(traces / "inverted.csv", "time_us,signal", zip(times, -np.exp(-times)))
+        (traces / "inverted.json").write_text(dump_json({"flux_amp": 0.5}))
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({"trace_dir": str(traces)}))
+        out = tmp_path / "out"
+        assert run(["fit-flux-noise", "--config", str(config)], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FitError"
+        assert error["message"].startswith("trace fits failed for: inverted.csv: ")
+        assert not out.exists()
+
     def test_every_trace_is_read_before_the_first_fit(self, tmp_path, capsys, monkeypatch):
         calls = []
 
@@ -457,6 +474,21 @@ def calibration_input(tmp_path, payload):
         )
     )
     return ["predict", "--config", str(config)], str(calibration)
+
+
+def freq_literal_input(tmp_path, literal):
+    """A ``predict`` run whose config holds the JSON text ``literal`` as
+    ``qubit_freq_mhz``; ``json.dumps`` cannot write ``1e400`` or a huge int."""
+    text = dump_json({**PREDICT, "qubit_freq_mhz": 1234.5}).replace("1234.5", literal)
+    argv, _ = config_input(tmp_path, text)
+    return argv, "'qubit_freq_mhz'"
+
+
+def one_row_t1_input(tmp_path):
+    """A ``convert-t1`` run on a survival CSV of one row."""
+    source = tmp_path / "t1.csv"
+    write_csv(source, "freq_mhz,p1", [(4000.0, 0.5)])
+    return ["convert-t1", "--input", str(source), "--t-delay", "30.0"], str(source)
 
 
 CALIBRATION = {"S_mhz": 825.0, "K_mhz": 5619.0, "R_mhz": 429.0, "chi_mhz": 0.98}
@@ -539,6 +571,25 @@ MALFORMED_INPUTS = {
     "config-oracle-dephasing-not-number": lambda tmp: config_key_input(
         tmp, "oracle", {**ORACLE, "oracle_dephasings_mhz": [0.1, "a"]}, "oracle_dephasings_mhz"
     ),
+    # every JSON number must be finite; these used to crash or run on
+    "config-freq-infinity": lambda tmp: freq_literal_input(tmp, "Infinity"),
+    "config-freq-nan": lambda tmp: freq_literal_input(tmp, "NaN"),
+    "config-freq-1e400": lambda tmp: freq_literal_input(tmp, "1e400"),
+    "config-freq-400-digit-int": lambda tmp: freq_literal_input(tmp, "1" + "0" * 399),
+    "config-freq-numeric-string": lambda tmp: freq_literal_input(tmp, '"4884"'),
+    "sidecar-epsilon-bool": lambda tmp: trace_input(
+        tmp, sidecar=dump_json({"epsilon": True, "offset_mhz": 10.0})
+    ),
+    "sidecar-epsilon-nan": lambda tmp: trace_input(
+        tmp, sidecar=dump_json({"epsilon": float("nan"), "offset_mhz": 10.0})
+    ),
+    "calibration-stark-nan": lambda tmp: calibration_input(
+        tmp, {**CALIBRATION, "S_mhz": float("nan")}
+    ),
+    "calibration-dephasing-bool": lambda tmp: calibration_input(
+        tmp, {**CALIBRATION, "R_mhz": True}
+    ),
+    "convert-t1-one-row": one_row_t1_input,
 }
 
 
@@ -546,7 +597,9 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(case, tmp_path, capsys):
     argv, culprit = MALFORMED_INPUTS[case](tmp_path)
     assert run(argv, tmp_path / "out") == 2
-    error = json.loads(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)
     assert error["error"] == "ParseError"
     assert error["exit_code"] == 2
     assert culprit in error["message"]
@@ -670,6 +723,18 @@ class TestFitCommands:
         payload = json.loads((tmp_path / "swap_fit.json").read_text())
         assert payload["coupling_mhz"] == pytest.approx(1.6, rel=0.02)
         assert payload["defect_decay_per_us"] == pytest.approx(1 / 0.103, rel=0.10)
+
+    def test_fit_swap_refuses_time_reversed_linecut(self, tmp_path, capsys):
+        # the span check alone would call this a too-short linecut
+        header, *rows = (DATA / "swap_linecut.csv").read_text().splitlines()
+        source = tmp_path / "reversed.csv"
+        source.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        out = tmp_path / "out"
+        assert run(["fit-swap", "--input", str(source), "--f-guess", "3.2"], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert "strictly increasing" in error["message"]
+        assert not out.exists()
 
     def test_fit_flux_noise_recovers_coefficient(self, tmp_path):
         assert run(["fit-flux-noise", "--config", str(DATA / "flux_config.json")], tmp_path) == 0

@@ -94,9 +94,8 @@ class TestDampedSine:
                 phase=rng.uniform(-math.pi, math.pi),
                 baseline=rng.uniform(0.45, 0.55),
             )
-            shift, rate, report = zk.fit_damped_sine(
-                zk.RamseyTrace(times, signal, offset_freq=OFFSET_MHZ, epsilon=eps)
-            )
+            trace = zk.RamseyTrace(times, signal, offset_freq=OFFSET_MHZ)
+            shift, rate, report = zk.fit_damped_sine(trace)
             assert report.converged
             assert shift == pytest.approx(stark, rel=1e-9)
             assert rate == pytest.approx(dephasing, rel=1e-9)
@@ -247,6 +246,17 @@ class TestExponentialFit:
     def test_too_short(self):
         with pytest.raises(zk.DomainError):
             zk.fit_exponential([1.0], [0.5])
+
+    def test_sign_flipped_decay_is_fit_error(self):
+        # converges to amplitude -0.18 and rate 4e10/us without the sign check
+        times = np.linspace(0.1, 2.0, 40)
+        with pytest.raises(zk.FitError, match="amplitude"):
+            zk.fit_exponential(times, -np.exp(-times))
+
+    def test_times_must_increase(self):
+        times = np.linspace(0.0, 5.0, 60)
+        with pytest.raises(zk.DomainError, match="strictly increasing"):
+            zk.fit_exponential(times[::-1], np.exp(-0.7 * times))
 
 
 class TestSwapChevron:

@@ -116,6 +116,25 @@ class TestSpectrumCsv:
         s = read_text(tmp_path, text)
         assert angular_to_mhz(s.omegas[-1]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("preamble", ["\n", "# zenokit-v1\n\n"])
+    def test_blank_lines_before_header_are_skipped(self, preamble, tmp_path):
+        s = read_text(tmp_path, preamble + "freq_mhz,gamma_per_us\n1.0,0.1\n2.0,0.2\n")
+        assert s.rates.tolist() == [0.1, 0.2]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("freq_mhz,gamma_per_us\n1.0,0.1\n", "at least 2 grid points"),
+            ("freq_mhz,gamma_per_us\n2.0,0.1\n1.0,0.2\n", "strictly increasing"),
+            ("freq_mhz,gamma_per_us\n1.0,-0.1\n2.0,0.2\n", "rates must be >= 0"),
+        ],
+    )
+    def test_spectrum_rule_errors_name_the_file(self, text, message, tmp_path):
+        # the spectrum's own invariants, raised as a ParseError on the file
+        with pytest.raises(zk.ParseError, match=message) as info:
+            read_text(tmp_path, text)
+        assert str(tmp_path / "spectrum.csv") in str(info.value)
+
     @pytest.mark.parametrize(
         "text",
         [
