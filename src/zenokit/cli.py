@@ -23,6 +23,7 @@ failures emit a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -46,6 +47,7 @@ from .io import (
     COMPARISON_CSV_HEADER,
     FORMAT_TAG,
     POPULATION_CSV_HEADER,
+    SPECTRUM_CSV_HEADER,
     SWEEP_CSV_HEADER,
     T1_CSV_HEADER,
     TRACE_CSV_HEADER,
@@ -62,7 +64,7 @@ from .io import (
     read_columns_csv,
     read_json_object,
     read_sidecar_json,
-    read_spectrum_csv,
+    read_spectrum_csv,  # noqa: F401  (perfbench/tracer.py wraps this name)
     spectrum_from_mhz,
 )
 from .lindblad import validate_kk
@@ -100,6 +102,9 @@ def _fail(code: int, exc: Exception) -> int:
     return code
 
 
+# built once per process: argparse keeps no state between parse_args calls,
+# and the handlers look up the names they call at call time
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -206,23 +211,29 @@ def _fit_traces(
 
 
 def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
-    spectrum = read_spectrum_csv(
-        _resolve(config_dir, json_value(config, "spectrum_csv", "config"), "spectrum_csv")
+    spectrum_path = _resolve(
+        config_dir, json_value(config, "spectrum_csv", "config"), "spectrum_csv"
     )
+    freqs_mhz, rates = read_columns_csv(spectrum_path, SPECTRUM_CSV_HEADER)
     calibration = read_calibration_json(
         _resolve(config_dir, json_value(config, "calibration_json", "config"), "calibration_json")
     )
-    qubit_freq = mhz_to_angular(json_number(config, "qubit_freq_mhz", "config"))
+    qubit_mhz = json_number(config, "qubit_freq_mhz", "config")
     amplitudes = json_numbers(config, "amplitudes", "config")
     window = None
     if config.get("window_mhz") is not None:
-        window = tuple(map(mhz_to_angular, json_numbers(config, "window_mhz", "config", length=2)))
+        window_mhz = json_numbers(config, "window_mhz", "config", length=2)
+        window = tuple(mhz_to_angular(w - qubit_mhz) for w in window_mhz)
     residual = mhz_to_angular(json_number(config, "residual_dephasing_mhz", "config", 0.0))
 
+    # The sweep runs in the qubit's frame: frequencies enter kk as MHz
+    # offsets from the qubit, converted to rad/us.  A 5 GHz carrier in
+    # rad/us has an ulp of 3.6e-12, which a steep hot spot turns into
+    # ~1e-12 of relative error in the rates; a 15 MHz offset has 1.4e-14.
     results = kk.sweep(
-        spectrum,
+        spectrum_from_mhz(freqs_mhz - qubit_mhz, rates, spectrum_path),
         calibration,
-        qubit_freq,
+        0.0,
         amplitudes,
         window=window,
         residual_dephasing=residual,

@@ -21,11 +21,15 @@ spectrum is linear between its nodes, and each segment's integral
 against the Lorentzian is an arctan and a log term.  A parametric
 spectrum is a flat background plus Lorentzian peaks, and each peak
 times the filter integrates by complex partial fractions.  The
-tabulated path's arithmetic is elementwise float64, its ``arctan2`` and
-``log1p`` run on ``np.longdouble`` (libm, not numpy's SIMD loops), and its
-terms are added by the fixed-order :func:`pairwise_sum`; the parametric
-path is Python scalar arithmetic.  So the result's bytes depend on
-neither the numpy version nor its SIMD dispatch nor the BLAS library.
+tabulated path's arithmetic is elementwise float64.  Its arctan and
+log1p terms are a fixed-order odd series (IEEE multiply, add and
+divide) wherever the argument is below the constant ``SERIES_LIMIT``,
+which a dense table makes almost every segment; the rest fall back to
+``arctan2`` and ``log1p`` on ``np.longdouble`` (libm, not numpy's SIMD
+loops).  Its terms are added by the fixed-order :func:`pairwise_sum`;
+the parametric path is Python scalar arithmetic.  So the result's bytes
+depend on neither the numpy version nor its SIMD dispatch nor the BLAS
+library.
 
 :class:`ReadoutCalibration` maps a drive amplitude to the Stark shift,
 dephasing and photon number that :class:`MeasurementContext` carries;
@@ -50,6 +54,24 @@ DELTA_LIMIT = 1e-9
 
 # Accepted and ignored by decay_rate and sweep; see decay_rate.
 DEFAULT_RESOLUTION = 4001
+
+# The tabulated kernel's arctan and log1p terms use an odd series
+# below this argument.  atan(z) = sum_k (-1)^k z^(2k+1)/(2k+1) alternates,
+# so cutting it after ATAN_TERMS terms errs by at most the first omitted
+# term, z^17/17 relative to atan(z) ~ z: 0.1^16/17 = 5.9e-18, below half
+# an ulp (2^-54 = 5.6e-17).  log1p(x) = 2 atanh(y) with y = x/(2+x) <
+# 0.1/2.1; the atanh series has all signs +, so its remainder after
+# ATANH_TERMS terms is below y^12/(13 (1 - y^2)) = 1.05e-17 relative.
+# One term fewer would err by 6.7e-16 (atan) and 5.5e-15 (atanh).
+SERIES_LIMIT = 0.1
+ATAN_TERMS = 8
+ATANH_TERMS = 6
+_ATAN_TAIL = tuple((-1.0) ** k / (2 * k + 1) for k in range(1, ATAN_TERMS))
+_ATANH_TAIL = tuple(1.0 / (2 * k + 1) for k in range(1, ATANH_TERMS))
+
+# A sweep evaluates its contexts in blocks of at most this many
+# segment x context elements, so its temporaries stay a few hundred kB.
+BLOCK_ELEMENTS = 8192
 
 # Relative pole separation below which a peak's two simple poles are
 # merged into one double pole.  Against mpmath, partial fractions erred
@@ -213,59 +235,116 @@ def default_window(spectrum: BathSpectrum, context: MeasurementContext) -> tuple
     return (context.freq - half, context.freq + half)
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum of a 1-D array by a fixed binary tree of elementwise adds.
+def pairwise_sum(values: np.ndarray):
+    """Sum along the last axis by a fixed binary tree of elementwise adds.
 
     The array is zero-padded to a power of two (exact), then its first
     half is added onto its second half until one element is left.  Each
     step is an IEEE-rounded elementwise add, so the result is the same
     bit for bit whatever numpy's internal reduction order, SIMD dispatch
-    or version; the error bound is the pairwise one, O(eps log n)
-    (Higham, SIAM J. Sci. Comput. 14, 783, 1993).
+    or version, and each row of a 2-D array sums to the bits of the same
+    row summed alone; the error bound is the pairwise one, O(eps log n)
+    (Higham, SIAM J. Sci. Comput. 14, 783, 1993).  A 1-D array gives a
+    float, a 2-D one an array of row sums.
     """
     values = np.asarray(values, dtype=float)
-    size = 1 << (values.size - 1).bit_length()
-    buf = np.zeros(size)
-    buf[: values.size] = values
+    n = values.shape[-1]
+    size = 1 << (n - 1).bit_length()
+    buf = np.zeros(values.shape[:-1] + (size,))
+    buf[..., :n] = values
     while size > 1:
         size //= 2
-        np.add(buf[:size], buf[size:], out=buf[size:])
-        buf = buf[size:]
-    return float(buf[0])
+        np.add(buf[..., :size], buf[..., size:], out=buf[..., size:])
+        buf = buf[..., size:]
+    return float(buf[0]) if buf.ndim == 1 else buf[..., 0]
+
+
+def _odd_tail(z2: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """``sum_k coeffs[k] * z2**k`` by Horner, highest order first."""
+    tail = np.full_like(z2, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        tail *= z2
+        tail += c
+    return tail
+
+
+def _atan2(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``arctan2(num, den)`` elementwise for ``num >= 0``.
+
+    Where ``num / den`` lies in ``[0, SERIES_LIMIT)`` it is ``atan(z)``,
+    summed as ``z + z * (z**2 * tail)`` so the leading term is exact;
+    elsewhere it is longdouble ``arctan2``.
+    """
+    series = num < SERIES_LIMIT * den
+    z = np.divide(num, den, out=np.zeros_like(num), where=series)
+    z2 = z * z
+    out = z + z * (z2 * _odd_tail(z2, _ATAN_TAIL))
+    if not series.all():
+        far = ~series
+        out[far] = np.arctan2(num[far], den[far], dtype=np.longdouble)
+    return out
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """``log1p(x)`` elementwise for ``x >= 0``.
+
+    Below ``SERIES_LIMIT`` it is ``2 atanh(y)`` with ``y = x / (2 + x)``,
+    written ``x + y * (2 y**2 tail - x)`` (since ``2 y = x - x y``) so the
+    leading term is exact; elsewhere it is longdouble ``log1p``.
+    """
+    series = x < SERIES_LIMIT
+    y = x / (2.0 + x)
+    y2 = y * y
+    out = x + y * (2.0 * y2 * _odd_tail(y2, _ATANH_TAIL) - x)
+    if not series.all():
+        far = ~series
+        out[far] = np.log1p(x[far], dtype=np.longdouble)
+    return out
 
 
 def _tabulated_integral(
-    spectrum: TabulatedSpectrum, center: float, hw: float, lo: float, hi: float
-) -> float:
-    """Exact integral of the linear-interpolated table times the filter.
+    spectrum: TabulatedSpectrum, centers: np.ndarray, hws: np.ndarray, lo: float, hi: float
+) -> np.ndarray:
+    """Exact integrals of the linear-interpolated table times each filter.
 
-    The nodes are ``[lo, omegas strictly inside (lo, hi), hi]``, so no
-    segment has zero length, and their values come from ``rate_at``, so
-    the ``hold``/``raise`` extrapolation applies outside the table.  On a
-    segment ``[u0, u1]`` (``u = omega - center``) with slope ``s`` and
+    Returns one raw rate per ``(centers[i], hws[i])``.  The nodes are
+    ``[lo, omegas strictly inside (lo, hi), hi]``, so no segment has zero
+    length, and their values come from ``rate_at``, so the
+    ``hold``/``raise`` extrapolation applies outside the table; nodes,
+    values and slopes are shared by every context.  On a segment
+    ``[u0, u1]`` (``u = omega - center``) with slope ``s`` and
     ``a = f(u0) - s * u0`` the integral is
     ``a * atan2((u1 - u0) * hw, hw**2 + u0 * u1) / pi
     + s * hw * log((hw**2 + u1**2) / (hw**2 + u0**2)) / (2 pi)``.
+    Contexts run in blocks of at most ``BLOCK_ELEMENTS`` segment x context
+    elements; every operation is elementwise and each row is summed on
+    its own, so a context's bits do not depend on its block.
     """
     omegas = spectrum.omegas
     nodes = np.concatenate(([lo], omegas[(omegas > lo) & (omegas < hi)], [hi]))
     f = spectrum.rate_at(nodes)
-    u = nodes - center
-    u0, u1 = u[:-1], u[1:]
-    du = u1 - u0
+    du = np.diff(nodes)
     slope = np.diff(f) / du
-    # longdouble arctan2/log1p are libm's, whose bytes do not follow
-    # numpy's SIMD dispatch as the float64 loops' do.  The log term is
-    # +-log1p(x) with x >= 0, the ratio of the larger to the smaller
-    # hw**2 + u**2 minus one, so it keeps full relative accuracy when the
-    # ratio nears 1 (hw wide against the segment).
-    hw2 = hw * hw
-    d_atan = np.arctan2(du * hw, hw2 + u0 * u1, dtype=np.longdouble).astype(float)
-    u_sum = u0 + u1
-    excess = du * np.abs(u_sum) / (hw2 + np.minimum(u0 * u0, u1 * u1))
-    d_log = np.copysign(np.log1p(excess, dtype=np.longdouble).astype(float), u_sum)
-    terms = (f[:-1] - slope * u0) * d_atan / math.pi + slope * hw * d_log / (2.0 * math.pi)
-    return pairwise_sum(terms)
+    centers = np.asarray(centers, dtype=float)
+    hws = np.asarray(hws, dtype=float)
+    raw = np.empty(centers.size)
+    rows = max(1, BLOCK_ELEMENTS // du.size)
+    for start in range(0, centers.size, rows):
+        block = slice(start, start + rows)
+        hw = hws[block, None]
+        u = nodes - centers[block, None]
+        u0, u1 = u[:, :-1], u[:, 1:]
+        # The log term is +-log1p(x) with x >= 0, the ratio of the larger
+        # to the smaller hw**2 + u**2 minus one, so it keeps full relative
+        # accuracy when the ratio nears 1 (hw wide against the segment).
+        hw2 = hw * hw
+        d_atan = _atan2(du * hw, hw2 + u0 * u1)
+        u_sum = u0 + u1
+        excess = du * np.abs(u_sum) / (hw2 + np.minimum(u0 * u0, u1 * u1))
+        d_log = np.copysign(_log1p(excess), u_sum)
+        terms = (f[:-1] - slope * u0) * d_atan / math.pi + slope * hw * d_log / (2.0 * math.pi)
+        raw[block] = pairwise_sum(terms)
+    return raw
 
 
 def _peak_integral(peak: TlsPeak, center: float, hw: float, lo: float, hi: float) -> float:
@@ -342,24 +421,50 @@ def decay_rate(
     if context.dephasing < DELTA_LIMIT:
         rate = float(spectrum.rate_at(context.freq))
         return KkResult(context=context, raw_rate=rate, norm=1.0, rate=rate)
+    if resolution < 101:
+        raise DomainError(f"resolution must be >= 101 grid points, got {resolution}")
+    if isinstance(spectrum, TabulatedSpectrum):
+        return _tabulated_results(spectrum, [context], window)[0]
 
+    lo, hi = _window_bounds(spectrum, context, window)
+    center, hw = context.freq, context.dephasing
+    norm = window_normalization(context, (lo, hi))
+    raw = spectrum.background * norm
+    for peak in spectrum.peaks:
+        raw += _peak_integral(peak, center, hw, lo, hi)
+    return KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
+
+
+def _window_bounds(
+    spectrum: BathSpectrum, context: MeasurementContext, window: tuple[float, float] | None
+) -> tuple[float, float]:
     if window is None:
         window = default_window(spectrum, context)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid integration window [{lo}, {hi}]")
-    if resolution < 101:
-        raise DomainError(f"resolution must be >= 101 grid points, got {resolution}")
+    return lo, hi
 
-    center, hw = context.freq, context.dephasing
-    norm = window_normalization(context, (lo, hi))
-    if isinstance(spectrum, TabulatedSpectrum):
-        raw = _tabulated_integral(spectrum, center, hw, lo, hi)
-    else:
-        raw = spectrum.background * norm
-        for peak in spectrum.peaks:
-            raw += _peak_integral(peak, center, hw, lo, hi)
-    return KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
+
+def _tabulated_results(
+    spectrum: TabulatedSpectrum,
+    contexts: Sequence[MeasurementContext],
+    window: tuple[float, float] | None,
+) -> list[KkResult]:
+    """:func:`decay_rate` of contexts above ``DELTA_LIMIT``, in one pass.
+
+    A tabulated spectrum's window does not depend on the context, so the
+    first context's window serves all.
+    """
+    lo, hi = _window_bounds(spectrum, contexts[0], window)
+    raws = _tabulated_integral(
+        spectrum, [c.freq for c in contexts], [c.dephasing for c in contexts], lo, hi
+    )
+    results = []
+    for context, raw in zip(contexts, raws.tolist()):
+        norm = window_normalization(context, (lo, hi))
+        results.append(KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm))
+    return results
 
 
 def sweep(
@@ -373,21 +478,27 @@ def sweep(
     """Predicted decay rate across a sorted sweep of drive amplitudes.
 
     Each amplitude is mapped through the readout calibration to a
-    measurement context and evaluated with :func:`decay_rate`; the output
-    order matches the input order.
+    measurement context; the output order matches the input order.  For
+    a tabulated spectrum the contexts above ``DELTA_LIMIT`` are one
+    block-batched pass of the segment kernel, whose nodes and slopes are
+    built once, and each result is bit for bit the :func:`decay_rate` of
+    its context.  Golden-rule contexts and parametric spectra go through
+    :func:`decay_rate` one by one.
     """
     amps = np.asarray(amplitudes, dtype=float)
     if amps.size and amps.min() < 0:
         raise DomainError("drive amplitudes must be >= 0")
     if np.any(np.diff(amps) < 0):
         raise DomainError("drive amplitudes must be sorted ascending")
-    return [
-        decay_rate(
-            spectrum,
-            MeasurementContext.from_calibration(
-                calibration, qubit_freq, float(eps), residual_dephasing
-            ),
-            window=window,
-        )
+    contexts = [
+        MeasurementContext.from_calibration(calibration, qubit_freq, float(eps), residual_dephasing)
         for eps in amps
+    ]
+    measured = [c for c in contexts if c.dephasing >= DELTA_LIMIT]
+    if not (isinstance(spectrum, TabulatedSpectrum) and measured):
+        return [decay_rate(spectrum, c, window=window) for c in contexts]
+    batch = iter(_tabulated_results(spectrum, measured, window))
+    return [
+        next(batch) if c.dephasing >= DELTA_LIMIT else decay_rate(spectrum, c, window=window)
+        for c in contexts
     ]

@@ -10,7 +10,7 @@ import pytest
 
 import zenokit as zk
 from zenokit.cli import main
-from zenokit.io import dump_json, environment_fingerprint
+from zenokit.io import dump_json, environment_fingerprint, read_calibration_json
 from zenokit.units import mhz_to_angular
 
 DATA = Path(__file__).parent / "data"
@@ -153,8 +153,90 @@ class TestByteDeterminism:
             expected = self.convolution_bytes(tmp_path / "default" / name)
             assert expected and self.convolution_bytes(out) == expected, name
 
+    def test_kernel_switch_keeps_both_kernel_branches(self, tmp_path, monkeypatch):
+        # a coarse table under a narrow filter: the segments around the
+        # centre take longdouble libm, the far ones the odd series
+        rng = np.random.default_rng(15)
+        freqs = 4884.0 + np.linspace(-15.0, 15.0, 61)
+        write_csv(tmp_path / "spectrum.csv", "freq_mhz,gamma_per_us",
+                  zip(freqs, rng.uniform(0.005, 0.05, freqs.size)))
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({
+            "spectrum_csv": "spectrum.csv",
+            "calibration_json": str(DATA / "calibration.json"),
+            "qubit_freq_mhz": 4884.0,
+            "amplitudes": [0.0, 0.002, 0.01, 0.05],
+        }))
+        branches = set()
+
+        def recording(name, kernel, on_series):
+            def wrapped(*args):
+                branches.update((name, bool(b)) for b in on_series(*args).ravel())
+                return kernel(*args)
+            return wrapped
+
+        limit = zk.kk.SERIES_LIMIT
+        monkeypatch.setattr(zk.kk, "_atan2", recording(
+            "atan", zk.kk._atan2, lambda num, den: num < limit * den))
+        monkeypatch.setattr(zk.kk, "_log1p", recording(
+            "log1p", zk.kk._log1p, lambda x: x < limit))
+        argv = ["predict", "--config", str(config)]
+        assert run(argv, tmp_path / "default") == 0
+        assert branches == {(k, b) for k in ("atan", "log1p") for b in (True, False)}
+        result = subprocess.run(
+            [sys.executable, "-m", "zenokit", *argv, "--out", str(tmp_path / "switched")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **self.KERNEL_SWITCHES["no_avx512"]},
+        )
+        assert result.returncode == 0, result.stderr
+        expected = self.outputs(tmp_path / "default")
+        assert expected and self.outputs(tmp_path / "switched") == expected
+
 
 class TestPredict:
+    def test_rates_keep_the_digits_of_the_mhz_inputs(self, tmp_path):
+        # a steep table around a 5.5 GHz qubit: a carrier in rad/us has an
+        # ulp of 7.3e-12, ~1e-13..1e-12 of these rates in absolute units
+        mpmath = pytest.importorskip("mpmath")
+        qubit = 5500.123
+        freqs = qubit + 0.0371 + np.linspace(-15.0, 15.0, 41)
+        rates = 0.01 + 0.2 / (1.0 + ((freqs - qubit - 0.4) / 0.3) ** 2)
+        write_csv(tmp_path / "spectrum.csv", "freq_mhz,gamma_per_us", zip(freqs, rates))
+        amplitudes = [0.0, 0.004, 0.02]
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({
+            "spectrum_csv": "spectrum.csv",
+            "calibration_json": str(DATA / "calibration.json"),
+            "qubit_freq_mhz": qubit,
+            "amplitudes": amplitudes,
+        }))
+        assert run(["predict", "--config", str(config)], tmp_path / "out") == 0
+        records = json.loads((tmp_path / "out" / "predict.json").read_text())["results"]
+        calibration = read_calibration_json(DATA / "calibration.json")
+        with mpmath.workdps(40):
+            # the closed form on exact offsets from the qubit, per segment
+            f = [mpmath.mpf(float(v)) for v in rates]
+            for eps, record in zip(amplitudes, records):
+                context = zk.MeasurementContext.from_calibration(calibration, 0.0, eps)
+                hw = mpmath.mpf(context.dephasing)
+                u = [2 * mpmath.pi * (mpmath.mpf(float(v)) - mpmath.mpf(qubit))
+                     - mpmath.mpf(context.freq) for v in freqs]
+                if hw == 0:
+                    j = max(i for i in range(len(u) - 1) if u[i] <= 0)
+                    exact = f[j] - (f[j + 1] - f[j]) * u[j] / (u[j + 1] - u[j])
+                else:
+                    raw = 0
+                    for j in range(len(u) - 1):
+                        slope = (f[j + 1] - f[j]) / (u[j + 1] - u[j])
+                        raw += (f[j] - slope * u[j]) * (
+                            mpmath.atan(u[j + 1] / hw) - mpmath.atan(u[j] / hw)
+                        ) / mpmath.pi + slope * hw * mpmath.log(
+                            (hw**2 + u[j + 1] ** 2) / (hw**2 + u[j] ** 2)
+                        ) / (2 * mpmath.pi)
+                    exact = raw * mpmath.pi / (mpmath.atan(u[-1] / hw) - mpmath.atan(u[0] / hw))
+                assert record["gamma_per_us"] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
     def test_flat_spectrum_gives_constant_rates(self, tmp_path):
         assert run(["predict", "--config", str(DATA / "predict_flat_config.json")], tmp_path) == 0
         payload = json.loads((tmp_path / "predict.json").read_text())

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zenokit as zk
-from conftest import GAMMA_1D, G_D, QUBIT_FREQ, make_hotspot_spectrum
+from conftest import CHI_MHZ, GAMMA_1D, G_D, K_MHZ, QUBIT_FREQ, R_MHZ, S_MHZ, make_hotspot_spectrum
+from zenokit import kk
 from zenokit.kk import pairwise_sum
 from zenokit.units import TWO_PI, mhz_to_angular
 
@@ -82,6 +83,58 @@ class TestPairwiseSum:
         values = np.random.default_rng(3).random(40001) * 1e3
         bound = math.ceil(math.log2(values.size)) * np.finfo(float).eps * np.abs(values).sum()
         assert abs(pairwise_sum(values) - math.fsum(values)) <= bound
+
+
+class TestSeriesKernel:
+    """The segment kernel's odd series against 40-digit mpmath."""
+
+    LIMIT = kk.SERIES_LIMIT
+    POINTS = [
+        np.nextafter(kk.SERIES_LIMIT, 0.0),  # last argument on the series
+        np.nextafter(kk.SERIES_LIMIT, 1.0),  # first one on longdouble libm
+        kk.SERIES_LIMIT,
+        1e-300,
+        1e-8,
+        0.0,
+    ]
+
+    @staticmethod
+    def assert_within_2_ulp(got, exact):
+        exact = float(exact)
+        assert abs(got - exact) <= 2.0 * math.ulp(exact), (got, exact)
+
+    def test_truncation_is_below_half_an_ulp(self):
+        half_ulp = 2.0**-54
+        n = kk.ATAN_TERMS
+        assert self.LIMIT ** (2 * n) / (2 * n + 1) < half_ulp
+        y = self.LIMIT / (2.0 + self.LIMIT)
+        m = kk.ATANH_TERMS
+        assert y ** (2 * m) / ((2 * m + 1) * (1.0 - y * y)) < half_ulp
+
+    @pytest.mark.parametrize("z", POINTS)
+    def test_atan_at_threshold(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        got = kk._atan2(np.array([z]), np.array([1.0]))[0]
+        with mpmath.workdps(40):
+            self.assert_within_2_ulp(got, mpmath.atan(mpmath.mpf(z)))
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_log1p_at_threshold(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        got = kk._log1p(np.array([x]))[0]
+        with mpmath.workdps(40):
+            self.assert_within_2_ulp(got, mpmath.log1p(mpmath.mpf(x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.0, 2.0 * kk.SERIES_LIMIT), den=st.floats(0.5, 2.0))
+    def test_both_branches_match_mpmath(self, x, den):
+        mpmath = pytest.importorskip("mpmath")
+        num = x * den
+        atan = kk._atan2(np.array([num]), np.array([den]))[0]
+        log = kk._log1p(np.array([x]))[0]
+        with mpmath.workdps(40):
+            self.assert_within_2_ulp(atan, mpmath.atan2(mpmath.mpf(num), mpmath.mpf(den)))
+            self.assert_within_2_ulp(log, mpmath.log1p(mpmath.mpf(x)))
 
 
 class TestDecayRate:
@@ -343,6 +396,35 @@ class TestSweep:
             zk.sweep(s, device_calibration, QUBIT_FREQ, [-0.01, 0.0])
         with pytest.raises(zk.DomainError):
             zk.sweep(s, device_calibration, QUBIT_FREQ, [0.02, 0.01])
+
+    # 2999 segments: two contexts per block, so the ten measured contexts
+    # run in five blocks
+    @example(seed=0, nodes=3000, amplitudes=[0.01 * k for k in range(1, 11)], windowed=False)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nodes=st.integers(2, 4000),
+        amplitudes=st.lists(st.floats(0.0, 0.06), min_size=1, max_size=11),
+        windowed=st.booleans(),
+    )
+    def test_batch_equals_single_contexts(self, seed, nodes, amplitudes, windowed):
+        rng = np.random.default_rng(seed)
+        omegas = QUBIT_FREQ - 100.0 + np.cumsum(rng.uniform(0.01, 1.0, nodes))
+        s = zk.TabulatedSpectrum(omegas, rng.uniform(1e-3, 1.0, nodes))
+        cal = zk.ReadoutCalibration(
+            stark_quad=mhz_to_angular(S_MHZ),
+            stark_quartic=mhz_to_angular(K_MHZ),
+            dephasing_quad=mhz_to_angular(R_MHZ),
+            chi=mhz_to_angular(CHI_MHZ),
+        )
+        span = s.omega_max - s.omega_min
+        window = (s.omega_min + 0.1 * span, s.omega_max + 0.2 * span) if windowed else None
+        amps = sorted([0.0, *amplitudes])
+        results = zk.sweep(s, cal, QUBIT_FREQ, amps, window=window)
+        assert len(results) == len(amps)
+        for r in results:
+            single = zk.decay_rate(s, r.context, window=window)
+            assert (r.raw_rate, r.norm, r.rate) == (single.raw_rate, single.norm, single.rate)
 
     def test_residual_dephasing_floor(self, device_calibration):
         s = make_hotspot_spectrum()
