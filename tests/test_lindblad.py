@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import zenokit as zk
 from conftest import GAMMA_Q, G_D
 from zenokit import lindblad
+from zenokit.cli import main
 
 
 def plus_state(dim, excited_index):
@@ -80,6 +82,24 @@ class TestEvolve:
         with pytest.raises(zk.DomainError):
             zk.evolve(model, rho0=bad, t_final=1.0)
 
+    @pytest.mark.parametrize("dim,value", [(2, np.nan), (4, np.nan), (4, np.inf)])
+    def test_non_finite_initial_state(self, strong_defect, dim, value):
+        defect = strong_defect if dim == 4 else None
+        model = zk.LindbladModel(qubit_freq=strong_defect.freq, defect=defect)
+        rho0 = plus_state(dim, dim // 2)
+        rho0[0, dim // 2] = rho0[dim // 2, 0] = value
+        with pytest.raises(zk.DomainError, match=rf"^initial state: non-finite entry \(0, {dim // 2}\)"):
+            zk.evolve(model, rho0=rho0, t_final=1.0)
+
+    def test_non_finite_sample(self, monkeypatch):
+        # a NaN Lindbladian makes every stored sample non-finite
+        monkeypatch.setattr(
+            zk.LindbladModel, "superoperator", lambda self: np.full((4, 4), complex(np.nan))
+        )
+        model = zk.LindbladModel(qubit_freq=0.0)
+        with pytest.raises(zk.StabilityError, match=r"^t=0\.01 us: non-finite entry \(0, 0\)"):
+            zk.evolve(model, t_final=1.0, dt=0.01, sample_stride=1)
+
     def test_check_density_matrix_tolerances(self):
         good = np.diag([0.25, 0.75]).astype(complex)
         zk.check_density_matrix(good)
@@ -89,6 +109,11 @@ class TestEvolve:
             zk.check_density_matrix(np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex))
         with pytest.raises(zk.StabilityError):
             zk.check_density_matrix(np.diag([1.1, -0.1]).astype(complex))
+        for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+            bad = np.diag([0.25, 0.75]).astype(complex)
+            bad[1, 0] = value
+            with pytest.raises(zk.StabilityError, match=r"^rho: non-finite entry \(1, 0\)"):
+                zk.check_density_matrix(bad, "rho")
 
 
 def reference_rk4(model, t_final, dt=None, sample_stride=None):
@@ -124,13 +149,19 @@ def reference_rk4(model, t_final, dt=None, sample_stride=None):
 class TestStepMatrix:
     """``evolve`` applies the RK4 step as one matrix; pin it to the loop."""
 
-    @pytest.mark.parametrize("stride", [1, 7, 10**9])
+    # samples are advanced in blocks of isqrt(full strides): 7 leaves a
+    # partial last block and a partial last stride, 20 whole blocks and a
+    # partial last stride, n_steps - 1 one full stride and one single step
+    @pytest.mark.parametrize("stride", [1, 7, 20, "n_steps", "n_steps - 1", 10**9])
     def test_matches_per_step_loop(self, strong_defect, stride):
         model = zk.LindbladModel(
             qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=strong_defect
         )
         n_steps = math.ceil(1.0 / (0.01 / model.rate_scale()))
-        assert n_steps % 7 != 0  # the last sample comes from a partial stride
+        stride = {"n_steps": n_steps, "n_steps - 1": n_steps - 1}.get(stride, stride)
+        assert n_steps % 7 and n_steps % 20
+        assert n_steps // 7 % math.isqrt(n_steps // 7)
+        assert n_steps // 20 % math.isqrt(n_steps // 20) == 0
         times, states = reference_rk4(model, t_final=1.0, sample_stride=stride)
         assert len(times) == 1 + n_steps // stride + (n_steps % stride > 0)
         trajectory = zk.evolve(model, t_final=1.0, sample_stride=stride)
@@ -149,6 +180,95 @@ class TestStepMatrix:
         assert 0.694 / 0.002 > lindblad._CHECK_BLOCK
         with pytest.raises(zk.StabilityError, match=r"^t=0\.694 us: eigenvalue .*reduce dt below"):
             zk.evolve(model, rho0=rho0, t_final=2.0, dt=0.002)
+
+    def test_golden_contexts_need_no_eigenvalues(self, monkeypatch, tmp_path):
+        # the Cholesky certificate clears every stored sample of the
+        # golden oracle run, so the eigenvalue fallback never runs
+        calls = {"evolve": 0, "eigvalsh": 0}
+        evolve, eigvalsh = lindblad.evolve, np.linalg.eigvalsh
+
+        def counting(name, func):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(lindblad, "evolve", counting("evolve", evolve))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+        config = Path(__file__).parent / "data" / "oracle_config.json"
+        assert main(["oracle", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert calls == {"evolve": 4, "eigvalsh": 0}
+
+    def test_kron_is_numpy_kron(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m, n, p, q = rng.integers(1, 5, size=4)
+            a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+            b = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+            assert np.array_equal(lindblad._kron(a, b), np.kron(a, b))
+
+
+def eigvalsh_first_violation(rho):
+    """``_first_violation`` for finite stacks, deciding positivity by
+    ``eigvalsh`` alone: the reference for the Cholesky certificate."""
+    rho_h = rho.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
+    trace_err = np.abs(np.einsum("tii->t", rho).real - 1.0)
+    eigmin = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+    bad = np.flatnonzero(
+        (herm > lindblad.HERMITICITY_TOL)
+        | (trace_err > lindblad.TRACE_TOL)
+        | (eigmin < lindblad.EIGENVALUE_TOL)
+    )
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if herm[i] > lindblad.HERMITICITY_TOL:
+        return i, f"Hermiticity error {herm[i]:.2e} > {lindblad.HERMITICITY_TOL}"
+    if trace_err[i] > lindblad.TRACE_TOL:
+        return i, f"trace error {trace_err[i]:.2e} > {lindblad.TRACE_TOL}"
+    return i, f"eigenvalue {eigmin[i]:.2e} < {lindblad.EIGENVALUE_TOL}"
+
+
+def states_with_smallest_eigenvalue(rng, dim, smallest, rank_deficient):
+    """Unit-trace Hermitian matrices with the given smallest eigenvalues
+    (each at most ``1 / dim``).
+
+    A rank-deficient state has the oracle's shape: the row and column of
+    ``|e,1>``, the last basis state, are zero, so it carries an exact
+    zero eigenvalue beside ``smallest``.
+    """
+    span = dim - 1 if rank_deficient else dim
+    states = np.zeros((len(smallest), dim, dim), dtype=complex)
+    for state, low in zip(states, smallest):
+        rest = np.linspace(1.0, 2.0, span - 1)
+        eigenvalues = np.concatenate(([low], low + (1.0 - span * low) * rest / rest.sum()))
+        z = rng.normal(size=(span, span)) + 1j * rng.normal(size=(span, span))
+        q, _ = np.linalg.qr(z)
+        state[:span, :span] = (q * eigenvalues) @ q.conj().T
+    return states
+
+
+class TestPositivityCertificate:
+    """The Cholesky certificate decides exactly as ``eigvalsh`` does."""
+
+    OFFSETS = [-1e-11, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 1e-11]
+
+    @pytest.mark.parametrize("tolerance", [lindblad.EIGENVALUE_TOL, 0.2])
+    @pytest.mark.parametrize("dim,rank_deficient", [(2, False), (4, False), (4, True)])
+    def test_matches_eigvalsh(self, monkeypatch, tolerance, dim, rank_deficient):
+        monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", tolerance)
+        rng = np.random.default_rng(dim + 10 * rank_deficient)
+        decided = set()
+        for offset in self.OFFSETS:
+            smallest = [tolerance + 0.02, tolerance + 0.03, tolerance + offset, tolerance + 0.02]
+            stack = states_with_smallest_eigenvalue(rng, dim, smallest, rank_deficient)
+            expected = eigvalsh_first_violation(stack)
+            assert lindblad._first_violation(stack) == expected
+            decided.add(expected is None)
+        if not (rank_deficient and tolerance > 0):
+            assert decided == {True, False}  # both verdicts were reached
 
 
 class TestExtractDecayRate:
