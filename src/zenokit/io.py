@@ -274,20 +274,23 @@ def read_sidecar_json(trace_path, keys) -> dict[str, float]:
 
 
 def calibration_to_json(calibration: ReadoutCalibration) -> str:
-    return dump_json(
-        {
-            "format": FORMAT_TAG,
-            "S_mhz": angular_to_mhz(calibration.stark_quad),
-            "K_mhz": angular_to_mhz(calibration.stark_quartic),
-            "R_mhz": angular_to_mhz(calibration.dephasing_quad),
-            "chi_mhz": angular_to_mhz(calibration.chi),
-        }
-    )
+    """The calibration in MHz; its amplitude range, when it has one, as
+    the plain amplitude ``max_epsilon``."""
+    payload = {
+        "format": FORMAT_TAG,
+        "S_mhz": angular_to_mhz(calibration.stark_quad),
+        "K_mhz": angular_to_mhz(calibration.stark_quartic),
+        "R_mhz": angular_to_mhz(calibration.dephasing_quad),
+        "chi_mhz": angular_to_mhz(calibration.chi),
+    }
+    if calibration.max_epsilon is not None:
+        payload["max_epsilon"] = calibration.max_epsilon
+    return dump_json(payload)
 
 
 def read_calibration_json(path) -> ReadoutCalibration:
     """Calibration JSON with the :func:`json_number` fields
-    :data:`CALIBRATION_JSON_KEYS`.
+    :data:`CALIBRATION_JSON_KEYS` and the optional ``max_epsilon``.
 
     A calibration that violates :class:`ReadoutCalibration`'s invariants
     is a malformed file here, so it raises :class:`ParseError` too.
@@ -295,9 +298,12 @@ def read_calibration_json(path) -> ReadoutCalibration:
     name = os.fspath(path)
     payload = read_json_object(path)
     fields = [json_number(payload, key, name) for key in CALIBRATION_JSON_KEYS]
+    max_epsilon = None
+    if "max_epsilon" in payload:
+        max_epsilon = json_number(payload, "max_epsilon", name)
     try:
         # the keys come in ReadoutCalibration's field order
-        return ReadoutCalibration(*map(mhz_to_angular, fields))
+        return ReadoutCalibration(*map(mhz_to_angular, fields), max_epsilon=max_epsilon)
     except DomainError as exc:
         raise ParseError(f"{name}: {exc}") from None
 

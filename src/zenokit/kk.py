@@ -89,7 +89,9 @@ class ReadoutCalibration:
     quadratic dephasing coefficient, ``chi`` the signed dispersive shift.
     The quartic Kerr term is retained but must stay subdominant over the
     calibrated amplitude range; the Stark sign must match ``chi`` so the
-    inferred photon number stays non-negative.
+    inferred photon number stays non-negative.  ``max_epsilon``, the
+    largest calibrated drive amplitude, when given, bounds the
+    amplitudes :meth:`MeasurementContext.from_calibration` accepts.
     """
 
     stark_quad: float
@@ -103,6 +105,8 @@ class ReadoutCalibration:
             raise DomainError(f"dephasing coefficient must be >= 0, got {self.dephasing_quad}")
         if self.chi == 0:
             raise DomainError("dispersive shift chi must be nonzero")
+        if self.max_epsilon is not None and not self.max_epsilon >= 0:
+            raise DomainError(f"calibrated amplitude range must be >= 0, got {self.max_epsilon}")
         if self.max_epsilon is not None and self.max_epsilon > 0:
             eps = self.max_epsilon
             if abs(self.stark_quartic) * eps**4 >= abs(self.stark_quad) * eps**2 and (
@@ -179,8 +183,15 @@ class MeasurementContext:
         photon number follows ``stark = 2 * chi * nbar``, so the
         frequency/photon consistency holds by construction.
         ``residual_dephasing`` is the zero-power dephasing floor, which
-        the quadratic calibration does not capture.
+        the quadratic calibration does not capture.  An ``epsilon`` past
+        the calibration's ``max_epsilon`` raises :class:`DomainError`:
+        the fitted polynomials say nothing there.
         """
+        if calibration.max_epsilon is not None and epsilon > calibration.max_epsilon:
+            raise DomainError(
+                f"drive amplitude {epsilon} is past the calibrated range "
+                f"(max_epsilon {calibration.max_epsilon})"
+            )
         stark = calibration.stark_shift(epsilon)
         return cls(
             freq=qubit_freq + stark,

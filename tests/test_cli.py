@@ -316,6 +316,23 @@ class TestPredict:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "DomainError"
 
+    @pytest.mark.parametrize("amplitudes,code", [([0.0, 0.05], 0), ([0.0, 0.4], 3)])
+    def test_calibrated_range_reaches_predict(self, tmp_path, capsys, amplitudes, code):
+        # calibrate's output records its largest amplitude, 0.05; predict
+        # refuses amplitudes past it and writes nothing
+        calibration = GOLDEN / "calibrate" / "calibration.json"
+        assert read_calibration_json(calibration).max_epsilon == 0.05
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({**PREDICT, "calibration_json": str(calibration),
+                                     "amplitudes": amplitudes}))
+        out = tmp_path / "out"
+        assert run(["predict", "--config", str(config)], out) == code
+        if code:
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"] == "DomainError"
+            assert "drive amplitude 0.4 is past the calibrated range" in error["message"]
+            assert not out.exists()
+
     def test_no_partial_outputs_on_failure(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -600,6 +617,12 @@ MALFORMED_INPUTS = {
     ),
     "calibration-non-numeric": lambda tmp: calibration_input(tmp, {**CALIBRATION, "K_mhz": [1]}),
     "calibration-zero-chi": lambda tmp: calibration_input(tmp, {**CALIBRATION, "chi_mhz": 0.0}),
+    "calibration-range-non-numeric": lambda tmp: calibration_input(
+        tmp, {**CALIBRATION, "max_epsilon": "0.05"}
+    ),
+    "calibration-range-negative": lambda tmp: calibration_input(
+        tmp, {**CALIBRATION, "max_epsilon": -0.05}
+    ),
     "trace-nan": lambda tmp: trace_input(tmp, trace="time_us,signal\n0.0,0.9\n0.004,nan\n"),
     "trace-extra-column": lambda tmp: trace_input(
         tmp, trace="time_us,signal\n0.0,0.9\n0.004,0.8,0.7\n"

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     make_ramsey_signal,
 )
 from zenokit.fits import _DAMPED_SINE_NAMES, _damped_sine_residual_jacobian
+from zenokit.io import calibration_to_json, read_calibration_json
 from zenokit.units import TWO_PI, mhz_to_angular
 
 
@@ -358,3 +361,20 @@ class TestReadoutCalibration:
         # Stark and chi signs must agree
         with pytest.raises(zk.SignError):
             zk.ReadoutCalibration(-1.0, 0.0, 0.1, chi=1.0, max_epsilon=0.5)
+        with pytest.raises(zk.DomainError, match="range must be >= 0"):
+            zk.ReadoutCalibration(1.0, 0.0, 0.1, chi=1.0, max_epsilon=-0.5)
+
+    def test_contexts_stay_in_the_calibrated_range(self, device_calibration):
+        zk.MeasurementContext.from_calibration(device_calibration, 0.0, 0.05)
+        with pytest.raises(zk.DomainError, match="0.0500001 is past the calibrated range"):
+            zk.MeasurementContext.from_calibration(device_calibration, 0.0, 0.0500001)
+        unbounded = replace(device_calibration, max_epsilon=None)
+        zk.MeasurementContext.from_calibration(unbounded, 0.0, 0.4)
+
+    @pytest.mark.parametrize("max_epsilon", [None, 0.05])
+    def test_range_round_trips_through_json(self, tmp_path, device_calibration, max_epsilon):
+        calibration = replace(device_calibration, max_epsilon=max_epsilon)
+        path = tmp_path / "calibration.json"
+        path.write_text(calibration_to_json(calibration))
+        assert ("max_epsilon" in json.loads(path.read_text())) == (max_epsilon is not None)
+        assert read_calibration_json(path).max_epsilon == max_epsilon

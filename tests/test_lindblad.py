@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenokit as zk
 from conftest import GAMMA_Q, G_D
@@ -173,8 +175,9 @@ class TestStepMatrix:
     def test_first_failing_sample_is_named(self, monkeypatch):
         # the excited population of rho0 = diag(1/2, 1/2) decays as exp(-t)/2,
         # so the smallest eigenvalue crosses 1/4 at t = ln 2, in the second
-        # block of the batched check
+        # block of a 256-sample batched check
         monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", 0.25)
+        monkeypatch.setattr(lindblad, "_CHECK_BLOCK", 256)
         model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=1.0)
         rho0 = np.diag([0.5, 0.5]).astype(complex)
         assert 0.694 / 0.002 > lindblad._CHECK_BLOCK
@@ -210,20 +213,26 @@ class TestStepMatrix:
 
 
 def eigvalsh_first_violation(rho):
-    """``_first_violation`` for finite stacks, deciding positivity by
-    ``eigvalsh`` alone: the reference for the Cholesky certificate."""
-    rho_h = rho.conj().transpose(0, 2, 1)
-    herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
-    trace_err = np.abs(np.einsum("tii->t", rho).real - 1.0)
-    eigmin = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+    """``_first_violation`` on whole matrices, deciding positivity by
+    ``eigvalsh`` alone: the reference for the column-wise kernel."""
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    checked = np.where(finite[:, np.newaxis, np.newaxis], rho, 0.0)
+    rho_h = checked.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(checked - rho_h), axis=(1, 2))
+    trace_err = np.abs(np.einsum("tii->t", checked).real - 1.0)
+    eigmin = np.linalg.eigvalsh(0.5 * (checked + rho_h))[:, 0]
     bad = np.flatnonzero(
-        (herm > lindblad.HERMITICITY_TOL)
+        ~finite
+        | (herm > lindblad.HERMITICITY_TOL)
         | (trace_err > lindblad.TRACE_TOL)
         | (eigmin < lindblad.EIGENVALUE_TOL)
     )
     if not bad.size:
         return None
     i = int(bad[0])
+    if not finite[i]:
+        j, k = np.argwhere(~np.isfinite(rho[i]))[0]
+        return i, f"non-finite entry ({j}, {k}): {rho[i, j, k]}"
     if herm[i] > lindblad.HERMITICITY_TOL:
         return i, f"Hermiticity error {herm[i]:.2e} > {lindblad.HERMITICITY_TOL}"
     if trace_err[i] > lindblad.TRACE_TOL:
@@ -269,6 +278,76 @@ class TestPositivityCertificate:
             decided.add(expected is None)
         if not (rank_deficient and tolerance > 0):
             assert decided == {True, False}  # both verdicts were reached
+
+
+def random_states(rng, dim, n):
+    """``n`` random density matrices; for ``dim > 1`` half of them have
+    the oracle's zero ``|e,1>`` row and column."""
+    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    if dim > 1:
+        g[n // 2 :, -1] = 0.0
+    states = g @ g.conj().transpose(0, 2, 1)
+    return states / np.einsum("tii->t", states).real[:, np.newaxis, np.newaxis]
+
+
+@st.composite
+def planted_stacks(draw):
+    """Random states with defects planted at the tolerances' edges."""
+    dim = draw(st.sampled_from([2, 4]))
+    block = lindblad._CHECK_BLOCK
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 2 * block), st.just(block + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = random_states(rng, dim, n)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 1))
+        j, k = draw(st.sampled_from([(j, k) for j in range(dim) for k in range(dim) if j != k]))
+        kind = draw(st.sampled_from(["hermiticity", "trace", "eigenvalue", "non-finite"]))
+        if kind == "hermiticity":
+            scale = draw(st.sampled_from([0.999, 1.0, 1.001]))
+            stack[i, j, k] += scale * lindblad.HERMITICITY_TOL * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        elif kind == "trace":
+            scale = draw(st.sampled_from([-1.001, -1.0, -0.999, 0.999, 1.0, 1.001]))
+            stack[i, j, j] += scale * lindblad.TRACE_TOL
+        elif kind == "eigenvalue":
+            offset = draw(st.sampled_from([-1e-12, -1e-13, 0.0, 1e-13, 1e-12]))
+            smallest = [lindblad.EIGENVALUE_TOL + offset]
+            stack[i] = states_with_smallest_eigenvalue(rng, dim, smallest, draw(st.booleans()))[0]
+        else:
+            stack[i, j, k] = draw(st.sampled_from([np.nan, np.inf, complex(0.0, -np.inf)]))
+    return stack
+
+
+class TestColumnKernel:
+    """The column-wise kernel against the whole-matrix reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=planted_stacks())
+    def test_matches_whole_matrix_reference(self, stack):
+        assert lindblad._first_violation(stack) == eigvalsh_first_violation(stack)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_hermiticity_and_trace_are_bit_equal(self, monkeypatch, dim):
+        # each verdict flips exactly at the reference value, so the
+        # kernel's Hermiticity and trace errors equal those of the whole
+        # matrices, the trace error being the one the tracer reads
+        rng = np.random.default_rng(dim)
+        scale = np.geomspace(1e-14, 1e-8, 40)[:, np.newaxis, np.newaxis]
+        noise = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+        stack = random_states(rng, dim, 40) + scale * noise
+        herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+        trace_err = np.abs(np.einsum("tii->t", stack).real - 1.0)
+        assert np.array_equal(trace_err, zk.Trajectory(None, None, stack).trace_errors())
+        for rho, h, t in zip(stack[:, np.newaxis], herm, trace_err):
+            for name, value, problem in [
+                ("HERMITICITY_TOL", h, "Hermiticity"),
+                ("TRACE_TOL", t, "trace"),
+            ]:
+                monkeypatch.setattr(lindblad, "HERMITICITY_TOL", np.inf)
+                monkeypatch.setattr(lindblad, name, value)
+                found = lindblad._first_violation(rho)
+                assert found is None or not found[1].startswith(problem)
+                monkeypatch.setattr(lindblad, name, np.nextafter(value, -np.inf))
+                assert lindblad._first_violation(rho)[1].startswith(problem)
 
 
 class TestExtractDecayRate:
