@@ -15,10 +15,12 @@ all but ``convert-t1`` and ``fit-swap`` require; paths inside it resolve
 relative to the config file's directory.  All referenced inputs are
 loaded and validated before any computation runs, outputs are written
 atomically at the end, and identical inputs produce byte-identical
-outputs.  ``calibrate`` and ``fit-flux-noise`` report every failed trace
-fit in one ``trace fits failed for:`` error.  Exit codes: 0 success,
-2 parse error, 3 domain/fit error, 4 integrator stability error;
-failures emit a machine-readable JSON object on stderr.
+outputs.  Below the CLI, frequencies are offsets, not GHz carriers:
+``predict`` works in the qubit's frame and ``oracle`` in the defect's,
+with the defect at 0.  ``calibrate`` and ``fit-flux-noise`` report every
+failed trace fit in one ``trace fits failed for:`` error.  Exit codes:
+0 success, 2 parse error, 3 domain/fit error, 4 integrator stability
+error; failures emit a machine-readable JSON object on stderr.
 """
 from __future__ import annotations
 
@@ -303,9 +305,11 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 
 def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
+    # the defect's frame: the defect at 0 and each context at its MHz
+    # detuning, so no carrier's round-off reaches the rates; freq_mhz is unread
     defect_cfg = json_value(config, "defect", "config")
     defect = DefectParams(
-        freq=mhz_to_angular(json_number(defect_cfg, "freq_mhz", "config")),
+        freq=0.0,
         coupling=mhz_to_angular(json_number(defect_cfg, "coupling_mhz", "config")),
         decay=json_number(defect_cfg, "decay_per_us", "config"),
     )
@@ -315,8 +319,7 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
     oracle_detunings = json_numbers(config, "oracle_detunings_mhz", "config", map_detunings)
     oracle_dephasings = json_numbers(config, "oracle_dephasings_mhz", "config", map_dephasings)
 
-    # the MHz columns echo the configured values; converting the angular
-    # detuning back would carry the round-off of a GHz-carrier subtraction
+    # the MHz columns echo the configured values, not a 2 pi round trip
     grid = decay_rate_map(
         [mhz_to_angular(x) for x in map_detunings],
         [mhz_to_angular(x) for x in map_dephasings],
@@ -331,9 +334,7 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
 
     coordinates = [(det, gphi) for det in oracle_detunings for gphi in oracle_dephasings]
     contexts = [
-        kk.MeasurementContext(
-            freq=defect.freq + mhz_to_angular(det), dephasing=mhz_to_angular(gphi)
-        )
+        kk.MeasurementContext(freq=mhz_to_angular(det), dephasing=mhz_to_angular(gphi))
         for det, gphi in coordinates
     ]
     spectrum = ParametricSpectrum(background=qubit_decay, peaks=(defect.spectral_peak(),))

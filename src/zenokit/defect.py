@@ -5,7 +5,10 @@ The central result is a Purcell formula generalized to a dephased qubit:
     Gamma = gamma_q + 2 g^2 * W / (W^2 + delta^2)
     W     = dephasing + defect_decay/2 - gamma_q/2
 
-with detuning ``delta = qubit freq - defect freq``.  Adding dephasing
+with detuning ``delta = qubit freq - defect freq``.  Frequencies are
+offsets from a zero the caller picks; only their difference enters, so
+the defect's own frame (the defect at 0) keeps the digits that a GHz
+carrier in rad/us would round away.  Adding dephasing
 narrows or broadens the qubit's effective overlap with the defect line:
 on resonance (W > |delta|) more dephasing slows the decay, far off
 resonance (W < |delta|) it accelerates it.  At zero loss and dephasing
@@ -31,7 +34,9 @@ class DefectParams:
     """A lossy defect mode: frequency, coupling to the qubit, energy decay.
 
     All in rad/us resp. 1/us; ``decay`` must be > 0 (the defect must
-    thermalize into its own bath), ``coupling`` >= 0.
+    thermalize into its own bath), ``coupling`` >= 0.  ``freq`` is an
+    offset from the same zero as the qubit's frequency, 0 in the
+    defect's own frame.
     """
 
     freq: float
@@ -131,10 +136,13 @@ def decay_rate_map(
 ) -> np.ndarray:
     """Generalized Purcell rate over a (detuning, dephasing) grid.
 
-    Returns an array of shape ``(len(detunings), len(dephasings))`` whose
-    ``[i, j]`` element uses ``detunings[i]`` and ``dephasings[j]``; every
-    grid point must satisfy the positive-width precondition.  Each
-    element equals :func:`generalized_purcell` at that point, bit for bit.
+    ``detunings`` are qubit-minus-defect offsets, used as given; the
+    defect's own ``freq`` is not read.  Returns an array of shape
+    ``(len(detunings), len(dephasings))`` whose ``[i, j]`` element uses
+    ``detunings[i]`` and ``dephasings[j]``; every grid point must satisfy
+    the positive-width precondition.  Each element equals
+    :func:`generalized_purcell` for a defect at 0 and a qubit at
+    ``detunings[i]``, bit for bit.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     dephasings = np.atleast_1d(np.asarray(dephasings, dtype=float))
@@ -144,8 +152,6 @@ def decay_rate_map(
         raise DomainError(f"qubit decay must be >= 0, got {qubit_decay}")
     if np.any(dephasings < 0):
         raise DomainError(f"dephasing must be >= 0, got {dephasings[dephasings < 0][0]}")
-    # the same operations, in the same order, as QubitParams + generalized_purcell
     width = dephasings + defect.decay / 2.0 - qubit_decay / 2.0
     _require_positive_width(width)
-    delta = (defect.freq + detunings) - defect.freq
-    return _purcell(qubit_decay, defect.coupling, width[None, :], delta[:, None])
+    return _purcell(qubit_decay, defect.coupling, width[None, :], detunings[:, None])

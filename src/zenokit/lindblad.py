@@ -89,7 +89,8 @@ class LindbladModel:
     Parameters
     ----------
     qubit_freq : float
-        Effective (Stark-shifted) qubit frequency, rad/us, lab frame.
+        Effective (Stark-shifted) qubit frequency, rad/us: an offset
+        from a zero the caller picks, shared with the defect's frequency.
     dephasing : float
         Pure dephasing rate gphi in 1/us; enters as ``gphi/2 D[sz]`` so
         coherences decay at exactly ``gphi``.

@@ -632,7 +632,7 @@ MALFORMED_INPUTS = {
         tmp,
         "oracle",
         {"defect": [4300, 0.1, 10], "map_detunings_mhz": [0.0], "map_dephasings_mhz": [0.0]},
-        "freq_mhz",
+        "coupling_mhz",
     ),
     "config-spectrum-path-not-string": lambda tmp: config_key_input(
         tmp,
@@ -817,6 +817,34 @@ class TestOracleCommand:
 
     def test_n_trunc_key_is_ignored(self, tmp_path):
         self.assert_golden_with(tmp_path, "n_trunc", 3)
+
+    @pytest.mark.parametrize("freq_mhz", [0.0, 6000.0])
+    def test_outputs_do_not_depend_on_the_carrier(self, tmp_path, freq_mhz):
+        # the oracle runs in the defect's frame, so freq_mhz is not read
+        defect = json.loads((DATA / "oracle_config.json").read_text())["defect"]
+        self.assert_golden_with(tmp_path, "defect", {**defect, "freq_mhz": freq_mhz})
+
+    def test_rates_keep_the_digits_of_the_mhz_inputs(self, tmp_path):
+        # a 4.3 GHz carrier in rad/us has an ulp of 3.6e-12, ~1e-13 of
+        # these rates; offsets from the defect keep every digit
+        mpmath = pytest.importorskip("mpmath")
+        config = json.loads((DATA / "oracle_config.json").read_text())
+        assert run(["oracle", "--config", str(DATA / "oracle_config.json")], tmp_path) == 0
+        comparison = np.loadtxt(tmp_path / "comparison.csv", delimiter=",", skiprows=2)
+        zeno_map = np.loadtxt(tmp_path / "zeno_map.csv", delimiter=",", skiprows=2)
+        points = [(det, gphi, eq2) for gphi, det, _, eq2, *_ in comparison]
+        points += [tuple(row) for row in zeno_map]
+        assert len(points) == 4 + 15
+        with mpmath.workdps(40):
+            two_pi = 2 * mpmath.pi
+            coupling = two_pi * mpmath.mpf(config["defect"]["coupling_mhz"])
+            gamma_q = mpmath.mpf(config["qubit_decay_per_us"])
+            half_decay = mpmath.mpf(config["defect"]["decay_per_us"]) / 2
+            for det, gphi, rate in points:
+                width = two_pi * mpmath.mpf(gphi) + half_decay - gamma_q / 2
+                delta = two_pi * mpmath.mpf(det)
+                exact = gamma_q + 2 * coupling**2 * width / (width**2 + delta**2)
+                assert rate == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 class TestFitCommands:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,11 +95,14 @@ class TestLimits:
 
 
 class TestDecayRateMap:
+    # the map takes detunings as given, so the scalar formula it matches
+    # bit for bit is the one for a defect at 0 and a qubit at the detuning
+
     def test_single_point_matches_scalar_formula(self, strong_defect):
-        grid = zk.decay_rate_map([3.0], [1.5], strong_defect, qubit_decay=GAMMA_Q)
+        at_zero = dataclasses.replace(strong_defect, freq=0.0)
+        grid = zk.decay_rate_map([3.0], [1.5], at_zero, qubit_decay=GAMMA_Q)
         expected = zk.generalized_purcell(
-            zk.QubitParams(freq=strong_defect.freq + 3.0, decay=GAMMA_Q, dephasing=1.5),
-            strong_defect,
+            zk.QubitParams(freq=3.0, decay=GAMMA_Q, dephasing=1.5), at_zero
         )
         assert grid.shape == (1, 1)
         assert grid[0, 0] == expected
@@ -105,15 +110,15 @@ class TestDecayRateMap:
     def test_grid_matches_scalar_formula_bitwise(self, strong_defect):
         # the broadcast map evaluates the scalar expression elementwise, in
         # the same order, so every element keeps the scalar's bytes
+        at_zero = dataclasses.replace(strong_defect, freq=0.0)
         rng = np.random.default_rng(7)
         detunings = rng.uniform(-300.0, 300.0, 40)
         dephasings = np.concatenate(([0.0], rng.uniform(0.0, 50.0, 29)))
-        grid = zk.decay_rate_map(detunings, dephasings, strong_defect, qubit_decay=GAMMA_Q)
+        grid = zk.decay_rate_map(detunings, dephasings, at_zero, qubit_decay=GAMMA_Q)
         expected = [
             [
                 zk.generalized_purcell(
-                    zk.QubitParams(freq=strong_defect.freq + det, decay=GAMMA_Q, dephasing=g),
-                    strong_defect,
+                    zk.QubitParams(freq=det, decay=GAMMA_Q, dephasing=g), at_zero
                 )
                 for g in dephasings
             ]

@@ -242,15 +242,20 @@ def quad_window_integral(spectrum, center, hw, lo, hi):
     Integrates in ``t = omega - center`` so the filter sees exact offsets
     (``omega`` itself has ~7e-15 rad/us spacing near 50 rad/us), with
     breakpoints at the table nodes, at the centre, and at ``hw * 10**k``
-    on either side of it, so every piece is smooth on its own scale.
+    on either side of it, so every piece is smooth on its own scale.  The
+    table is interpolated on the shifted nodes too, held flat past its
+    ends: ``rate_at(center + t)`` would put each kink one rounding away
+    from its breakpoint, which quadrature reports as bad integrand
+    behaviour.
     """
     integrate = pytest.importorskip("scipy.integrate")
+    nodes = spectrum.omegas - center
 
     def integrand(t):
-        return spectrum.rate_at(center + t) * (hw / math.pi) / (hw * hw + t * t)
+        return np.interp(t, nodes, spectrum.rates) * (hw / math.pi) / (hw * hw + t * t)
 
     a, b = lo - center, hi - center
-    points = {a, b, 0.0, *(float(w - center) for w in spectrum.omegas)}
+    points = {a, b, 0.0, *nodes.tolist()}
     points |= {sign * hw * 10.0**k for k in range(12) for sign in (-1.0, 1.0)}
     points = sorted(p for p in points if a <= p <= b)
     parts = [
@@ -282,6 +287,12 @@ class TestExactIntegral:
     @example(
         gaps=[0.01], rates=[1e-3] + [1.0] * 12, log_hw=3.0, case="centre on node", frac=0.0,
         node=0,
+    )
+    # a kink one rounding away from its breakpoint made quadrature warn
+    @example(
+        gaps=[1.1, 1.8563120956775487, 0.55, 9.999999999999998, 0.25],
+        rates=[1.0, 1.0, 1.0, 1.0, 0.5] + [1.0] * 8, log_hw=0.0, case="centre on node",
+        frac=0.0, node=3,
     )
     @settings(max_examples=150, deadline=None)
     @given(
