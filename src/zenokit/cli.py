@@ -18,7 +18,8 @@ atomically at the end, and identical inputs produce byte-identical
 outputs.  Below the CLI, frequencies are offsets, not GHz carriers:
 ``predict`` works in the qubit's frame and ``oracle`` in the defect's,
 with the defect at 0.  ``calibrate`` and ``fit-flux-noise`` report every
-failed trace fit in one ``trace fits failed for:`` error.  Exit codes:
+failed trace fit in one ``trace fits failed for:`` error.  A non-finite
+``--t-delay`` or ``--f-guess`` is a parse error, as in JSON.  Exit codes:
 0 success, 2 parse error, 3 domain/fit error, 4 integrator stability
 error; failures emit a machine-readable JSON object on stderr.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -355,7 +357,14 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
     }
 
 
+def _check_finite(value: float, flag: str) -> None:
+    # argparse's float() also takes nan, inf and 1e400
+    if not math.isfinite(value):
+        raise ParseError(f"{flag} holds {value!r}, not a finite number")
+
+
 def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
+    _check_finite(args.t_delay, "--t-delay")
     freqs, populations = read_columns_csv(args.input, T1_CSV_HEADER)
     if not args.t_delay > 0:
         raise DomainError(f"--t-delay must be > 0, got {args.t_delay}")
@@ -370,6 +379,7 @@ def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 
 def cmd_fit_swap(args, config, config_dir, out_dir) -> dict[Path, str]:
+    _check_finite(args.f_guess, "--f-guess")
     times, populations = read_columns_csv(args.input, POPULATION_CSV_HEADER)
     coupling, defect_decay, report = fit_swap_chevron(times, populations, args.f_guess)
     payload = {

@@ -1,11 +1,13 @@
 """Least-squares fits that turn raw traces into calibration constants.
 
-The nonlinear models (damped sinusoids, exponential decays) are fit with
-a damped Gauss-Newton (Levenberg-Marquardt) loop using analytic
-Jacobians.  Initialization is deterministic: discrete-spectrum peak pick
-for the frequency, log-envelope regression for the decay, and a linear
-quadrature projection for amplitude/phase.  Identical inputs therefore
-produce bit-identical fit reports.
+The nonlinear models (damped oscillations, exponential decays) are fit
+with a damped Gauss-Newton (Levenberg-Marquardt) loop using analytic
+Jacobians.  The Ramsey fringe and the vacuum-Rabi linecut are one damped
+oscillation model with one fit path, the linecut adding a baseline that
+decays with the fringe.  Initialization is deterministic: discrete-spectrum
+peak pick for the frequency, log-envelope regression for the decay, and a
+linear quadrature projection for amplitude/phase.  Identical inputs
+therefore produce bit-identical fit reports.
 
 Units follow the traces: times in us, ordinary frequencies in MHz
 (cycles/us), decay rates in 1/us.  The quadratic/quartic calibration
@@ -32,10 +34,12 @@ STEP_TOL = 1e-12
 class FitReport:
     """Outcome of one least-squares fit.
 
-    ``converged`` is only set when the cost gradient dropped below the
-    relative tolerance, so a converged report always has a small
-    ``gradient_norm``.  Uncertainties are 1-sigma values from the
-    residual-variance-scaled normal-equations inverse.
+    ``converged`` is only set when ``gradient_norm``, the largest
+    component of the cost gradient, fell below :func:`_gradient_tolerance`
+    during the descent (``GRADIENT_TOL * max(1, cost)`` or the cost's
+    rounding floor, whichever is larger), or below :func:`_stall_tolerance`
+    once no step lowered the cost.  Uncertainties are 1-sigma values from
+    the residual-variance-scaled normal-equations inverse.
     """
 
     parameters: dict[str, float]
@@ -66,7 +70,8 @@ class RamseyTrace:
     """A Ramsey fringe record: signal vs free-evolution time.
 
     ``offset_freq`` is the deliberate fringe offset in MHz that separates
-    the frequency-shift and decay time scales.  The samples must pass
+    the frequency-shift and decay time scales; it must be >= 0, because
+    the fitted fringe frequency is.  The samples must pass
     :func:`_samples` with at least 8 of them.
     """
 
@@ -75,6 +80,8 @@ class RamseyTrace:
     offset_freq: float
 
     def __post_init__(self):
+        if not self.offset_freq >= 0:
+            raise DomainError(f"offset_freq must be >= 0 MHz, got {self.offset_freq}")
         for name, array in zip(("times", "signal"), _samples(self.times, self.signal, 8)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -149,8 +156,9 @@ def _lm_minimize(residual_jacobian, theta0, data_norm):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            # a wild trial step may overflow; its non-finite cost rejects it
-            with np.errstate(over="ignore"):
+            # a wild trial step may overflow, and inf - inf is nan; its
+            # non-finite cost rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
                 r_new, J_new = residual_jacobian(theta + delta)
                 cost_new = 0.5 * float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new < cost:
@@ -273,49 +281,58 @@ def _log_envelope_rate(times, values, freq):
 
 
 def _quadrature_projection(times, values, freq, rate, with_decaying_baseline=False):
-    """Linear solve for the in/out-of-phase amplitudes at fixed (freq, rate)."""
+    """Linear solve at fixed (freq, rate) for the cos, sin, 1 [, envelope] coefficients."""
     envelope = np.exp(-rate * times)
     cols = [
         envelope * np.cos(TWO_PI * freq * times),
         envelope * np.sin(TWO_PI * freq * times),
+        np.ones_like(times),
     ]
     if with_decaying_baseline:
         cols.append(envelope)
-    cols.append(np.ones_like(times))
     design = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     return coef
 
 
 # ---------------------------------------------------------------------------
-# damped sinusoid (Ramsey fringes)
+# damped oscillation (Ramsey fringes and the vacuum-Rabi linecut)
 
 _DAMPED_SINE_NAMES = ("amplitude", "decay_rate", "frequency", "phase", "baseline")
 
 
 def _damped_sine_residual_jacobian(times, signal):
+    """``(r, J)`` of ``A e^{-g t} cos(2 pi f t + phi) + B [+ C e^{-g t}]``
+    at ``theta = (A, g, f, phi, B[, C])``; the decaying baseline ``C`` is
+    in the model when ``theta`` has six entries."""
+
     def fun(theta):
-        amp, rate, freq, phase, base = theta
+        amp, rate, freq, phase, base, *decaying = theta
         envelope = np.exp(-rate * times)
         arg = TWO_PI * freq * times + phase
         cos_t, sin_t = np.cos(arg), np.sin(arg)
         r = amp * envelope * cos_t + base - signal
-        J = np.column_stack(
-            [
-                envelope * cos_t,
-                -times * amp * envelope * cos_t,
-                -TWO_PI * times * amp * envelope * sin_t,
-                -amp * envelope * sin_t,
-                np.ones_like(times),
-            ]
-        )
-        return r, J
+        columns = [
+            envelope * cos_t,
+            -times * amp * envelope * cos_t,
+            -TWO_PI * times * amp * envelope * sin_t,
+            -amp * envelope * sin_t,
+            np.ones_like(times),
+        ]
+        if decaying:
+            (env_off,) = decaying
+            r += env_off * envelope
+            columns[1] -= times * env_off * envelope
+            columns.append(envelope)
+        return r, np.column_stack(columns)
 
     return fun
 
 
 def _canonical_damped_sine(theta):
-    amp, rate, freq, phase, base = theta
+    """The one of ``theta``'s equivalent sign choices with ``f >= 0``,
+    ``A >= 0`` and ``phi`` in ``(-pi, pi]``; ``B`` and ``C`` are kept."""
+    amp, rate, freq, phase, *linear = theta
     if freq < 0:
         freq, phase = -freq, -phase
     if amp < 0:
@@ -325,7 +342,33 @@ def _canonical_damped_sine(theta):
         phase += TWO_PI
     elif phase > math.pi:
         phase -= TWO_PI
-    return np.array([amp, rate, freq, phase, base])
+    return np.array([amp, rate, freq, phase, *linear])
+
+
+def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baseline=False):
+    """Seed and fit :func:`_damped_sine_residual_jacobian`'s model; returns
+    ``(theta, r, J, iterations, gradient_norm, signal range)`` at the
+    canonical ``theta``, or raises FitError naming ``name``."""
+    freq0, rate0, spread = _oscillation_seed(times, signal, f_window)
+    a_cos, a_sin, *linear = _quadrature_projection(
+        times, signal, freq0, rate0, decaying_baseline
+    )
+    theta0 = np.array(
+        [math.hypot(a_cos, a_sin), rate0, freq0, math.atan2(-a_sin, a_cos), *linear]
+    )
+
+    fun = _damped_sine_residual_jacobian(times, signal)
+    theta, r, J, converged, iterations, gnorm = _lm_minimize(
+        fun, theta0, data_norm=float(np.linalg.norm(signal))
+    )
+    if not converged:
+        raise FitError(
+            f"{name} fit did not converge: {iterations} iterations, "
+            f"gradient norm {gnorm:.3e}, residual {np.linalg.norm(r):.3e}"
+        )
+    theta = _canonical_damped_sine(theta)
+    r, J = fun(theta)
+    return theta, r, J, iterations, gnorm, spread
 
 
 def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
@@ -333,7 +376,8 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
 
     Returns ``(freq_shift, decay_rate, report)`` where ``freq_shift`` is
     the fitted fringe frequency minus the deliberate offset (MHz) and
-    ``decay_rate`` the envelope decay in 1/us.
+    ``decay_rate`` the envelope decay in 1/us.  The fitted frequency is
+    taken ``>= 0``, so a zero offset reports ``|shift|``.
 
     Raises
     ------
@@ -350,24 +394,8 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
             raise DomainError(
                 f"trace spans {span_periods:.2f} expected periods, need >= 1.5"
             )
-    freq0, rate0, _ = _oscillation_seed(times, signal)
-    a_cos, a_sin, base0 = _quadrature_projection(times, signal, freq0, rate0)
-    theta0 = np.array(
-        [math.hypot(a_cos, a_sin), rate0, freq0, math.atan2(-a_sin, a_cos), base0]
-    )
-
-    fun = _damped_sine_residual_jacobian(times, signal)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(
-        fun, theta0, data_norm=float(np.linalg.norm(signal))
-    )
-    if not converged:
-        raise FitError(
-            f"damped-sine fit did not converge: {iterations} iterations, "
-            f"gradient norm {gnorm:.3e}, residual {np.linalg.norm(r):.3e}"
-        )
-    theta = _canonical_damped_sine(theta)
-    r, J = fun(theta)
-    report = _report(_DAMPED_SINE_NAMES, theta, r, J, converged, iterations, gnorm)
+    theta, r, J, iterations, gnorm, _ = _fit_damped_oscillation(times, signal, "damped-sine")
+    report = _report(_DAMPED_SINE_NAMES, theta, r, J, True, iterations, gnorm)
     freq_shift = report.parameters["frequency"] - trace.offset_freq
     return freq_shift, report.parameters["decay_rate"], report
 
@@ -430,36 +458,14 @@ def fit_exponential(times, signal) -> tuple[float, FitReport]:
 _CHEVRON_NAMES = ("osc_cos", "osc_sin", "envelope_offset", "baseline", "decay_rate", "frequency")
 
 
-def _chevron_residual_jacobian(times, signal):
-    def fun(theta):
-        a_cos, a_sin, env_off, base, rate, freq = theta
-        envelope = np.exp(-rate * times)
-        arg = TWO_PI * freq * times
-        cos_t, sin_t = np.cos(arg), np.sin(arg)
-        osc = a_cos * cos_t + a_sin * sin_t + env_off
-        r = envelope * osc + base - signal
-        J = np.column_stack(
-            [
-                envelope * cos_t,
-                envelope * sin_t,
-                envelope,
-                np.ones_like(times),
-                -times * envelope * osc,
-                TWO_PI * times * envelope * (a_sin * cos_t - a_cos * sin_t),
-            ]
-        )
-        return r, J
-
-    return fun
-
-
 def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, FitReport]:
     """Extract (coupling, defect decay) from a resonant vacuum-Rabi linecut.
 
     Fits ``exp(-g t) * (a cos(2 pi f t) + b sin(2 pi f t) + c) + d``: the
     population exchanged with a lossy defect oscillates at the damped
-    vacuum-Rabi frequency on top of an equally damped baseline.  At
-    resonance the fitted ``(f, g)`` invert to
+    vacuum-Rabi frequency on top of an equally damped baseline.  That is
+    :func:`fit_damped_sine`'s model plus ``c e^{-g t}``, with ``a = A cos(phi)``
+    and ``b = -A sin(phi)``.  At resonance the fitted ``(f, g)`` invert to
 
         defect_decay = 2 g,
         coupling     = sqrt((pi f)^2 + (defect_decay / 4)^2),
@@ -482,32 +488,22 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
     if f_guess > 0 and (times[-1] - times[0]) * f_guess < 2.0:
         raise DomainError("linecut must span >= 2 expected oscillation periods")
     window = (0.5 * f_guess, 2.0 * f_guess) if f_guess > 0 else None
-    freq0, rate0, spread = _oscillation_seed(times, populations, window)
-    a_cos, a_sin, env_off, base0 = _quadrature_projection(
-        times, populations, freq0, rate0, with_decaying_baseline=True
+    theta, r, J, iterations, gnorm, spread = _fit_damped_oscillation(
+        times, populations, "vacuum-Rabi", window, decaying_baseline=True
     )
-    theta0 = np.array([a_cos, a_sin, env_off, base0, rate0, freq0])
-
-    fun = _chevron_residual_jacobian(times, populations)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(
-        fun, theta0, data_norm=float(np.linalg.norm(populations))
-    )
-    if not converged:
+    amp, rate, freq, phase, base, env_off = theta
+    if amp < 0.02 * spread:
         raise FitError(
-            f"vacuum-Rabi fit did not converge: {iterations} iterations, "
-            f"gradient norm {gnorm:.3e}"
-        )
-    if theta[5] < 0:
-        theta[5] = -theta[5]
-        theta[1] = -theta[1]
-    osc_amp = math.hypot(theta[0], theta[1])
-    if osc_amp < 0.02 * spread:
-        raise FitError(
-            f"no resolvable oscillation: fitted amplitude {osc_amp:.3e} "
+            f"no resolvable oscillation: fitted amplitude {amp:.3e} "
             f"vs signal range {spread:.3e}"
         )
-    r, J = fun(theta)
-    report = _report(_CHEVRON_NAMES, theta, r, J, converged, iterations, gnorm)
+    # the (a, b) columns by the chain rule through A = hypot(a, b), phi = atan2(-b, a)
+    cos_p, sin_p = math.cos(phase), math.sin(phase)
+    J_a = cos_p * J[:, 0] - (sin_p / amp) * J[:, 3]
+    J_b = -sin_p * J[:, 0] - (cos_p / amp) * J[:, 3]
+    J = np.column_stack([J_a, J_b, J[:, [5, 4, 1, 2]]])
+    theta = (amp * cos_p, -amp * sin_p, env_off, base, rate, freq)
+    report = _report(_CHEVRON_NAMES, theta, r, J, True, iterations, gnorm)
     defect_decay = 2.0 * report.parameters["decay_rate"]
     half_osc = math.pi * report.parameters["frequency"]
     coupling = math.hypot(half_osc, defect_decay / 4.0)

@@ -86,7 +86,7 @@ class TestGoldenFiles:
 
 
 class TestByteDeterminism:
-    """The oracle output does not depend on process state or BLAS threads.
+    """The oracle and fit outputs do not depend on process state or BLAS threads.
 
     The convolution outputs (``predict``, and ``oracle``'s ``kk_per_us``,
     ``eq2_per_us`` and map) also keep their bytes when numpy's AVX-512
@@ -94,7 +94,7 @@ class TestByteDeterminism:
     a feature the host lacks changes nothing, so the check runs anywhere.
     """
 
-    ORACLE = ["oracle", "--config", str(DATA / "oracle_config.json")]
+    COMMANDS = {name: argv for name, argv in GOLDEN_CASES if name in ("oracle", "fit_swap", "calibrate")}
     KERNEL_SWITCHES = {
         "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"},
         "haswell_blas": {"OPENBLAS_CORETYPE": "Haswell"},
@@ -105,24 +105,26 @@ class TestByteDeterminism:
         return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
     def test_two_runs_in_one_process(self, tmp_path):
-        assert run(self.ORACLE, tmp_path / "first") == 0
-        assert run(self.ORACLE, tmp_path / "second") == 0
-        first = self.outputs(tmp_path / "first")
-        assert first and first == self.outputs(tmp_path / "second")
+        for name, argv in self.COMMANDS.items():
+            assert run(argv, tmp_path / name / "first") == 0
+            assert run(argv, tmp_path / name / "second") == 0
+            first = self.outputs(tmp_path / name / "first")
+            assert first and first == self.outputs(tmp_path / name / "second"), name
 
     def test_blas_thread_count(self, tmp_path):
-        produced = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            result = subprocess.run(
-                [sys.executable, "-m", "zenokit", *self.ORACLE, "--out", str(out)],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-            )
-            assert result.returncode == 0, result.stderr
-            produced.append(self.outputs(out))
-        assert produced[0] and produced[0] == produced[1]
+        for name, argv in self.COMMANDS.items():
+            produced = []
+            for threads in ("1", "2"):
+                out = tmp_path / name / f"threads_{threads}"
+                result = subprocess.run(
+                    [sys.executable, "-m", "zenokit", *argv, "--out", str(out)],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                )
+                assert result.returncode == 0, result.stderr
+                produced.append(self.outputs(out))
+            assert produced[0] and produced[0] == produced[1], name
 
     @staticmethod
     def convolution_bytes(directory):
@@ -407,6 +409,19 @@ class TestCalibrate:
         error = json.loads(capsys.readouterr().err)
         assert "flatline.csv" in error["message"]
 
+    def test_negative_offset_exits_3(self, tmp_path, capsys):
+        # the fitted fringe frequency is >= 0, so a negative offset gave a
+        # wrong Stark shift with exit 0
+        config = trace_dir_config(
+            tmp_path, {"below": (ringing, {"epsilon": 0.01, "offset_mhz": -10.0})}
+        )
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert "offset_freq must be >= 0" in error["message"]
+        assert not out.exists()
+
     def test_missing_sidecar_exits_2(self, tmp_path):
         traces = tmp_path / "traces"
         traces.mkdir()
@@ -583,6 +598,16 @@ def freq_literal_input(tmp_path, literal):
     return argv, "'qubit_freq_mhz'"
 
 
+def flag_input(tmp_path, flag, literal):
+    """A ``convert-t1`` or ``fit-swap`` run on the fixtures whose number
+    ``flag`` is given as ``literal``."""
+    if flag == "--t-delay":
+        argv = ["convert-t1", "--input", str(DATA / "convert_t1_input.csv")]
+    else:
+        argv = ["fit-swap", "--input", str(DATA / "swap_linecut.csv")]
+    return [*argv, f"{flag}={literal}"], flag
+
+
 def one_row_t1_input(tmp_path):
     """A ``convert-t1`` run on a survival CSV of one row."""
     source = tmp_path / "t1.csv"
@@ -695,6 +720,13 @@ MALFORMED_INPUTS = {
         tmp, {**CALIBRATION, "R_mhz": True}
     ),
     "convert-t1-one-row": one_row_t1_input,
+    # argparse's float() takes these; they used to run on
+    "convert-t1-delay-inf": lambda tmp: flag_input(tmp, "--t-delay", "inf"),
+    "convert-t1-delay-1e400": lambda tmp: flag_input(tmp, "--t-delay", "1e400"),
+    "convert-t1-delay-nan": lambda tmp: flag_input(tmp, "--t-delay", "nan"),
+    "fit-swap-f-guess-nan": lambda tmp: flag_input(tmp, "--f-guess", "nan"),
+    "fit-swap-f-guess-inf": lambda tmp: flag_input(tmp, "--f-guess", "inf"),
+    "fit-swap-f-guess-minus-inf": lambda tmp: flag_input(tmp, "--f-guess", "-inf"),
 }
 
 

@@ -1,16 +1,19 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenokit as zk
 from conftest import (
     CHI_MHZ,
     EPSILON_REF,
+    G_D,
+    GAMMA_1D,
     GAMMA_PHI_REF,
     K_MHZ,
     NU_S_MHZ,
@@ -19,9 +22,60 @@ from conftest import (
     S_MHZ,
     make_ramsey_signal,
 )
-from zenokit.fits import _DAMPED_SINE_NAMES, _damped_sine_residual_jacobian
-from zenokit.io import calibration_to_json, read_calibration_json
+from zenokit import fits
+from zenokit.fits import _CHEVRON_NAMES, _DAMPED_SINE_NAMES, _damped_sine_residual_jacobian
+from zenokit.io import (
+    POPULATION_CSV_HEADER,
+    calibration_to_json,
+    read_calibration_json,
+    read_columns_csv,
+)
 from zenokit.units import TWO_PI, mhz_to_angular
+
+DATA = Path(__file__).parent / "data"
+
+
+def swap_linecut():
+    """The committed resonant vacuum-Rabi linecut: ``(times, populations)``."""
+    return read_columns_csv(DATA / "swap_linecut.csv", POPULATION_CSV_HEADER)
+
+
+def check_gradient(fun, theta):
+    """``fun``'s analytic gradient vanishes at the optimum ``theta`` and
+    matches central finite differences there and away from it."""
+    r, J = fun(theta)
+    analytic = J.T @ r
+
+    def cost(p):
+        rr, _ = fun(p)
+        return 0.5 * float(rr @ rr)
+
+    fd = np.empty_like(theta)
+    for i in range(theta.size):
+        step = 1e-6 * max(abs(theta[i]), 1.0)
+        up, down = theta.copy(), theta.copy()
+        up[i] += step
+        down[i] -= step
+        fd[i] = (cost(up) - cost(down)) / (2.0 * step)
+    scale = np.linalg.norm(J, axis=0).max() * np.linalg.norm(r)
+    assert np.linalg.norm(analytic) < 1e-8 * scale
+    # the curvature term dominates FD of a near-stationary cost, so
+    # compare against the gradient's own scale
+    assert np.linalg.norm(fd - analytic) < 1e-4 * scale
+
+    # away from the optimum the gradient is O(1) and the analytic
+    # Jacobian must agree with finite differences pointwise
+    perturbed = theta * 1.05 + 0.01
+    r_p, J_p = fun(perturbed)
+    analytic_p = J_p.T @ r_p
+    fd_p = np.empty_like(perturbed)
+    for i in range(perturbed.size):
+        step = 1e-6 * max(abs(perturbed[i]), 1.0)
+        up, down = perturbed.copy(), perturbed.copy()
+        up[i] += step
+        down[i] -= step
+        fd_p[i] = (cost(up) - cost(down)) / (2.0 * step)
+    assert np.linalg.norm(fd_p - analytic_p) < 1e-4 * np.linalg.norm(analytic_p)
 
 
 class TestDampedSine:
@@ -112,46 +166,22 @@ class TestDampedSine:
         assert first == second  # bit-identical parameters and report
 
     def test_gradient_at_optimum_vs_finite_differences(self, ramsey_trace):
+        # a noisy Ramsey fringe, and a noisy linecut, whose decaying
+        # baseline C is the model's sixth parameter
         rng = np.random.default_rng(11)
         noisy = ramsey_trace.signal + rng.normal(0.0, 0.02 * 0.45, ramsey_trace.times.size)
         _, _, report = zk.fit_damped_sine(
             zk.RamseyTrace(ramsey_trace.times, noisy, offset_freq=OFFSET_MHZ)
         )
         theta = np.array([report.parameters[k] for k in _DAMPED_SINE_NAMES])
-        fun = _damped_sine_residual_jacobian(ramsey_trace.times, noisy)
-        r, J = fun(theta)
-        analytic = J.T @ r
+        check_gradient(_damped_sine_residual_jacobian(ramsey_trace.times, noisy), theta)
 
-        def cost(p):
-            rr, _ = fun(p)
-            return 0.5 * float(rr @ rr)
-
-        fd = np.empty_like(theta)
-        for i in range(theta.size):
-            step = 1e-6 * max(abs(theta[i]), 1.0)
-            up, down = theta.copy(), theta.copy()
-            up[i] += step
-            down[i] -= step
-            fd[i] = (cost(up) - cost(down)) / (2.0 * step)
-        scale = np.linalg.norm(J, axis=0).max() * np.linalg.norm(r)
-        assert np.linalg.norm(analytic) < 1e-8 * scale
-        # the curvature term dominates FD of a near-stationary cost, so
-        # compare against the gradient's own scale
-        assert np.linalg.norm(fd - analytic) < 1e-4 * scale
-
-        # away from the optimum the gradient is O(1) and the analytic
-        # Jacobian must agree with finite differences pointwise
-        perturbed = theta * 1.05 + 0.01
-        r_p, J_p = fun(perturbed)
-        analytic_p = J_p.T @ r_p
-        fd_p = np.empty_like(perturbed)
-        for i in range(perturbed.size):
-            step = 1e-6 * max(abs(perturbed[i]), 1.0)
-            up, down = perturbed.copy(), perturbed.copy()
-            up[i] += step
-            down[i] -= step
-            fd_p[i] = (cost(up) - cost(down)) / (2.0 * step)
-        assert np.linalg.norm(fd_p - analytic_p) < 1e-4 * np.linalg.norm(analytic_p)
+        times, populations = swap_linecut()
+        noisy = populations + rng.normal(0.0, 0.01, times.size)
+        _, _, report = zk.fit_swap_chevron(times, noisy, f_guess=3.2)
+        a, b, c, d, rate, freq = (report.parameters[k] for k in _CHEVRON_NAMES)
+        theta = np.array([math.hypot(a, b), rate, freq, math.atan2(-b, a), d, c])
+        check_gradient(_damped_sine_residual_jacobian(times, noisy), theta)
 
     def test_rejects_short_or_narrow_traces(self):
         with pytest.raises(zk.DomainError):
@@ -164,10 +194,36 @@ class TestDampedSine:
                 zk.RamseyTrace(times, np.cos(TWO_PI * 10 * times), offset_freq=10.0)
             )
 
+    def test_negative_offset_is_refused(self):
+        # the fitted fringe frequency is >= 0: a fringe at -10 + 2 MHz was
+        # fit at 8 MHz and reported a shift of 18 MHz
+        times = np.arange(0.0, 3.0, 0.004)
+        signal = make_ramsey_signal(times, stark_mhz=2.0, offset_mhz=-10.0)
+        with pytest.raises(zk.DomainError, match="offset_freq must be >= 0"):
+            zk.RamseyTrace(times, signal, offset_freq=-10.0)
+
+    def test_zero_offset_reports_the_shift_magnitude(self):
+        times = np.arange(0.0, 3.0, 0.004)
+        signal = make_ramsey_signal(times, stark_mhz=-2.0, offset_mhz=0.0)
+        shift, _, _ = zk.fit_damped_sine(zk.RamseyTrace(times, signal, offset_freq=0.0))
+        assert shift == pytest.approx(2.0, rel=1e-9)
+
     def test_constant_signal_is_fit_error(self):
         times = np.linspace(0.0, 3.0, 100)
         with pytest.raises(zk.FitError):
             zk.fit_damped_sine(zk.RamseyTrace(times, np.full(100, 0.7), offset_freq=10.0))
+
+
+def test_trial_step_that_overflows_to_nan_is_rejected_quietly():
+    # the decaying baseline adds C e^{-g t} to A e^{-g t} cos(...): past
+    # exp's range a trial step gives inf - inf, a nan cost and no warning
+    def fun(theta):
+        big = np.exp(100.0 * theta)
+        return big - big + theta - 10.0, np.ones((1, 1))
+
+    theta, r, *_ = fits._lm_minimize(fun, [0.0], data_norm=10.0)
+    assert 0.0 < theta[0] < 7.1
+    assert np.all(np.isfinite(r))
 
 
 class TestPolynomialFits:
@@ -262,6 +318,37 @@ class TestExponentialFit:
             zk.fit_exponential(times[::-1], np.exp(-0.7 * times))
 
 
+def chevron_model(times, a, b, c, d, rate, freq):
+    """``exp(-rate t) (a cos 2 pi f t + b sin 2 pi f t + c) + d`` and its
+    Jacobian, written out in the cartesian parameters of the report."""
+    envelope = np.exp(-rate * times)
+    cos_t, sin_t = np.cos(TWO_PI * freq * times), np.sin(TWO_PI * freq * times)
+    osc = a * cos_t + b * sin_t + c
+    jacobian = np.column_stack(
+        [
+            envelope * cos_t,
+            envelope * sin_t,
+            envelope,
+            np.ones_like(times),
+            -times * envelope * osc,
+            TWO_PI * times * envelope * (b * cos_t - a * sin_t),
+        ]
+    )
+    return envelope * osc + d, jacobian
+
+
+def assert_cartesian_report(times, report, a, b):
+    """The report's (a, b) are ``(a, b)``, and its uncertainties come from
+    the cartesian Jacobian with the report's residual variance."""
+    params = report.parameters
+    assert params["osc_cos"] == pytest.approx(a, abs=1e-9)
+    assert params["osc_sin"] == pytest.approx(b, abs=1e-9)
+    _, J = chevron_model(times, *(params[k] for k in _CHEVRON_NAMES))
+    variance = report.residual_norm**2 / (times.size - J.shape[1])
+    sigma = np.sqrt(variance * np.diag(np.linalg.inv(J.T @ J)))
+    assert [report.uncertainties[k] for k in _CHEVRON_NAMES] == pytest.approx(sigma, rel=1e-9)
+
+
 class TestSwapChevron:
     def test_recovers_defect_parameters_from_oracle_trace(self, strong_defect):
         model = zk.LindbladModel(qubit_freq=strong_defect.freq, defect=strong_defect)
@@ -295,6 +382,54 @@ class TestSwapChevron:
         trajectory = zk.evolve(model, t_final=20.0)
         with pytest.raises(zk.FitError):
             zk.fit_swap_chevron(trajectory.times, trajectory.populations(), f_guess=3.2)
+
+    def test_cartesian_report_on_the_fixture_linecut(self):
+        # the resonant linecut is exp(-k t / 2) (cos W t + x sin W t)^2 with
+        # W = sqrt(g^2 - k^2 / 16) and x = k / (4 W), so a = (1 - x^2) / 2
+        # and b = x at f = W / pi
+        times, populations = swap_linecut()
+        _, _, report = zk.fit_swap_chevron(times, populations, f_guess=3.2)
+        x = GAMMA_1D / (4.0 * math.sqrt(G_D**2 - GAMMA_1D**2 / 16.0))
+        assert_cartesian_report(times, report, 0.5 * (1.0 - x**2), x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        amplitude=st.floats(0.2, 0.5),
+        phase=st.floats(-math.pi, math.pi),
+        offset=st.floats(0.0, 0.5),
+        baseline=st.floats(-0.05, 0.05),
+        rate=st.floats(0.5, 4.0),
+        freq=st.floats(2.5, 5.0),
+        flip_amplitude=st.booleans(),
+        flip_frequency=st.booleans(),
+    )
+    def test_cartesian_report_on_drawn_linecuts(
+        self, amplitude, phase, offset, baseline, rate, freq, flip_amplitude, flip_frequency
+    ):
+        # the model is unchanged under (A, phi) -> (-A, phi + pi) and
+        # (f, phi) -> (-f, -phi); an LM started there ends there, and the
+        # report must still give the generating (a, b)
+        a, b = amplitude * math.cos(phase), -amplitude * math.sin(phase)
+        times = np.linspace(0.0, 1.2, 301)
+        signal, _ = chevron_model(times, a, b, offset, baseline, rate, freq)
+        lm_minimize, ends = fits._lm_minimize, []
+
+        def flipped_start(fun, theta0, data_norm):
+            theta0 = np.array(theta0)
+            if flip_amplitude:
+                theta0[[0, 3]] = -theta0[0], theta0[3] + math.pi
+            if flip_frequency:
+                theta0[[2, 3]] = -theta0[2], -theta0[3]
+            result = lm_minimize(fun, theta0, data_norm)
+            ends.append(result[0])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fits, "_lm_minimize", flipped_start)
+            _, _, report = zk.fit_swap_chevron(times, signal, f_guess=freq)
+        (end,) = ends
+        assert (end[0] < 0, end[2] < 0) == (flip_amplitude, flip_frequency)
+        assert_cartesian_report(times, report, a, b)
 
     def test_span_precondition(self):
         times = np.linspace(0.0, 0.4, 30)
