@@ -18,8 +18,10 @@ atomically at the end, and identical inputs produce byte-identical
 outputs.  Below the CLI, frequencies are offsets, not GHz carriers:
 ``predict`` works in the qubit's frame and ``oracle`` in the defect's,
 with the defect at 0.  ``calibrate`` and ``fit-flux-noise`` report every
-failed trace fit in one ``trace fits failed for:`` error.  A non-finite
-``--t-delay`` or ``--f-guess`` is a parse error, as in JSON.  Exit codes:
+failed trace fit in one ``trace fits failed for:`` error, and prefix an
+invalid trace's DomainError with its file name.  A non-finite
+``--t-delay`` or ``--f-guess``, or an ``--f-guess`` <= 0, is a parse
+error, as in JSON.  Exit codes:
 0 success, 2 parse error, 3 domain/fit error, 4 integrator stability
 error; failures emit a machine-readable JSON object on stderr.
 """
@@ -189,15 +191,19 @@ def _fit_traces(
     """``fit(*fit_args(meta, times, signal))`` on every configured trace.
 
     Every sidecar and CSV is read, and every ``fit_args`` built (which
-    validates the fit's input), before the first fit.  The FitErrors are
-    raised as one naming each failed file.  Returns ``(path, meta,
-    result)`` per trace.
+    validates the fit's input), before the first fit.  A DomainError
+    from ``fit_args`` or ``fit`` is raised with the file's name in
+    front; the FitErrors are raised as one naming each failed file.
+    Returns ``(path, meta, result)`` per trace.
     """
     inputs = []
     for path in _trace_paths(config, config_dir):
         meta = read_sidecar_json(path, sidecar_keys)
         times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
-        inputs.append((path, meta, fit_args(meta, times, signal)))
+        try:
+            inputs.append((path, meta, fit_args(meta, times, signal)))
+        except DomainError as exc:
+            raise DomainError(f"{path.name}: {exc}") from None
 
     fitted, failures = [], []
     for path, meta, args in inputs:
@@ -205,6 +211,8 @@ def _fit_traces(
             fitted.append((path, meta, fit(*args)))
         except FitError as exc:
             failures.append(f"{path.name}: {exc}")
+        except DomainError as exc:
+            raise DomainError(f"{path.name}: {exc}") from None
     if failures:
         raise FitError("trace fits failed for: " + "; ".join(failures))
     return fitted
@@ -380,6 +388,8 @@ def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 def cmd_fit_swap(args, config, config_dir, out_dir) -> dict[Path, str]:
     _check_finite(args.f_guess, "--f-guess")
+    if not args.f_guess > 0:
+        raise ParseError(f"--f-guess must be > 0 MHz, got {args.f_guess!r}")
     times, populations = read_columns_csv(args.input, POPULATION_CSV_HEADER)
     coupling, defect_decay, report = fit_swap_chevron(times, populations, args.f_guess)
     payload = {

@@ -474,6 +474,38 @@ class TestTraceBatch:
         assert "; flat_b.csv: " in error["message"]
         assert not out.exists()
 
+    def test_invalid_fit_input_names_its_file(self, tmp_path, capsys):
+        # the fit inputs are built before any fit; a refused one names its trace
+        config = trace_dir_config(
+            tmp_path,
+            {
+                "a": (ringing, RAMSEY_SIDECAR),
+                "b": (ringing, {**RAMSEY_SIDECAR, "offset_mhz": -10.0}),
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert error["message"] == "b.csv: offset_freq must be >= 0 MHz, got -10.0"
+        assert not out.exists()
+
+    def test_fit_flux_noise_names_an_invalid_trace(self, tmp_path, capsys):
+        # fit_exponential validates its samples itself, inside the fit loop
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for name, times in (("a", [0.0, 0.1, 0.2, 0.3]), ("b", [0.0, 0.2, 0.1, 0.3])):
+            write_csv(traces / f"{name}.csv", "time_us,signal", zip(times, [1.0, 0.9, 0.8, 0.7]))
+            (traces / f"{name}.json").write_text(dump_json({"flux_amp": 0.1}))
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({"trace_dir": str(traces)}))
+        out = tmp_path / "out"
+        assert run(["fit-flux-noise", "--config", str(config)], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert error["message"] == "b.csv: times must be strictly increasing"
+        assert not out.exists()
+
     def test_fit_flux_noise_names_every_failed_fit(self, tmp_path, capsys, monkeypatch):
         # a constant echo signal fits a zero decay rate, so the fit is made
         # to fail here; the loop under test is the one calibrate runs
@@ -727,6 +759,9 @@ MALFORMED_INPUTS = {
     "fit-swap-f-guess-nan": lambda tmp: flag_input(tmp, "--f-guess", "nan"),
     "fit-swap-f-guess-inf": lambda tmp: flag_input(tmp, "--f-guess", "inf"),
     "fit-swap-f-guess-minus-inf": lambda tmp: flag_input(tmp, "--f-guess", "-inf"),
+    # a guess <= 0 used to drop the peak window and the span check
+    "fit-swap-f-guess-zero": lambda tmp: flag_input(tmp, "--f-guess", "0"),
+    "fit-swap-f-guess-negative": lambda tmp: flag_input(tmp, "--f-guess", "-3.2"),
 }
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import zenokit as zk
 from conftest import GAMMA_Q, G_D
-from zenokit import lindblad
+from zenokit import fits, lindblad
 from zenokit.cli import main
+from zenokit.units import TWO_PI
 
 
 def plus_state(dim, excited_index):
@@ -118,8 +119,9 @@ class TestEvolve:
                 zk.check_density_matrix(bad, "rho")
 
 
-def reference_rk4(model, t_final, dt=None, sample_stride=None):
-    """The per-step RK4 loop that the precomputed step matrix replaced.
+def reference_rk4(model, rho0, t_final, dt=None, sample_stride=None):
+    """The per-step RK4 loop on the whole of vec(rho) that the
+    precomputed step matrix on the reached entries replaced.
 
     Same step rule and sampling as ``evolve``; returns ``(times, states)``.
     """
@@ -131,7 +133,7 @@ def reference_rk4(model, t_final, dt=None, sample_stride=None):
     if sample_stride is None:
         sample_stride = max(1, -(-n_steps // 4000))
     S = model.superoperator()
-    vec = model.initial_excited().reshape(-1)
+    vec = rho0.reshape(-1)
     times, states = [0.0], [vec]
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -148,29 +150,104 @@ def reference_rk4(model, t_final, dt=None, sample_stride=None):
     return np.asarray(times), np.asarray(states).reshape(-1, d, d)
 
 
-class TestStepMatrix:
-    """``evolve`` applies the RK4 step as one matrix; pin it to the loop."""
+def random_full_rank_state(dim):
+    """A density matrix with no zero entry, so every entry is reached."""
+    g = np.random.default_rng(7).normal(size=(dim, dim, 2)) @ [1.0, 1j]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
-    # samples are advanced in blocks of isqrt(full strides): 7 leaves a
-    # partial last block and a partial last stride, 20 whole blocks and a
-    # partial last stride, n_steps - 1 one full stride and one single step
-    @pytest.mark.parametrize("stride", [1, 7, 20, "n_steps", "n_steps - 1", 10**9])
+
+# initial states besides |e,0>, and how many entries of vec(rho) each
+# reaches: 9 of 16, all 16, and 2 of 4 for a bare qubit from |e>
+OTHER_INITIAL_STATES = {
+    "plus": (lambda model: plus_state(4, 2), 9),
+    "full-rank": (lambda model: random_full_rank_state(4), 16),
+    "bare-qubit": (lambda model: model.initial_excited(), 2),
+}
+
+# samples are advanced in blocks of isqrt(full strides): 7 leaves a
+# partial last block and a partial last stride, 20 whole blocks and a
+# partial last stride, n_steps - 1 one full stride and one single step
+STRIDES = [1, 7, 20, "n_steps", "n_steps - 1", 10**9]
+
+
+def check_against_loop(model, rho0, stride, n_reached):
+    """``evolve`` against the whole-state loop: same times, the entries
+    that the loop leaves exactly zero are zero, and ``n_reached`` are not."""
+    n_steps = math.ceil(1.0 / (0.01 / model.rate_scale()))
+    stride = {"n_steps": n_steps, "n_steps - 1": n_steps - 1}.get(stride, stride)
+    assert n_steps % 7 and n_steps % 20
+    assert n_steps // 7 % math.isqrt(n_steps // 7)
+    assert n_steps // 20 % math.isqrt(n_steps // 20) == 0
+    times, states = reference_rk4(model, rho0, t_final=1.0, sample_stride=stride)
+    assert len(times) == 1 + n_steps // stride + (n_steps % stride > 0)
+    trajectory = zk.evolve(model, rho0=rho0, t_final=1.0, sample_stride=stride)
+    assert np.array_equal(trajectory.times, times)
+    assert trajectory.states.shape == states.shape
+    unreached = np.all(states == 0, axis=0)
+    assert unreached.size - unreached.sum() == n_reached
+    assert np.all(trajectory.states[:, unreached] == 0)
+    reference = np.einsum("tij,ji->t", states, model.excited_projector()).real
+    assert np.max(np.abs(trajectory.populations() - reference)) <= 1e-12
+
+
+class TestStepMatrix:
+    """``evolve`` applies the RK4 step as one matrix on the entries of
+    vec(rho) that the initial state reaches; pin it to the whole-state loop."""
+
+    @pytest.mark.parametrize("stride", STRIDES)
     def test_matches_per_step_loop(self, strong_defect, stride):
         model = zk.LindbladModel(
             qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=strong_defect
         )
-        n_steps = math.ceil(1.0 / (0.01 / model.rate_scale()))
-        stride = {"n_steps": n_steps, "n_steps - 1": n_steps - 1}.get(stride, stride)
-        assert n_steps % 7 and n_steps % 20
-        assert n_steps // 7 % math.isqrt(n_steps // 7)
-        assert n_steps // 20 % math.isqrt(n_steps // 20) == 0
-        times, states = reference_rk4(model, t_final=1.0, sample_stride=stride)
-        assert len(times) == 1 + n_steps // stride + (n_steps % stride > 0)
-        trajectory = zk.evolve(model, t_final=1.0, sample_stride=stride)
-        assert np.array_equal(trajectory.times, times)
-        assert trajectory.states.shape == states.shape
-        reference = np.einsum("tij,ji->t", states, model.excited_projector()).real
-        assert np.max(np.abs(trajectory.populations() - reference)) <= 1e-12
+        check_against_loop(model, model.initial_excited(), stride, n_reached=5)
+
+    @pytest.mark.parametrize("state", OTHER_INITIAL_STATES)
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_other_initial_states_match_per_step_loop(self, strong_defect, stride, state):
+        defect = None if state == "bare-qubit" else strong_defect
+        model = zk.LindbladModel(
+            qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=defect
+        )
+        make_rho0, n_reached = OTHER_INITIAL_STATES[state]
+        check_against_loop(model, make_rho0(model), stride, n_reached)
+
+    def test_reduced_check_fails_as_the_whole_matrices(self, strong_defect, monkeypatch):
+        # without dephasing the RK4 undershoot of the |e,0> trajectory
+        # reaches -7.7e-11 at t = 0.25 us; between the tolerance and that
+        # the failing sample lies in a later block, after blocks cleared on
+        # the reached levels, and its message must be the whole matrices'
+        model = zk.LindbladModel(
+            qubit_freq=strong_defect.freq, qubit_decay=GAMMA_Q, defect=strong_defect
+        )
+        trajectory = zk.evolve(model, t_final=3.0)
+        monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", -5e-11)
+        monkeypatch.setattr(lindblad, "_CHECK_BLOCK", 64)
+        i, problem = eigvalsh_first_violation(trajectory.states[1:])
+        assert i >= 2 * lindblad._CHECK_BLOCK and problem.startswith("eigenvalue")
+        with pytest.raises(zk.StabilityError) as raised:
+            zk.evolve(model, t_final=3.0)
+        assert str(raised.value).startswith(f"t={trajectory.times[1 + i]:.6g} us: {problem}; ")
+
+    def test_eigenvalues_only_of_whole_matrices(self, strong_defect, monkeypatch):
+        # with no certificate every block is decided by eigvalsh, and that
+        # on the whole 4x4 states, never on the reached levels alone
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(lindblad, "_cholesky_certifies", lambda pivots, upper: False)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        model = zk.LindbladModel(
+            qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=strong_defect
+        )
+        trajectory = zk.evolve(model, t_final=3.0)
+        blocks = -(-(trajectory.times.size - 1) // lindblad._CHECK_BLOCK)
+        assert len(shapes) == 1 + blocks  # the initial state, then each block
+        assert all(shape[1:] == (4, 4) for shape in shapes)
 
     def test_first_failing_sample_is_named(self, monkeypatch):
         # the excited population of rho0 = diag(1/2, 1/2) decays as exp(-t)/2,
@@ -377,6 +454,32 @@ class TestExtractDecayRate:
         with pytest.warns(zk.OscillationWarning):
             rate, report = zk.extract_decay_rate(trajectory, (0.0, 30.0))
         assert report.warnings
+
+    def test_rate_is_the_least_squares_optimum(self):
+        # a benchmark context on which the LM descent stops at gradient
+        # 9.95e-11 after 3 iterations, 3.8e-11 short of the optimum's rate
+        coupling, decay, qubit_decay = TWO_PI * 0.16772871187518845, 10.8443951267903, 0.018816800402261247
+        detuning, dephasing = TWO_PI * 0.20600902673540553, TWO_PI * 0.3844970042968171
+        defect = zk.DefectParams(freq=0.0, coupling=coupling, decay=decay)
+        model = zk.LindbladModel(
+            qubit_freq=detuning, dephasing=dephasing, qubit_decay=qubit_decay, defect=defect
+        )
+        # the window of validate_kk
+        purcell = zk.generalized_purcell(
+            zk.QubitParams(freq=detuning, decay=qubit_decay, dephasing=dephasing), defect
+        )
+        t_start = 12.0 / (decay + 2.0 * dephasing)
+        t_final = t_start + 4.5 / min(purcell, decay / 2.0 + qubit_decay)
+        trajectory = zk.evolve(model, t_final=t_final)
+        rate, report = zk.extract_decay_rate(trajectory, (t_start, t_final))
+        assert report.converged
+        # one more Gauss-Newton step from the reported point
+        tt = np.geomspace(t_start, t_final, lindblad.FIT_SAMPLES)
+        pp = np.interp(tt, trajectory.times, trajectory.populations())
+        theta = np.array([report.parameters["amplitude"], rate])
+        r, J = fits._exponential_residual_jacobian(tt, pp)(theta)
+        step = np.linalg.lstsq(J, -r)[0]
+        assert abs(step[1]) <= 1e-13 * rate
 
     def test_window_must_see_a_decay(self):
         model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.01)
