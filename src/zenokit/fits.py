@@ -348,7 +348,15 @@ def _canonical_damped_sine(theta):
 def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baseline=False):
     """Seed and fit :func:`_damped_sine_residual_jacobian`'s model; returns
     ``(theta, r, J, iterations, gradient_norm, signal range)`` at the
-    canonical ``theta``, or raises FitError naming ``name``."""
+    canonical ``theta``, or raises FitError naming ``name``.
+
+    A converged fit is refused as degenerate when its envelope falls by
+    more than a factor e over the smallest sample step, or when ``J``
+    loses rank at the cutoff of the pseudo-inverse in
+    :func:`_uncertainties`: in the first case the fringe is seen by one
+    sample, and the rate and frequency columns of ``J`` vanish; in
+    both, some reported uncertainty would be zero.
+    """
     freq0, rate0, spread = _oscillation_seed(times, signal, f_window)
     a_cos, a_sin, *linear = _quadrature_projection(
         times, signal, freq0, rate0, decaying_baseline
@@ -368,6 +376,15 @@ def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baselin
         )
     theta = _canonical_damped_sine(theta)
     r, J = fun(theta)
+    fall = theta[1] * float(np.min(np.diff(times)))
+    if fall > 1.0:
+        raise FitError(
+            f"{name} fit is degenerate: its envelope falls by a factor e^{fall:.3g} "
+            f"per sample step (decay rate {theta[1]:.3e}/us)"
+        )
+    rank = np.linalg.matrix_rank(J.T @ J)
+    if rank < J.shape[1]:
+        raise FitError(f"{name} fit is degenerate: its Jacobian has rank {rank} of {J.shape[1]}")
     return theta, r, J, iterations, gnorm, spread
 
 
@@ -385,7 +402,8 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
         The trace spans less than 1.5 periods of the expected (offset)
         frequency.
     FitError
-        Constant signal, or no convergence within the iteration budget.
+        Constant signal, no convergence within the iteration budget, or
+        a degenerate fit (see :func:`_fit_damped_oscillation`).
     """
     times, signal = trace.times, trace.signal
     if trace.offset_freq > 0:

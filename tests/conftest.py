@@ -75,6 +75,16 @@ def make_ramsey_signal(
     )
 
 
+def degenerate_ramsey_signal(times):
+    """A noisy fringe, 750 samples long, on which the unguarded fit ends
+    where its envelope is gone before the second sample: rate 2.1e5/us,
+    shift 6829 MHz at offset 10 MHz, sigma 0 for both, and converged."""
+    signal = make_ramsey_signal(
+        times, stark_mhz=3.01, dephasing=10.77, amplitude=0.43, phase=1.0
+    )
+    return signal + np.random.default_rng(100).normal(0.0, 0.005, 750)
+
+
 @pytest.fixture
 def ramsey_trace():
     times = np.arange(0.0, 3.0, 0.004)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zenokit as zk
+from conftest import degenerate_ramsey_signal
 from zenokit.cli import main
 from zenokit.io import dump_json, environment_fingerprint, read_calibration_json
 from zenokit.units import mhz_to_angular
@@ -472,6 +473,22 @@ class TestTraceBatch:
         assert error["error"] == "FitError"
         assert error["message"].startswith("trace fits failed for: flat_a.csv: ")
         assert "; flat_b.csv: " in error["message"]
+        assert not out.exists()
+
+    def test_calibrate_names_a_degenerate_fit(self, tmp_path, capsys):
+        # the unguarded fit reported sigma 0 and let calibrate fail later,
+        # on the Stark polynomial, with a message naming no trace
+        config = trace_dir_config(
+            tmp_path,
+            {"a": (ringing, RAMSEY_SIDECAR), "b": (degenerate_ramsey_signal, RAMSEY_SIDECAR)},
+        )
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FitError"
+        assert error["message"].startswith(
+            "trace fits failed for: b.csv: damped-sine fit is degenerate: "
+        )
         assert not out.exists()
 
     def test_invalid_fit_input_names_its_file(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from conftest import (
     OFFSET_MHZ,
     R_MHZ,
     S_MHZ,
+    degenerate_ramsey_signal,
     make_ramsey_signal,
 )
 from zenokit import fits
@@ -212,6 +213,28 @@ class TestDampedSine:
         times = np.linspace(0.0, 3.0, 100)
         with pytest.raises(zk.FitError):
             zk.fit_damped_sine(zk.RamseyTrace(times, np.full(100, 0.7), offset_freq=10.0))
+
+    def test_degenerate_fit_is_refused(self):
+        # the fringe is seen by the first sample alone, so the rate and
+        # frequency columns of J vanish and their sigma would read 0
+        times = np.arange(0.0, 3.0, 0.004)
+        trace = zk.RamseyTrace(times, degenerate_ramsey_signal(times), offset_freq=OFFSET_MHZ)
+        with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its envelope falls"):
+            zk.fit_damped_sine(trace)
+
+    def test_rank_deficient_fit_is_refused(self, monkeypatch, ramsey_trace):
+        # a fit whose envelope is resolved but whose amplitude is zero has
+        # vanishing rate, frequency and phase columns
+        fit = fits._lm_minimize
+
+        def zero_amplitude(fun, theta0, data_norm):
+            theta, *rest = fit(fun, theta0, data_norm)
+            theta[0] = 0.0
+            return theta, *rest
+
+        monkeypatch.setattr(fits, "_lm_minimize", zero_amplitude)
+        with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its Jacobian has rank 2 of 5$"):
+            zk.fit_damped_sine(ramsey_trace)
 
 
 def test_trial_step_that_overflows_to_nan_is_rejected_quietly():

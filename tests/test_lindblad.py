@@ -74,6 +74,19 @@ class TestEvolve:
         order = np.polyfit(np.log([base_dt / 2**k for k in range(4)]), np.log(errors), 1)[0]
         assert order >= 3.7
 
+    @pytest.mark.parametrize("with_defect", [False, True])
+    def test_default_initial_state_is_the_built_one(self, strong_defect, with_defect):
+        # the default |e,0> is built, so it is not checked again, and the
+        # trajectory is the one from the same state passed in
+        defect = strong_defect if with_defect else None
+        model = zk.LindbladModel(
+            qubit_freq=strong_defect.freq + 3.0, dephasing=0.5, qubit_decay=0.2, defect=defect
+        )
+        built = zk.evolve(model, t_final=3.0)
+        passed = zk.evolve(model, rho0=model.initial_excited(), t_final=3.0)
+        assert built.times.tobytes() == passed.times.tobytes()
+        assert built.states.tobytes() == passed.states.tobytes()
+
     def test_dt_precondition(self, strong_defect):
         model = zk.LindbladModel(qubit_freq=strong_defect.freq, defect=strong_defect)
         with pytest.raises(zk.DomainError):
@@ -112,6 +125,8 @@ class TestEvolve:
             zk.check_density_matrix(np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex))
         with pytest.raises(zk.StabilityError):
             zk.check_density_matrix(np.diag([1.1, -0.1]).astype(complex))
+        with pytest.raises(zk.StabilityError, match=r"^rho: trace error 1\.00e\+00 > "):
+            zk.check_density_matrix(np.zeros((2, 2)), "rho")  # no entry to check
         for value in (np.nan, np.inf, complex(0.0, -np.inf)):
             bad = np.diag([0.25, 0.75]).astype(complex)
             bad[1, 0] = value
@@ -231,7 +246,7 @@ class TestStepMatrix:
 
     def test_eigenvalues_only_of_whole_matrices(self, strong_defect, monkeypatch):
         # with no certificate every block is decided by eigvalsh, and that
-        # on the whole 4x4 states, never on the reached levels alone
+        # on the whole 4x4 states, never on the reached entries alone
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -246,7 +261,7 @@ class TestStepMatrix:
         )
         trajectory = zk.evolve(model, t_final=3.0)
         blocks = -(-(trajectory.times.size - 1) // lindblad._CHECK_BLOCK)
-        assert len(shapes) == 1 + blocks  # the initial state, then each block
+        assert len(shapes) == blocks  # the default initial state is built, not checked
         assert all(shape[1:] == (4, 4) for shape in shapes)
 
     def test_first_failing_sample_is_named(self, monkeypatch):
@@ -262,10 +277,11 @@ class TestStepMatrix:
             zk.evolve(model, rho0=rho0, t_final=2.0, dt=0.002)
 
     def test_golden_contexts_need_no_eigenvalues(self, monkeypatch, tmp_path):
-        # the Cholesky certificate clears every stored sample of the
-        # golden oracle run, so the eigenvalue fallback never runs
-        calls = {"evolve": 0, "eigvalsh": 0}
-        evolve, eigvalsh = lindblad.evolve, np.linalg.eigvalsh
+        # the certificate on the reached entries clears every stored sample
+        # of the golden oracle run in one pass per trajectory, so neither
+        # the whole-matrix fallback nor eigenvalues run, and the built
+        # initial state is not checked
+        calls = {"evolve": 0, "check_density_matrix": 0, "_screen": 0, "eigvalsh": 0}
 
         def counting(name, func):
             def wrapped(*args, **kwargs):
@@ -274,11 +290,16 @@ class TestStepMatrix:
 
             return wrapped
 
-        monkeypatch.setattr(lindblad, "evolve", counting("evolve", evolve))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+        for owner, name in [
+            (lindblad, "evolve"),
+            (lindblad, "check_density_matrix"),
+            (lindblad, "_screen"),
+            (np.linalg, "eigvalsh"),
+        ]:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         config = Path(__file__).parent / "data" / "oracle_config.json"
         assert main(["oracle", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert calls == {"evolve": 4, "eigvalsh": 0}
+        assert calls == {"evolve": 4, "check_density_matrix": 0, "_screen": 4, "eigvalsh": 0}
 
     def test_kron_is_numpy_kron(self):
         rng = np.random.default_rng(5)
@@ -287,6 +308,51 @@ class TestStepMatrix:
             a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
             b = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
             assert np.array_equal(lindblad._kron(a, b), np.kron(a, b))
+
+
+def kron_superoperator(model):
+    """The Lindbladian built from scratch with ``_kron``, every channel's
+    dissipator formed anew: the reference for the shared dissipators."""
+    d = model.dim
+    eye, eye2 = np.eye(d, dtype=complex), np.eye(2, dtype=complex)
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    jumps = [
+        (model.dephasing, 0.5 * model.dephasing, sz),
+        (model.qubit_decay, model.qubit_decay, sm),
+    ]
+    if model.defect is not None:
+        jumps = [(rate, coef, lindblad._kron(L, eye2)) for rate, coef, L in jumps]
+        jumps.append((model.defect.decay, model.defect.decay, lindblad._kron(eye2, sm)))
+    H = model.hamiltonian()
+    S = -1j * (lindblad._kron(H, eye) - lindblad._kron(eye, H.T))
+    for rate, coef, L in jumps:
+        if rate > 0:
+            LdL = L.conj().T @ L
+            S += coef * (
+                lindblad._kron(L, L.conj())
+                - 0.5 * (lindblad._kron(LdL, eye) + lindblad._kron(eye, LdL.T))
+            )
+    return S
+
+
+def test_superoperator_is_bit_equal_to_kron_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        # the qubit's rates each zero or not; a defect's decay is > 0
+        dephasing, qubit_decay = rng.uniform(0.1, 20.0, 2) * rng.integers(0, 2, 2)
+        defect = None
+        if trial % 2:
+            defect = zk.DefectParams(
+                freq=rng.normal(), coupling=rng.uniform(0.0, 20.0), decay=rng.uniform(0.1, 20.0)
+            )
+        model = zk.LindbladModel(
+            qubit_freq=rng.normal(0.0, 10.0), dephasing=dephasing, qubit_decay=qubit_decay, defect=defect
+        )
+        # bit for bit, signed zeros included
+        expected = kron_superoperator(model).view(np.uint64)
+        assert np.array_equal(model.superoperator().view(np.uint64), expected)
+        assert np.array_equal(model.superoperator().view(np.uint64), expected)
 
 
 def eigvalsh_first_violation(rho):
@@ -336,8 +402,44 @@ def states_with_smallest_eigenvalue(rng, dim, smallest, rank_deficient):
     return states
 
 
+def arrow_states(rng, dim, smallest):
+    """Unit-trace Hermitian matrices with the given smallest eigenvalues
+    (each below ``1 / dim``) whose only entries off the diagonal are in
+    row and column 0, so a Cholesky factorization fills in every other
+    entry above the diagonal."""
+    states = np.zeros((len(smallest), dim, dim), dtype=complex)
+    for state, low in zip(states, smallest):
+        state[0, 1:] = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+        state += state.conj().T
+        state[np.diag_indices(dim)] = rng.uniform(1.0, 2.0, dim)
+        state /= np.trace(state).real
+        # an affine map of the spectrum keeps the zeros and the unit trace
+        lowest = np.linalg.eigvalsh(state)[0]
+        scale = (1.0 - dim * low) / (1.0 - dim * lowest)
+        state *= scale
+        state[np.diag_indices(dim)] += low - scale * lowest
+    return states
+
+
 class TestPositivityCertificate:
     """The Cholesky certificate decides exactly as ``eigvalsh`` does."""
+
+    @pytest.mark.parametrize("tolerance", [lindblad.EIGENVALUE_TOL, 0.05])
+    def test_fills_in_zero_entries(self, monkeypatch, tolerance):
+        # the entries off row and column 0 are zero in every matrix, so the
+        # stack's columns leave them out, and the factorization must still
+        # subtract the products that fill them in
+        monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", tolerance)
+        rng = np.random.default_rng(3)
+        decided = set()
+        for offset in self.OFFSETS:
+            smallest = [tolerance + 0.02, tolerance + offset, tolerance + 0.03]
+            stack = arrow_states(rng, 4, smallest)
+            assert np.all(stack[:, 1:, 1:][:, ~np.eye(3, dtype=bool)] == 0)
+            expected = eigvalsh_first_violation(stack)
+            assert lindblad._first_violation(stack) == expected
+            decided.add(expected is None)
+        assert decided == {True, False}  # both verdicts were reached
 
     OFFSETS = [-1e-11, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 1e-11]
 
@@ -392,6 +494,75 @@ def planted_stacks(draw):
         else:
             stack[i, j, k] = draw(st.sampled_from([np.nan, np.inf, complex(0.0, -np.inf)]))
     return stack
+
+
+# every initial state the sector tests cover, with how many entries it
+# reaches: |e,0> reaches 5 of 16
+INITIAL_STATES = {"excited": (lambda model: model.initial_excited(), 5), **OTHER_INITIAL_STATES}
+
+
+def undamped_trajectory(state, strong_defect):
+    """A trajectory from ``state`` without dephasing, where the RK4
+    undershoot leaves some samples below zero, and its model."""
+    defect = None if state == "bare-qubit" else strong_defect
+    model = zk.LindbladModel(qubit_freq=strong_defect.freq + 3.0, qubit_decay=1.0, defect=defect)
+    rho0 = INITIAL_STATES[state][0](model)
+    return model, rho0, zk.evolve(model, rho0=rho0, t_final=3.0)
+
+
+def per_sample(name, states):
+    """The quantity that ``name`` bounds, per state."""
+    if name == "EIGENVALUE_TOL":
+        return np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1)))[:, 0]
+    return np.abs(np.einsum("tii->t", states).real - 1.0)
+
+
+class TestSectorCertificate:
+    """``evolve`` checks its samples on the columns of the reached entries;
+    that must decide as the whole matrices do."""
+
+    @pytest.mark.parametrize("state", INITIAL_STATES)
+    @pytest.mark.parametrize("name", ["EIGENVALUE_TOL", "TRACE_TOL"])
+    def test_screen_of_reached_entries_is_the_whole_matrices(
+        self, strong_defect, monkeypatch, state, name
+    ):
+        model, rho0, trajectory = undamped_trajectory(state, strong_defect)
+        d = model.dim
+        pattern = lindblad._reached(model.superoperator(), rho0.reshape(-1)).reshape(d, d)
+        assert pattern.sum() == INITIAL_STATES[state][1]
+        flat = trajectory.states[1:].reshape(-1, d * d)
+        sector = np.ascontiguousarray(flat[:, pattern.reshape(-1)].T)
+        whole = np.ascontiguousarray(flat.T)
+        certified = set()
+        for tolerance in [getattr(lindblad, name), np.median(per_sample(name, trajectory.states[1:]))]:
+            monkeypatch.setattr(lindblad, name, tolerance)
+            *arrays, verdict = lindblad._screen(sector, pattern)
+            *expected, expected_verdict = lindblad._screen(whole, np.ones((d, d), dtype=bool))
+            for got, want in zip(arrays, expected):
+                assert np.array_equal(got, want)
+            assert verdict == expected_verdict
+            certified.add(verdict)
+        assert True in certified
+
+    @pytest.mark.parametrize("state", INITIAL_STATES)
+    @pytest.mark.parametrize("name", ["EIGENVALUE_TOL", "TRACE_TOL"])
+    def test_first_failing_sample_is_the_whole_matrices(
+        self, strong_defect, monkeypatch, state, name
+    ):
+        # with the tolerance at the median sample's value, the failing
+        # samples are found, named and described as eigvalsh names them
+        model, rho0, trajectory = undamped_trajectory(state, strong_defect)
+        samples = trajectory.states[1:]
+        monkeypatch.setattr(lindblad, name, np.median(per_sample(name, samples)))
+        monkeypatch.setattr(lindblad, "_CHECK_BLOCK", 256)
+        i, problem = eigvalsh_first_violation(samples)
+        # the built excited state is not checked; a passed one would be,
+        # and its zero eigenvalue fails a tolerance above zero
+        if np.array_equal(rho0, model.initial_excited()):
+            rho0 = None
+        with pytest.raises(zk.StabilityError) as raised:
+            zk.evolve(model, rho0=rho0, t_final=3.0)
+        assert str(raised.value).startswith(f"t={trajectory.times[1 + i]:.6g} us: {problem}; ")
 
 
 class TestColumnKernel:
