@@ -109,9 +109,11 @@ class ReadoutCalibration:
             raise DomainError(f"calibrated amplitude range must be >= 0, got {self.max_epsilon}")
         if self.max_epsilon is not None and self.max_epsilon > 0:
             eps = self.max_epsilon
-            if abs(self.stark_quartic) * eps**4 >= abs(self.stark_quad) * eps**2 and (
-                self.stark_quartic != 0.0
-            ):
+            try:
+                quartic = abs(self.stark_quartic) * eps**4
+            except OverflowError:
+                raise DomainError(f"calibrated amplitude {eps} overflows a float") from None
+            if quartic >= abs(self.stark_quad) * eps**2 and self.stark_quartic != 0.0:
                 raise DomainError(
                     "quartic Stark term dominates the quadratic one at the "
                     f"calibrated amplitude {eps}"
@@ -192,7 +194,10 @@ class MeasurementContext:
                 f"drive amplitude {epsilon} is past the calibrated range "
                 f"(max_epsilon {calibration.max_epsilon})"
             )
-        stark = calibration.stark_shift(epsilon)
+        try:
+            stark = calibration.stark_shift(epsilon)
+        except OverflowError:
+            raise DomainError(f"drive amplitude {epsilon} overflows a float") from None
         return cls(
             freq=qubit_freq + stark,
             dephasing=residual_dephasing + calibration.dephasing(epsilon),
@@ -220,7 +225,7 @@ def window_normalization(context: MeasurementContext, window: tuple[float, float
 
     Closed form ``(1/pi) * (atan((hi - c)/hw) + atan((c - lo)/hw))``; lies
     in (0, 1] and approaches 1 as the window approaches the whole axis.
-    Infinite edges are allowed.
+    Infinite edges are allowed; a weight that rounds to 0 is refused.
     """
     lo, hi = window
     if not lo < hi:
@@ -228,7 +233,10 @@ def window_normalization(context: MeasurementContext, window: tuple[float, float
     hw = context.dephasing
     if not hw > 0:
         raise DomainError("window normalization needs dephasing > 0")
-    return (math.atan((hi - context.freq) / hw) + math.atan((context.freq - lo) / hw)) / math.pi
+    norm = (math.atan((hi - context.freq) / hw) + math.atan((context.freq - lo) / hw)) / math.pi
+    if not norm > 0:
+        raise DomainError(f"the filter at {context.freq:.6g} rad/us has no weight in the window")
+    return norm
 
 
 def default_window(spectrum: BathSpectrum, context: MeasurementContext) -> tuple[float, float]:
@@ -468,14 +476,14 @@ def _tabulated_results(
     first context's window serves all.
     """
     lo, hi = _window_bounds(spectrum, contexts[0], window)
+    norms = [window_normalization(c, (lo, hi)) for c in contexts]  # a weight of 0 is refused first
     raws = _tabulated_integral(
         spectrum, [c.freq for c in contexts], [c.dephasing for c in contexts], lo, hi
     )
-    results = []
-    for context, raw in zip(contexts, raws.tolist()):
-        norm = window_normalization(context, (lo, hi))
-        results.append(KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm))
-    return results
+    return [
+        KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
+        for context, raw, norm in zip(contexts, raws.tolist(), norms)
+    ]
 
 
 def sweep(

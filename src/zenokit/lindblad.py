@@ -24,13 +24,13 @@ stored samples is one matrix-vector product from the block's first
 sample.  The step rule, and with it the fourth-order error, is that of
 the per-step loop; only the rounding differs.
 
-All of this runs on the reached sector: the entries of vec(rho) that
-the initial state reaches through the nonzero pattern of the
-Lindbladian.  The others stay exactly zero under every power of the
-step, so they are never multiplied.  From ``|e,0>`` that is 5 of the 16
-entries (the populations of ``|g,0>``, ``|g,1>``, ``|e,0>`` and the
-``|e,0>``-``|g,1>`` coherence with its conjugate), on 3 of the 4
-levels; a bare qubit from ``|e>`` reaches 2 of 4.
+Every trajectory starts from ``|e,0>``, and all of this runs on the
+reached sector: the entries of vec(rho) that ``|e,0>`` reaches through
+the nonzero pattern of the Lindbladian.  The others stay exactly zero
+under every power of the step, so they are never multiplied.  That is
+5 of the 16 entries (the populations of ``|g,0>``, ``|g,1>``, ``|e,0>``
+and the ``|e,0>``-``|g,1>`` coherence with its conjugate), on 3 of the
+4 levels.  A bare qubit is the case of a defect with coupling 0.
 
 Trace and Hermiticity are conserved by the equation itself; the
 integrator checks them (plus positivity and finite entries) on every
@@ -47,9 +47,8 @@ them; the skipped steps subtract exact zeros, so the certificate is that
 of the whole matrices.  A trajectory the sector does not clear is
 decided on the whole matrices, block by block, where only a block that
 their certificate cannot clear pays for eigenvalues, so verdicts and
-messages are those of the whole matrices.  The default initial state is
-built, so it is not checked; a caller's is.  Each channel's dissipator
-depends only on the dimension, so it is built once per dimension.
+messages are those of the whole matrices.  Each channel's dissipator is
+the same for every model, so it is built once.
 
 The decay-rate fit ends with one Gauss-Newton step from the point where
 the Levenberg-Marquardt descent reports convergence, so the rate is the
@@ -62,6 +61,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,87 +107,57 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Qubit (optionally + lossy defect) under dephasing and decay.
+    """Qubit plus lossy defect under dephasing and decay.
 
     Parameters
     ----------
     qubit_freq : float
         Effective (Stark-shifted) qubit frequency, rad/us: an offset
         from a zero the caller picks, shared with the defect's frequency.
+    defect : DefectParams
+        Coherently coupled lossy two-level defect; a bare qubit is one
+        with coupling 0.  The basis is qubit (ground, excited) times
+        defect (ground, excited).
     dephasing : float
         Pure dephasing rate gphi in 1/us; enters as ``gphi/2 D[sz]`` so
         coherences decay at exactly ``gphi``.
     qubit_decay : float
         Intrinsic qubit decay rate on the lowering operator.
-    defect : DefectParams, optional
-        Coherently coupled lossy two-level defect; omitted for a bare
-        qubit.  The basis is qubit (ground, excited) times defect
-        (ground, excited).
     """
 
     qubit_freq: float
+    defect: DefectParams
     dephasing: float = 0.0
     qubit_decay: float = 0.0
-    defect: DefectParams | None = None
+    dim: ClassVar[int] = 4
 
     def __post_init__(self):
         if self.dephasing < 0 or self.qubit_decay < 0:
             raise DomainError("dissipation rates must be >= 0")
 
-    @property
-    def dim(self) -> int:
-        return 4 if self.defect is not None else 2
-
-    @property
-    def frame_freq(self) -> float:
-        """Rotating-frame frequency: the defect's, or the qubit's own."""
-        return self.defect.freq if self.defect is not None else self.qubit_freq
-
-    def _qubit_op(self, op: np.ndarray) -> np.ndarray:
-        if self.defect is None:
-            return op
-        return _kron(op, np.eye(2, dtype=complex))
-
     def hamiltonian(self) -> np.ndarray:
-        """Rotating-frame Hamiltonian: detuning term plus exchange coupling."""
-        detuning = self.qubit_freq - self.frame_freq
-        H = 0.5 * detuning * self._qubit_op(_SIGMA_Z)
-        if self.defect is not None:
-            swap = _kron(_SIGMA_MINUS.conj().T, _SIGMA_MINUS)
-            H = H + self.defect.coupling * (swap + swap.conj().T)
-        return H
-
-    def _channel_rates(self) -> tuple[float, ...]:
-        """The rate of each channel of :func:`_channel_operators`, in order."""
-        rates = (0.5 * self.dephasing, self.qubit_decay)
-        if self.defect is not None:
-            rates += (self.defect.decay,)
-        return rates
-
-    def jump_operators(self) -> list[tuple[float, np.ndarray]]:
-        """(rate, operator) pairs; zero-rate channels are dropped."""
-        channels = zip(self._channel_rates(), _channel_operators(self.dim))
-        return [(rate, L) for rate, L in channels if rate > 0]
+        """Hamiltonian in the defect's frame: detuning term plus exchange coupling."""
+        detuning = self.qubit_freq - self.defect.freq
+        H = 0.5 * detuning * _kron(_SIGMA_Z, np.eye(2, dtype=complex))
+        swap = _kron(_SIGMA_MINUS.conj().T, _SIGMA_MINUS)
+        return H + self.defect.coupling * (swap + swap.conj().T)
 
     def excited_projector(self) -> np.ndarray:
-        return self._qubit_op(np.diag([0.0, 1.0]).astype(complex))
+        return np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
 
     def initial_excited(self) -> np.ndarray:
         """|excited, vacuum><excited, vacuum|."""
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[self.dim // 2, self.dim // 2] = 1.0
-        return rho
+        return np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
 
     def rate_scale(self) -> float:
-        """Fastest rate/frequency seen by the integrator (rad/us or 1/us)."""
-        scale = max(
-            abs(self.qubit_freq - self.frame_freq),
+        """Fastest rate/frequency seen by the integrator (rad/us or 1/us), > 0."""
+        return max(
+            abs(self.qubit_freq - self.defect.freq),
             self.dephasing,
             self.qubit_decay,
+            2.0 * self.defect.coupling,
+            self.defect.decay,
         )
-        if self.defect is not None:
-            scale = max(scale, 2.0 * self.defect.coupling, self.defect.decay)
-        return scale
 
     def superoperator(self) -> np.ndarray:
         """Dense matrix acting on row-major vec(rho).
@@ -195,34 +165,25 @@ class LindbladModel:
         Only the Hamiltonian and the rates depend on the model; each
         channel's dissipator comes from :func:`_dissipators`.
         """
-        d = self.dim
-        eye = np.eye(d, dtype=complex)
+        eye = np.eye(4, dtype=complex)
         H = self.hamiltonian()
         S = -1j * (_kron(H, eye) - _kron(eye, H.T))
-        for rate, dissipator in zip(self._channel_rates(), _dissipators(d)):
+        rates = (0.5 * self.dephasing, self.qubit_decay, self.defect.decay)
+        for rate, dissipator in zip(rates, _dissipators()):
             if rate > 0:
                 S += rate * dissipator
         return S
 
 
-def _channel_operators(dim: int) -> list[np.ndarray]:
-    """The jump operators of dephasing (``sz``), qubit decay (``sm``) and,
-    for ``dim`` 4, defect decay, in the qubit (x defect) basis."""
-    if dim == 2:
-        return [_SIGMA_Z, _SIGMA_MINUS]
-    eye = np.eye(2, dtype=complex)
-    return [_kron(_SIGMA_Z, eye), _kron(_SIGMA_MINUS, eye), _kron(eye, _SIGMA_MINUS)]
-
-
 @functools.cache
-def _dissipators(dim: int) -> tuple[np.ndarray, ...]:
+def _dissipators() -> tuple[np.ndarray, ...]:
     """``L (x) L* - (L^H L (x) I + I (x) (L^H L)^T) / 2`` on row-major
-    vec(rho) for each operator of :func:`_channel_operators`; built once
-    per dimension and read-only, as every model of that dimension shares
-    them."""
-    eye = np.eye(dim, dtype=complex)
+    vec(rho) for the jump operators ``L`` of dephasing (``sz``), qubit
+    decay (``sm``) and defect decay, in the qubit x defect basis; built
+    once and read-only, as every model shares them."""
+    eye2, eye = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
     dissipators = []
-    for L in _channel_operators(dim):
+    for L in (_kron(_SIGMA_Z, eye2), _kron(_SIGMA_MINUS, eye2), _kron(eye2, _SIGMA_MINUS)):
         LdL = L.conj().T @ L
         D = _kron(L, L.conj()) - 0.5 * (_kron(LdL, eye) + _kron(eye, LdL.T))
         D.setflags(write=False)
@@ -302,8 +263,8 @@ def _screen(
     every matrix per row.  The entries outside ``pattern`` are zero in
     every matrix, and no step reads them.  :func:`_first_violation`
     lists the entries that are not zero in every matrix of its stack,
-    all ``d*d`` of a dense one; :func:`evolve` lists those its initial
-    state reaches.  Both get the checks and the certificate of the whole
+    all ``d*d`` of a dense one; :func:`evolve` lists those ``|e,0>``
+    reaches.  Both get the checks and the certificate of the whole
     matrices.
 
     Returns, per matrix, whether it is finite, its Hermiticity and trace
@@ -412,12 +373,11 @@ def _reached(S: np.ndarray, vec0: np.ndarray) -> np.ndarray:
 
 def evolve(
     model: LindbladModel,
-    rho0: np.ndarray | None = None,
     t_final: float = 1.0,
     dt: float | None = None,
     sample_stride: int | None = None,
 ) -> Trajectory:
-    """Fixed-step RK4 integration up to ``t_final`` (us).
+    """Fixed-step RK4 integration from ``|e,0>`` up to ``t_final`` (us).
 
     The RK4 step is applied as a precomputed matrix ``M``, its
     ``sample_stride``-th power.  With ``b`` the integer square root of
@@ -426,7 +386,7 @@ def evolve(
     samples in one product.  The last sample, when ``sample_stride``
     does not divide the step count, comes from the matching smaller
     power of the step.  All of these act only on the entries of vec(rho)
-    that ``rho0`` reaches (see :func:`_reached`); the states are those
+    that ``|e,0>`` reaches (see :func:`_reached`); the states are those
     entries scattered into zeros.  Every stored sample is then checked
     for finite entries and against the trace, Hermiticity and positivity
     tolerances of :func:`check_density_matrix`, in one pass of
@@ -436,59 +396,48 @@ def evolve(
 
     Parameters
     ----------
-    rho0 : array, optional
-        Initial state, checked with :func:`check_density_matrix`;
-        defaults to qubit excited, defect in vacuum, which is built and
-        so not checked.
     dt : float, optional
-        Step size in us; must satisfy ``dt <= 0.05 / rate_scale``.
+        Step size in us; must satisfy ``0 < dt <= 0.05 / rate_scale``.
         Defaults to ``0.01 / rate_scale``, which keeps the positivity
         undershoot well below tolerance when populations touch zero.
     sample_stride : int, optional
-        Store every this-many steps; default keeps about 4000 samples.
+        Store every this-many steps, >= 1; default keeps about 4000 samples.
 
     Raises
     ------
     DomainError
-        When ``rho0`` has a non-finite entry or is not a density matrix.
+        When ``t_final``, ``dt`` or ``sample_stride`` is out of range.
     StabilityError
         When a stored sample has a non-finite entry or violates the
         trace/Hermiticity/positivity tolerances; the message names the
         first such sample and advises a smaller ``dt``.
     """
-    if not t_final > 0:
-        raise DomainError(f"t_final must be > 0, got {t_final}")
+    if not 0 < t_final < math.inf:
+        raise DomainError(f"t_final must be finite and > 0, got {t_final}")
     scale = model.rate_scale()
     if dt is None:
-        dt = 0.01 / scale if scale > 0 else t_final / 100.0
-    if scale > 0 and dt > 0.05 / scale:
+        dt = 0.01 / scale
+    elif not dt > 0:
+        raise DomainError(f"dt must be > 0, got {dt}")
+    if dt > 0.05 / scale:
         raise DomainError(
             f"dt={dt} too coarse for rate scale {scale}/us; need dt <= {0.05 / scale:.3e}"
         )
-    if rho0 is None:
-        rho0 = model.initial_excited()
-    else:
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.shape != (model.dim, model.dim):
-            raise DomainError(f"rho0 must be {model.dim}x{model.dim}, got {rho0.shape}")
-        try:
-            check_density_matrix(rho0, "initial state")
-        except StabilityError as exc:
-            raise DomainError(str(exc)) from None
 
     n_steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / n_steps
     if sample_stride is None:
         sample_stride = max(1, -(-n_steps // 4000))
-    if sample_stride < 1:
-        raise DomainError("sample_stride must be >= 1")
+    elif not (isinstance(sample_stride, (int, np.integer)) and sample_stride >= 1):
+        raise DomainError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
 
     # one RK4 step of the linear, time-invariant Lindbladian is the fixed
     # matrix I + A + A^2/2 + A^3/6 + A^4/24 with A = dt * S, taken on the
-    # entries of vec(rho) that rho0 reaches; the others stay exactly zero
+    # entries of vec(rho) that |e,0> reaches; the others stay exactly zero
     d = model.dim
     S = model.superoperator()
-    reached = _reached(S, rho0.reshape(-1))
+    vec0 = model.initial_excited().reshape(-1)
+    reached = _reached(S, vec0)
     r = int(reached.sum())
     A = dt * S[np.ix_(reached, reached)]
     eye = np.eye(r, dtype=complex)
@@ -503,7 +452,7 @@ def evolve(
     # every sample is one contiguous row of ``columns`` for the check
     columns = np.empty((r, times.size), dtype=complex)
     sector = columns.T
-    sector[0] = rho0.reshape(-1)[reached]
+    sector[0] = vec0[reached]
     if n_full:
         # the powers M^1..M^b of the stride matrix M, by doubling, advance
         # one block's first sample to its next b samples in one product
@@ -667,6 +616,9 @@ def validate_kk(
         # window for a 1/e drop even when the closed form overestimates
         t_start = 12.0 / (defect.decay + 2.0 * ctx.dephasing)
         slow_rate = min(purcell, defect.decay / 2.0 + qubit_decay)
+        if not slow_rate > 0:
+            context = f"context ({ctx.freq:.6g} rad/us, {ctx.dephasing:.6g}/us)"
+            raise DomainError(f"{context}: the qubit does not decay")
         t_final = t_start + 4.5 / slow_rate
         trajectory = evolve(model, t_final=t_final)
         with warnings.catch_warnings():

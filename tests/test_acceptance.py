@@ -195,7 +195,13 @@ def test_c08_oracle_integrity_and_order():
             qubit_decay=GAMMA_Q,
             defect=STRONG_DEFECT,
         ),
-        zk.LindbladModel(qubit_freq=0.0, dephasing=0.7, qubit_decay=0.1),
+        # a bare qubit: coupled to no defect
+        zk.LindbladModel(
+            qubit_freq=0.0,
+            dephasing=0.7,
+            qubit_decay=0.1,
+            defect=zk.DefectParams(freq=0.0, coupling=0.0, decay=0.5),
+        ),
     ]
     for model in scenarios:
         trajectory = zk.evolve(model, t_final=10.0)

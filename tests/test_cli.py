@@ -336,6 +336,27 @@ class TestPredict:
             assert "drive amplitude 0.4 is past the calibrated range" in error["message"]
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "epsilon,message",
+        [
+            (1e80, "drive amplitude 1e+80 overflows a float"),
+            (1e40, "has no weight in the window"),
+        ],
+    )
+    def test_huge_amplitude_exits_3(self, tmp_path, capsys, epsilon, message):
+        # with no calibrated range to refuse it, epsilon**4 overflows at
+        # 1e80, and at 1e40 the filter sits so far out that its weight in
+        # the window cancels to exactly 0
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({**PREDICT, "spectrum_csv": str(DATA / "spectrum_hotspot.csv"),
+                                     "amplitudes": [0.0, epsilon]}))
+        out = tmp_path / "out"
+        assert run(["predict", "--config", str(config)], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert message in error["message"]
+        assert not out.exists()
+
     def test_no_partial_outputs_on_failure(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -697,6 +718,10 @@ MALFORMED_INPUTS = {
     "calibration-range-negative": lambda tmp: calibration_input(
         tmp, {**CALIBRATION, "max_epsilon": -0.05}
     ),
+    # its epsilon**4 overflows a float
+    "calibration-range-overflows": lambda tmp: calibration_input(
+        tmp, {**CALIBRATION, "max_epsilon": 1e80}
+    ),
     "trace-nan": lambda tmp: trace_input(tmp, trace="time_us,signal\n0.0,0.9\n0.004,nan\n"),
     "trace-extra-column": lambda tmp: trace_input(
         tmp, trace="time_us,signal\n0.0,0.9\n0.004,0.8,0.7\n"
@@ -806,6 +831,26 @@ class TestOracleCommand:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "StabilityError"
         assert "dt" in error["message"]
+        assert not out.exists()
+
+    def test_qubit_that_does_not_decay_exits_3(self, tmp_path, capsys):
+        # an uncoupled defect and no qubit decay leave nothing to decay
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({
+            **ORACLE,
+            "defect": {**DEFECT, "coupling_mhz": 0.0},
+            "qubit_decay_per_us": 0.0,
+            "map_detunings_mhz": [0.0, 1.0],
+            "oracle_detunings_mhz": [0.0],
+            "oracle_dephasings_mhz": [0.5],
+        }))
+        out = tmp_path / "out"
+        assert run(["oracle", "--config", str(config)], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert error["message"] == (
+            "context (0 rad/us, 3.14159/us): the qubit does not decay"
+        )
         assert not out.exists()
 
     def test_outputs_have_expected_headers(self, tmp_path):

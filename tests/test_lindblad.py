@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,27 +21,39 @@ def plus_state(dim, excited_index):
     return np.outer(psi, psi.conj())
 
 
+# a defect with coupling 0 leaves the qubit on its own; a defect's decay
+# must be > 0, and 0.5/us keeps the default step of the tests below
+UNCOUPLED = zk.DefectParams(freq=0.0, coupling=0.0, decay=0.5)
+
+
+def bare_qubit(**rates):
+    """The model of a qubit on its own: coupled to no defect, at the
+    defect's frequency."""
+    return zk.LindbladModel(qubit_freq=UNCOUPLED.freq, defect=UNCOUPLED, **rates)
+
+
 class TestEvolve:
     def test_identity_evolution(self):
-        model = zk.LindbladModel(qubit_freq=123.0)  # rotating frame kills H
-        rho0 = plus_state(2, 1)
-        trajectory = zk.evolve(model, rho0=rho0, t_final=5.0, dt=0.01)
-        assert np.allclose(trajectory.states[-1], rho0, atol=1e-14)
+        # detuned from an uncoupled defect, with no rates of its own, the
+        # qubit stays exactly in |e,0>
+        model = zk.LindbladModel(qubit_freq=123.0, defect=UNCOUPLED)
+        trajectory = zk.evolve(model, t_final=5.0)
+        assert np.array_equal(trajectory.states[-1], model.initial_excited())
 
     def test_pure_decay_population(self):
-        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.1, dephasing=0.7)
+        model = bare_qubit(qubit_decay=0.1, dephasing=0.7)
         trajectory = zk.evolve(model, t_final=20.0)
         expected = np.exp(-0.1 * trajectory.times)
         assert np.max(np.abs(trajectory.populations() - expected)) < 1e-8
 
     def test_dephasing_only_keeps_populations(self):
-        model = zk.LindbladModel(qubit_freq=0.0, dephasing=0.8)
-        trajectory = zk.evolve(model, rho0=plus_state(2, 1), t_final=4.0)
-        populations = trajectory.populations()
-        assert np.max(np.abs(populations - populations[0])) < 1e-12
-        coherences = np.abs(trajectory.states[:, 0, 1])
-        expected = 0.5 * np.exp(-0.8 * trajectory.times)
-        assert np.max(np.abs(coherences - expected)) < 1e-8
+        # on the plus state the Lindbladian keeps every population and
+        # takes the |g,0>-|e,0> coherence at exactly the dephasing rate
+        model = bare_qubit(dephasing=0.8)
+        rho = plus_state(4, 2)
+        coherences = rho - np.diag(np.diag(rho))
+        derivative = model.superoperator() @ rho.reshape(-1)
+        assert np.array_equal(derivative, -0.8 * coherences.reshape(-1))
 
     def test_vacuum_rabi_exchange(self, strong_defect):
         lossless = zk.DefectParams(freq=strong_defect.freq, coupling=G_D, decay=1e-12)
@@ -74,45 +87,38 @@ class TestEvolve:
         order = np.polyfit(np.log([base_dt / 2**k for k in range(4)]), np.log(errors), 1)[0]
         assert order >= 3.7
 
-    @pytest.mark.parametrize("with_defect", [False, True])
-    def test_default_initial_state_is_the_built_one(self, strong_defect, with_defect):
-        # the default |e,0> is built, so it is not checked again, and the
-        # trajectory is the one from the same state passed in
-        defect = strong_defect if with_defect else None
-        model = zk.LindbladModel(
-            qubit_freq=strong_defect.freq + 3.0, dephasing=0.5, qubit_decay=0.2, defect=defect
-        )
-        built = zk.evolve(model, t_final=3.0)
-        passed = zk.evolve(model, rho0=model.initial_excited(), t_final=3.0)
-        assert built.times.tobytes() == passed.times.tobytes()
-        assert built.states.tobytes() == passed.states.tobytes()
-
     def test_dt_precondition(self, strong_defect):
         model = zk.LindbladModel(qubit_freq=strong_defect.freq, defect=strong_defect)
         with pytest.raises(zk.DomainError):
             zk.evolve(model, t_final=1.0, dt=1.0)
 
-    def test_invalid_initial_state(self):
-        model = zk.LindbladModel(qubit_freq=0.0)
-        bad = np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex)  # trace 1.2
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"dt": -0.001},
+            {"dt": -1.0},
+            {"dt": 0.0},
+            {"dt": np.nan},
+            {"dt": np.inf},
+            {"t_final": np.inf},
+            {"sample_stride": 2.5},
+            {"sample_stride": 2.0},
+            {"sample_stride": 0},
+            {"sample_stride": -3},
+        ],
+    )
+    def test_bad_step_or_stride_is_refused(self, strong_defect, step):
+        # a negative dt used to take one RK4 step of the whole t_final
+        model = zk.LindbladModel(qubit_freq=strong_defect.freq + 3.0, defect=strong_defect)
         with pytest.raises(zk.DomainError):
-            zk.evolve(model, rho0=bad, t_final=1.0)
-
-    @pytest.mark.parametrize("dim,value", [(2, np.nan), (4, np.nan), (4, np.inf)])
-    def test_non_finite_initial_state(self, strong_defect, dim, value):
-        defect = strong_defect if dim == 4 else None
-        model = zk.LindbladModel(qubit_freq=strong_defect.freq, defect=defect)
-        rho0 = plus_state(dim, dim // 2)
-        rho0[0, dim // 2] = rho0[dim // 2, 0] = value
-        with pytest.raises(zk.DomainError, match=rf"^initial state: non-finite entry \(0, {dim // 2}\)"):
-            zk.evolve(model, rho0=rho0, t_final=1.0)
+            zk.evolve(model, **{"t_final": 0.1, **step})
 
     def test_non_finite_sample(self, monkeypatch):
         # a NaN Lindbladian makes every stored sample non-finite
         monkeypatch.setattr(
-            zk.LindbladModel, "superoperator", lambda self: np.full((4, 4), complex(np.nan))
+            zk.LindbladModel, "superoperator", lambda self: np.full((16, 16), complex(np.nan))
         )
-        model = zk.LindbladModel(qubit_freq=0.0)
+        model = bare_qubit()
         with pytest.raises(zk.StabilityError, match=r"^t=0\.01 us: non-finite entry \(0, 0\)"):
             zk.evolve(model, t_final=1.0, dt=0.01, sample_stride=1)
 
@@ -172,12 +178,11 @@ def random_full_rank_state(dim):
     return rho / np.trace(rho).real
 
 
-# initial states besides |e,0>, and how many entries of vec(rho) each
-# reaches: 9 of 16, all 16, and 2 of 4 for a bare qubit from |e>
+# initial states besides |e,0>, which only the per-step loop starts
+# from, and how many entries of vec(rho) each reaches: 9 of 16 and all 16
 OTHER_INITIAL_STATES = {
-    "plus": (lambda model: plus_state(4, 2), 9),
-    "full-rank": (lambda model: random_full_rank_state(4), 16),
-    "bare-qubit": (lambda model: model.initial_excited(), 2),
+    "plus": (lambda: plus_state(4, 2), 9),
+    "full-rank": (lambda: random_full_rank_state(4), 16),
 }
 
 # samples are advanced in blocks of isqrt(full strides): 7 leaves a
@@ -186,17 +191,18 @@ OTHER_INITIAL_STATES = {
 STRIDES = [1, 7, 20, "n_steps", "n_steps - 1", 10**9]
 
 
-def check_against_loop(model, rho0, stride, n_reached):
-    """``evolve`` against the whole-state loop: same times, the entries
-    that the loop leaves exactly zero are zero, and ``n_reached`` are not."""
+def check_against_loop(model, stride, n_reached):
+    """``evolve`` against the whole-state loop from ``|e,0>``: same times,
+    the entries that the loop leaves exactly zero are zero, and
+    ``n_reached`` are not."""
     n_steps = math.ceil(1.0 / (0.01 / model.rate_scale()))
     stride = {"n_steps": n_steps, "n_steps - 1": n_steps - 1}.get(stride, stride)
     assert n_steps % 7 and n_steps % 20
     assert n_steps // 7 % math.isqrt(n_steps // 7)
     assert n_steps // 20 % math.isqrt(n_steps // 20) == 0
-    times, states = reference_rk4(model, rho0, t_final=1.0, sample_stride=stride)
+    times, states = reference_rk4(model, model.initial_excited(), t_final=1.0, sample_stride=stride)
     assert len(times) == 1 + n_steps // stride + (n_steps % stride > 0)
-    trajectory = zk.evolve(model, rho0=rho0, t_final=1.0, sample_stride=stride)
+    trajectory = zk.evolve(model, t_final=1.0, sample_stride=stride)
     assert np.array_equal(trajectory.times, times)
     assert trajectory.states.shape == states.shape
     unreached = np.all(states == 0, axis=0)
@@ -208,30 +214,27 @@ def check_against_loop(model, rho0, stride, n_reached):
 
 class TestStepMatrix:
     """``evolve`` applies the RK4 step as one matrix on the entries of
-    vec(rho) that the initial state reaches; pin it to the whole-state loop."""
+    vec(rho) that ``|e,0>`` reaches; pin it to the whole-state loop."""
 
+    @pytest.mark.parametrize("coupled", [True, False], ids=["defect", "bare-qubit"])
     @pytest.mark.parametrize("stride", STRIDES)
-    def test_matches_per_step_loop(self, strong_defect, stride):
-        model = zk.LindbladModel(
-            qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=strong_defect
-        )
-        check_against_loop(model, model.initial_excited(), stride, n_reached=5)
-
-    @pytest.mark.parametrize("state", OTHER_INITIAL_STATES)
-    @pytest.mark.parametrize("stride", STRIDES)
-    def test_other_initial_states_match_per_step_loop(self, strong_defect, stride, state):
-        defect = None if state == "bare-qubit" else strong_defect
-        model = zk.LindbladModel(
-            qubit_freq=strong_defect.freq, dephasing=0.5, qubit_decay=GAMMA_Q, defect=defect
-        )
-        make_rho0, n_reached = OTHER_INITIAL_STATES[state]
-        check_against_loop(model, make_rho0(model), stride, n_reached)
+    def test_matches_per_step_loop(self, strong_defect, stride, coupled):
+        # |e,0> reaches 5 of the 16 entries with the defect coupled, and
+        # only the populations of |g,0> and |e,0> without
+        rates = {"dephasing": 0.5, "qubit_decay": GAMMA_Q}
+        if coupled:
+            model = zk.LindbladModel(qubit_freq=strong_defect.freq, defect=strong_defect, **rates)
+        else:
+            model = bare_qubit(**rates)
+        check_against_loop(model, stride, n_reached=5 if coupled else 2)
 
     def test_reduced_check_fails_as_the_whole_matrices(self, strong_defect, monkeypatch):
         # without dephasing the RK4 undershoot of the |e,0> trajectory
         # reaches -7.7e-11 at t = 0.25 us; between the tolerance and that
         # the failing sample lies in a later block, after blocks cleared on
-        # the reached levels, and its message must be the whole matrices'
+        # the reached levels, and its message must be the whole matrices';
+        # every check, the whole-matrix fallback's too, reads only the 5
+        # reached entries, which are all the nonzero ones
         model = zk.LindbladModel(
             qubit_freq=strong_defect.freq, qubit_decay=GAMMA_Q, defect=strong_defect
         )
@@ -240,9 +243,18 @@ class TestStepMatrix:
         monkeypatch.setattr(lindblad, "_CHECK_BLOCK", 64)
         i, problem = eigvalsh_first_violation(trajectory.states[1:])
         assert i >= 2 * lindblad._CHECK_BLOCK and problem.startswith("eigenvalue")
+        rows = []
+        screen = lindblad._screen
+
+        def recording(columns, pattern):
+            rows.append(len(columns))
+            return screen(columns, pattern)
+
+        monkeypatch.setattr(lindblad, "_screen", recording)
         with pytest.raises(zk.StabilityError) as raised:
             zk.evolve(model, t_final=3.0)
         assert str(raised.value).startswith(f"t={trajectory.times[1 + i]:.6g} us: {problem}; ")
+        assert len(rows) > 1 and max(rows) <= 5
 
     def test_eigenvalues_only_of_whole_matrices(self, strong_defect, monkeypatch):
         # with no certificate every block is decided by eigvalsh, and that
@@ -261,26 +273,27 @@ class TestStepMatrix:
         )
         trajectory = zk.evolve(model, t_final=3.0)
         blocks = -(-(trajectory.times.size - 1) // lindblad._CHECK_BLOCK)
-        assert len(shapes) == blocks  # the default initial state is built, not checked
+        assert len(shapes) == blocks  # the initial state is built, not checked
         assert all(shape[1:] == (4, 4) for shape in shapes)
 
     def test_first_failing_sample_is_named(self, monkeypatch):
-        # the excited population of rho0 = diag(1/2, 1/2) decays as exp(-t)/2,
-        # so the smallest eigenvalue crosses 1/4 at t = ln 2, in the second
-        # block of a 256-sample batched check
-        monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", 0.25)
+        # a generator that only empties |e,0> leaves a trace of exp(-t), so
+        # the trace error crosses 1/2 at t = ln 2, in the second block of a
+        # 256-sample batched check
+        generator = np.zeros((16, 16), dtype=complex)
+        generator[10, 10] = -1.0  # the |e,0><e,0| entry of row-major vec(rho)
+        monkeypatch.setattr(zk.LindbladModel, "superoperator", lambda self: generator)
+        monkeypatch.setattr(lindblad, "TRACE_TOL", 0.5)
         monkeypatch.setattr(lindblad, "_CHECK_BLOCK", 256)
-        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=1.0)
-        rho0 = np.diag([0.5, 0.5]).astype(complex)
         assert 0.694 / 0.002 > lindblad._CHECK_BLOCK
-        with pytest.raises(zk.StabilityError, match=r"^t=0\.694 us: eigenvalue .*reduce dt below"):
-            zk.evolve(model, rho0=rho0, t_final=2.0, dt=0.002)
+        with pytest.raises(zk.StabilityError, match=r"^t=0\.694 us: trace error .*reduce dt below"):
+            zk.evolve(bare_qubit(), t_final=2.0, dt=0.002)
 
     def test_golden_contexts_need_no_eigenvalues(self, monkeypatch, tmp_path):
         # the certificate on the reached entries clears every stored sample
         # of the golden oracle run in one pass per trajectory, so neither
-        # the whole-matrix fallback nor eigenvalues run, and the built
-        # initial state is not checked
+        # the whole-matrix fallback nor eigenvalues run, and the initial
+        # state is not checked
         calls = {"evolve": 0, "check_density_matrix": 0, "_screen": 0, "eigvalsh": 0}
 
         def counting(name, func):
@@ -313,17 +326,14 @@ class TestStepMatrix:
 def kron_superoperator(model):
     """The Lindbladian built from scratch with ``_kron``, every channel's
     dissipator formed anew: the reference for the shared dissipators."""
-    d = model.dim
-    eye, eye2 = np.eye(d, dtype=complex), np.eye(2, dtype=complex)
+    eye, eye2 = np.eye(4, dtype=complex), np.eye(2, dtype=complex)
     sz = np.diag([-1.0, 1.0]).astype(complex)
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     jumps = [
-        (model.dephasing, 0.5 * model.dephasing, sz),
-        (model.qubit_decay, model.qubit_decay, sm),
+        (model.dephasing, 0.5 * model.dephasing, lindblad._kron(sz, eye2)),
+        (model.qubit_decay, model.qubit_decay, lindblad._kron(sm, eye2)),
+        (model.defect.decay, model.defect.decay, lindblad._kron(eye2, sm)),
     ]
-    if model.defect is not None:
-        jumps = [(rate, coef, lindblad._kron(L, eye2)) for rate, coef, L in jumps]
-        jumps.append((model.defect.decay, model.defect.decay, lindblad._kron(eye2, sm)))
     H = model.hamiltonian()
     S = -1j * (lindblad._kron(H, eye) - lindblad._kron(eye, H.T))
     for rate, coef, L in jumps:
@@ -339,13 +349,14 @@ def kron_superoperator(model):
 def test_superoperator_is_bit_equal_to_kron_reference():
     rng = np.random.default_rng(11)
     for trial in range(200):
-        # the qubit's rates each zero or not; a defect's decay is > 0
+        # the qubit's rates each zero or not, the defect coupled on every
+        # other trial; a defect's decay is > 0
         dephasing, qubit_decay = rng.uniform(0.1, 20.0, 2) * rng.integers(0, 2, 2)
-        defect = None
-        if trial % 2:
-            defect = zk.DefectParams(
-                freq=rng.normal(), coupling=rng.uniform(0.0, 20.0), decay=rng.uniform(0.1, 20.0)
-            )
+        defect = zk.DefectParams(
+            freq=rng.normal(),
+            coupling=rng.uniform(0.0, 20.0) * (trial % 2),
+            decay=rng.uniform(0.1, 20.0),
+        )
         model = zk.LindbladModel(
             qubit_freq=rng.normal(0.0, 10.0), dephasing=dephasing, qubit_decay=qubit_decay, defect=defect
         )
@@ -496,18 +507,27 @@ def planted_stacks(draw):
     return stack
 
 
-# every initial state the sector tests cover, with how many entries it
-# reaches: |e,0> reaches 5 of 16
-INITIAL_STATES = {"excited": (lambda model: model.initial_excited(), 5), **OTHER_INITIAL_STATES}
+# every trajectory the sector tests cover, with how many entries its
+# initial state reaches: |e,0> reaches 5 of 16, and 2 of them for a qubit
+# coupled to no defect
+INITIAL_STATES = {
+    "excited": 5,
+    "bare-qubit": 2,
+    **{state: n for state, (_, n) in OTHER_INITIAL_STATES.items()},
+}
 
 
 def undamped_trajectory(state, strong_defect):
     """A trajectory from ``state`` without dephasing, where the RK4
-    undershoot leaves some samples below zero, and its model."""
-    defect = None if state == "bare-qubit" else strong_defect
+    undershoot leaves some samples below zero, and its model and initial
+    state; ``evolve``'s from ``|e,0>``, the per-step loop's from the
+    others."""
+    defect = replace(strong_defect, coupling=0.0) if state == "bare-qubit" else strong_defect
     model = zk.LindbladModel(qubit_freq=strong_defect.freq + 3.0, qubit_decay=1.0, defect=defect)
-    rho0 = INITIAL_STATES[state][0](model)
-    return model, rho0, zk.evolve(model, rho0=rho0, t_final=3.0)
+    if state in OTHER_INITIAL_STATES:
+        rho0 = OTHER_INITIAL_STATES[state][0]()
+        return model, rho0, zk.Trajectory(model, *reference_rk4(model, rho0, t_final=3.0))
+    return model, model.initial_excited(), zk.evolve(model, t_final=3.0)
 
 
 def per_sample(name, states):
@@ -529,7 +549,7 @@ class TestSectorCertificate:
         model, rho0, trajectory = undamped_trajectory(state, strong_defect)
         d = model.dim
         pattern = lindblad._reached(model.superoperator(), rho0.reshape(-1)).reshape(d, d)
-        assert pattern.sum() == INITIAL_STATES[state][1]
+        assert pattern.sum() == INITIAL_STATES[state]
         flat = trajectory.states[1:].reshape(-1, d * d)
         sector = np.ascontiguousarray(flat[:, pattern.reshape(-1)].T)
         whole = np.ascontiguousarray(flat.T)
@@ -550,18 +570,25 @@ class TestSectorCertificate:
         self, strong_defect, monkeypatch, state, name
     ):
         # with the tolerance at the median sample's value, the failing
-        # samples are found, named and described as eigvalsh names them
+        # samples are found, named and described as eigvalsh names them:
+        # by evolve from |e,0>, by the column kernel from the other states
         model, rho0, trajectory = undamped_trajectory(state, strong_defect)
         samples = trajectory.states[1:]
         monkeypatch.setattr(lindblad, name, np.median(per_sample(name, samples)))
         monkeypatch.setattr(lindblad, "_CHECK_BLOCK", 256)
-        i, problem = eigvalsh_first_violation(samples)
-        # the built excited state is not checked; a passed one would be,
-        # and its zero eigenvalue fails a tolerance above zero
-        if np.array_equal(rho0, model.initial_excited()):
-            rho0 = None
+        found = eigvalsh_first_violation(samples)
+        if state in OTHER_INITIAL_STATES:
+            assert lindblad._first_violation(samples) == found
+            return
+        if found is None:
+            # a bare qubit's |g,1> and |e,1> rows are zero, so its smallest
+            # eigenvalue is 0 in every sample and the median fails none
+            assert (state, name) == ("bare-qubit", "EIGENVALUE_TOL")
+            zk.evolve(model, t_final=3.0)
+            return
+        i, problem = found
         with pytest.raises(zk.StabilityError) as raised:
-            zk.evolve(model, rho0=rho0, t_final=3.0)
+            zk.evolve(model, t_final=3.0)
         assert str(raised.value).startswith(f"t={trajectory.times[1 + i]:.6g} us: {problem}; ")
 
 
@@ -600,7 +627,7 @@ class TestColumnKernel:
 
 class TestExtractDecayRate:
     def test_bare_qubit_rate(self):
-        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.01)
+        model = bare_qubit(qubit_decay=0.01)
         trajectory = zk.evolve(model, t_final=300.0, dt=0.05)
         rate, report = zk.extract_decay_rate(trajectory, (1.0, 300.0))
         assert rate == pytest.approx(0.01, abs=1e-6)
@@ -653,13 +680,13 @@ class TestExtractDecayRate:
         assert abs(step[1]) <= 1e-13 * rate
 
     def test_window_must_see_a_decay(self):
-        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.01)
+        model = bare_qubit(qubit_decay=0.01)
         trajectory = zk.evolve(model, t_final=10.0, dt=0.05)
         with pytest.raises(zk.DomainError):
             zk.extract_decay_rate(trajectory, (0.1, 10.0))  # only 10% decay
 
     def test_window_beyond_trajectory(self):
-        model = zk.LindbladModel(qubit_freq=0.0, qubit_decay=0.5)
+        model = bare_qubit(qubit_decay=0.5)
         trajectory = zk.evolve(model, t_final=5.0)
         with pytest.raises(zk.DomainError):
             zk.extract_decay_rate(trajectory, (0.1, 50.0))
@@ -709,8 +736,7 @@ class TestTwoLevelDefect:
         model = zk.LindbladModel(
             qubit_freq=defect.freq + 3.0, dephasing=1.0, qubit_decay=GAMMA_Q, defect=defect
         )
-        assert zk.LindbladModel(qubit_freq=0.0).dim == 2
-        assert model.dim == 4
+        assert model.dim == bare_qubit().dim == 4
         assert model.initial_excited()[2, 2] == 1.0
         times = np.array([0.05, 0.2, 0.5, 1.0])
         two_level = exact_populations(
@@ -795,4 +821,9 @@ class TestValidateKk:
 class TestModelValidation:
     def test_negative_rates_rejected(self):
         with pytest.raises(zk.DomainError):
-            zk.LindbladModel(qubit_freq=0.0, dephasing=-1.0)
+            bare_qubit(dephasing=-1.0)
+
+    def test_defect_is_required(self):
+        # a bare qubit is a defect with coupling 0, not a missing one
+        with pytest.raises(TypeError):
+            zk.LindbladModel(qubit_freq=0.0)
