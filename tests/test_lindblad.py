@@ -517,6 +517,28 @@ INITIAL_STATES = {
 }
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    )
+)
+def test_reached_is_the_closure_of_the_links(case):
+    # the mask holds the start and every entry a chain of links leads to
+    # from it (at most n - 1 links long), and no link leaves it
+    links, start = (np.array(x, dtype=bool) for x in case)
+    S = np.where(links, complex(0.5, -1.0), 0.0)
+    reached = lindblad._reached(S, np.where(start, 1.0, 0.0))
+    expected = start.copy()
+    for _ in range(len(start)):
+        expected |= links.astype(int) @ expected.astype(int) > 0
+    assert np.array_equal(reached, expected)
+    assert not np.any(links[:, reached].any(axis=1) & ~reached)
+
+
 def undamped_trajectory(state, strong_defect):
     """A trajectory from ``state`` without dephasing, where the RK4
     undershoot leaves some samples below zero, and its model and initial
@@ -540,6 +562,17 @@ def per_sample(name, states):
 class TestSectorCertificate:
     """``evolve`` checks its samples on the columns of the reached entries;
     that must decide as the whole matrices do."""
+
+    @pytest.mark.parametrize("state", INITIAL_STATES)
+    def test_reached_entries_are_the_loops_nonzero_ones(self, strong_defect, state):
+        # the entries outside the mask stay exactly zero under the whole-state
+        # loop, and each one inside it becomes nonzero at some sample
+        model, rho0, _ = undamped_trajectory(state, strong_defect)
+        d = model.dim
+        reached = lindblad._reached(model.superoperator(), rho0.reshape(-1))
+        _, states = reference_rk4(model, rho0, t_final=3.0)
+        assert reached.sum() == INITIAL_STATES[state]
+        assert np.array_equal(reached, np.any(states.reshape(-1, d * d) != 0, axis=0))
 
     @pytest.mark.parametrize("state", INITIAL_STATES)
     @pytest.mark.parametrize("name", ["EIGENVALUE_TOL", "TRACE_TOL"])
