@@ -435,6 +435,32 @@ def _exponential_residual_jacobian(times, signal):
     return fun
 
 
+def _exponential_amplitude(times, signal, rate) -> tuple[float, np.ndarray]:
+    """Least-squares amplitude ``<signal, e> / <e, e>`` of ``A e`` at a
+    fixed rate, and the envelope ``e = exp(-rate t)``."""
+    envelope = np.exp(-rate * times)
+    return (signal @ envelope) / (envelope @ envelope), envelope
+
+
+def _exponential_projected_residual_jacobian(times, signal):
+    """``(r, J)`` of ``A e^{-g t}`` at ``theta = (g,)``, with ``A`` the
+    least-squares amplitude at ``g`` (variable projection; Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  ``J`` is the exact
+    derivative of ``A(g) e^{-g t}``, whose ``dA/dg`` follows from
+    differentiating :func:`_exponential_amplitude`."""
+
+    def fun(theta):
+        (rate,) = theta
+        # a wild trial rate underflows <e, e> to 0; its non-finite cost rejects it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            amp, envelope = _exponential_amplitude(times, signal, rate)
+            slope = times * envelope
+            d_amp = (2.0 * amp * (envelope @ slope) - signal @ slope) / (envelope @ envelope)
+            return amp * envelope - signal, (d_amp * envelope - amp * slope)[:, np.newaxis]
+
+    return fun
+
+
 def _exponential_seed(times, signal) -> np.ndarray:
     """``(A, g)`` seed for ``A exp(-g t)``: a log-linear regression.
 

@@ -225,15 +225,25 @@ def window_normalization(context: MeasurementContext, window: tuple[float, float
 
     Closed form ``(1/pi) * (atan((hi - c)/hw) + atan((c - lo)/hw))``; lies
     in (0, 1] and approaches 1 as the window approaches the whole axis.
-    Infinite edges are allowed; a weight that rounds to 0 is refused.
+    With the centre ``c`` outside the window the two terms lie near
+    ``+-pi/2`` and their sum would cancel, so there the weight is the
+    cancellation-free ``atan2((hi - lo) hw, hw^2 + (c - lo)(c - hi)) / pi``
+    of ``kk``'s segments, or ``atan(hw / |c - edge|) / pi`` beyond the
+    finite edge of a half-line.  Infinite edges are allowed; a weight
+    that rounds to 0 is refused.
     """
     lo, hi = window
     if not lo < hi:
         raise DomainError(f"invalid window [{lo}, {hi}]")
-    hw = context.dephasing
+    hw, c = context.dephasing, context.freq
     if not hw > 0:
         raise DomainError("window normalization needs dephasing > 0")
-    norm = (math.atan((hi - context.freq) / hw) + math.atan((context.freq - lo) / hw)) / math.pi
+    if lo <= c <= hi:
+        norm = (math.atan((hi - c) / hw) + math.atan((c - lo) / hw)) / math.pi
+    elif math.isinf(lo) or math.isinf(hi):
+        norm = math.atan(hw / abs(c - (hi if math.isinf(lo) else lo))) / math.pi
+    else:
+        norm = math.atan2((hi - lo) * hw, hw * hw + (c - lo) * (c - hi)) / math.pi
     if not norm > 0:
         raise DomainError(f"the filter at {context.freq:.6g} rad/us has no weight in the window")
     return norm

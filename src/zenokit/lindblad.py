@@ -18,11 +18,13 @@ output beat adaptive cleverness.
 The Lindbladian is linear and time-invariant, so one RK4 step is a
 fixed matrix ``I + A + A^2/2 + A^3/6 + A^4/24`` with ``A = dt * S``.  It
 is built once per trajectory and raised to the sample stride, giving
-``M``; the powers ``M^1..M^b``, with ``b`` the integer square root of
-the number of full strides, are stacked so that each block of ``b``
-stored samples is one matrix-vector product from the block's first
-sample.  The step rule, and with it the fourth-order error, is that of
-the per-step loop; only the rounding differs.
+``M``.  The samples are filled by doubling: once the first ``m`` hold
+``M^0..M^(m-1)`` applied to the first sample, one product with ``M^m``
+fills the next ``m``, and ``M^m`` is squared, so about ``log2`` of the
+sample count products (12 for 4000 samples) make the whole trajectory.
+A trajectory of more than ``MAX_STEPS`` steps is refused before it is
+integrated.  The step rule, and with it the fourth-order error, is that
+of the per-step loop; only the rounding differs.
 
 Every trajectory starts from ``|e,0>``, and all of this runs on the
 reached sector: the entries of vec(rho) that ``|e,0>`` reaches through
@@ -50,10 +52,13 @@ their certificate cannot clear pays for eigenvalues, so verdicts and
 messages are those of the whole matrices.  Each channel's dissipator is
 the same for every model, so it is built once.
 
-The decay-rate fit ends with one Gauss-Newton step from the point where
-the Levenberg-Marquardt descent reports convergence, so the rate is the
-least-squares optimum to rounding rather than wherever the gradient
-first fell below its tolerance.
+The decay-rate fit is separable: at a fixed rate the amplitude is a
+linear least-squares solve, so the Levenberg-Marquardt descent runs on
+the rate alone with the amplitude projected out (variable projection,
+Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  It ends with one
+scalar Gauss-Newton step from the point where the descent reports
+convergence, so the rate is the least-squares optimum to rounding rather
+than wherever the gradient first fell below its tolerance.
 """
 from __future__ import annotations
 
@@ -70,6 +75,8 @@ from .defect import DefectParams, QubitParams, generalized_purcell
 from .errors import DomainError, FitError, OscillationWarning, StabilityError
 from .fits import (
     FitReport,
+    _exponential_amplitude,
+    _exponential_projected_residual_jacobian,
     _exponential_residual_jacobian,
     _exponential_seed,
     _lm_minimize,
@@ -80,6 +87,11 @@ from .spectrum import ParametricSpectrum
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = -1e-9
+
+# most RK4 steps a trajectory may take: each step's rounding can move the
+# trace by about eps, so past TRACE_TOL / eps (4.5e6) steps rounding alone
+# could fail the trace check, whatever the step size
+MAX_STEPS = int(TRACE_TOL / np.finfo(float).eps)
 
 # samples per whole-matrix check of a trajectory that its sector does not
 # clear; bounds the temporaries' memory
@@ -380,12 +392,12 @@ def evolve(
     """Fixed-step RK4 integration from ``|e,0>`` up to ``t_final`` (us).
 
     The RK4 step is applied as a precomputed matrix ``M``, its
-    ``sample_stride``-th power.  With ``b`` the integer square root of
-    the number of full strides, the stacked powers ``M^1..M^b`` advance
-    the first sample of each block of ``b`` to all of the block's
-    samples in one product.  The last sample, when ``sample_stride``
-    does not divide the step count, comes from the matching smaller
-    power of the step.  All of these act only on the entries of vec(rho)
+    ``sample_stride``-th power.  The samples are filled by doubling:
+    with the first ``m`` samples stored and ``P = M^m``, the product of
+    ``P`` with them gives the next ``m`` (fewer at the end), and ``P`` is
+    squared.  The last sample, when ``sample_stride`` does not divide
+    the step count, comes from the matching smaller power of the step.
+    All of these act only on the entries of vec(rho)
     that ``|e,0>`` reaches (see :func:`_reached`); the states are those
     entries scattered into zeros.  Every stored sample is then checked
     for finite entries and against the trace, Hermiticity and positivity
@@ -406,7 +418,8 @@ def evolve(
     Raises
     ------
     DomainError
-        When ``t_final``, ``dt`` or ``sample_stride`` is out of range.
+        When ``t_final``, ``dt`` or ``sample_stride`` is out of range, or
+        the trajectory takes more than ``MAX_STEPS`` steps.
     StabilityError
         When a stored sample has a non-finite entry or violates the
         trace/Hermiticity/positivity tolerances; the message names the
@@ -425,6 +438,11 @@ def evolve(
         )
 
     n_steps = max(1, int(math.ceil(t_final / dt)))
+    if n_steps > MAX_STEPS:
+        raise DomainError(
+            f"t_final={t_final:.6g} us takes {n_steps} steps of dt={dt:.3e} us; "
+            f"at most {MAX_STEPS} are integrated"
+        )
     dt = t_final / n_steps
     if sample_stride is None:
         sample_stride = max(1, -(-n_steps // 4000))
@@ -451,23 +469,18 @@ def evolve(
     # the sector is laid out column-major, so that each reached entry of
     # every sample is one contiguous row of ``columns`` for the check
     columns = np.empty((r, times.size), dtype=complex)
-    sector = columns.T
-    sector[0] = vec0[reached]
-    if n_full:
-        # the powers M^1..M^b of the stride matrix M, by doubling, advance
-        # one block's first sample to its next b samples in one product
-        b = math.isqrt(n_full)
-        powers = np.linalg.matrix_power(step, sample_stride)[np.newaxis]
-        while len(powers) < b:
-            powers = np.concatenate((powers, powers @ powers[-1]))
-        block = powers[:b].reshape(b * r, r)
-        for k in range(0, n_full, b):
-            m = min(b, n_full - k)
-            sector[k + 1 : k + 1 + m] = (block[: m * r] @ sector[k]).reshape(m, r)
+    columns[:, 0] = vec0[reached]
+    # by doubling: with columns 0..m-1 holding M^0..M^(m-1) applied to the
+    # first sample and P = M^m, one product fills columns m..2m-1
+    P, m = np.linalg.matrix_power(step, sample_stride), 1
+    while m <= n_full:
+        k = min(m, n_full + 1 - m)
+        columns[:, m : m + k] = P @ columns[:, :k]
+        m, P = m + k, P @ P
     if rest:
-        sector[-1] = np.linalg.matrix_power(step, rest) @ sector[n_full]
+        columns[:, -1] = np.linalg.matrix_power(step, rest) @ columns[:, n_full]
     flat = np.zeros((times.size, d * d), dtype=complex)
-    flat[:, reached] = sector
+    flat[:, reached] = columns.T
     states = flat.reshape(-1, d, d)
 
     # every other entry of every sample is zero, so the reached entries'
@@ -492,7 +505,12 @@ def extract_decay_rate(
 
     The population is resampled on ``FIT_SAMPLES`` logarithmically
     spaced times inside ``fit_window`` (reliable over orders of magnitude
-    of decay) and fit to ``A exp(-rate t)``.  If the residual anywhere exceeds
+    of decay) and fit to ``A exp(-rate t)`` by variable projection: the
+    descent runs on the rate, with ``A`` the least-squares amplitude at
+    each rate and the exact derivative of ``A(rate) exp(-rate t)`` as its
+    Jacobian, and a converged descent ends with one Gauss-Newton step.
+    The report's uncertainties and gradient norm are those of both
+    parameters at the optimum.  If the residual anywhere exceeds
     ``OSCILLATION_FRACTION`` of the fitted envelope, the trajectory is
     not exponential: an :class:`OscillationWarning` is emitted and noted
     on the report; that is the signature of coherent qubit-defect
@@ -525,17 +543,22 @@ def extract_decay_rate(
 
     tt = np.geomspace(lo, hi, FIT_SAMPLES)
     pp = np.interp(tt, t, p)
-    fun = _exponential_residual_jacobian(tt, pp)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(
-        fun, _exponential_seed(tt, pp), data_norm=float(np.linalg.norm(pp))
+    # variable projection: the descent runs on the rate alone, the
+    # amplitude being the least-squares one at each rate
+    (rate,), r, J, converged, iterations, _ = _lm_minimize(
+        _exponential_projected_residual_jacobian(tt, pp),
+        _exponential_seed(tt, pp)[1:],
+        data_norm=float(np.linalg.norm(pp)),
     )
     if converged:
         # the descent stops once the gradient is below a tolerance, which
         # can leave the rate off in its 11th digit; one Gauss-Newton step
-        # from there lands on the least-squares optimum to rounding
-        theta = theta + np.linalg.lstsq(J, -r)[0]
-        r, J = fun(theta)
-        gnorm = float(np.max(np.abs(J.T @ r)))
+        # from there lands on the least-squares optimum to rounding; a zero
+        # column, from a population that is zero throughout, takes none
+        rate -= (J[:, 0] @ r) / ((J[:, 0] @ J[:, 0]) or 1.0)
+    theta = np.array([_exponential_amplitude(tt, pp, rate)[0], rate])
+    r, J = _exponential_residual_jacobian(tt, pp)(theta)
+    gnorm = float(np.max(np.abs(J.T @ r)))
     report = _report(("amplitude", "decay_rate"), theta, r, J, converged, iterations, gnorm)
 
     envelope = np.abs(theta[0]) * np.exp(-theta[1] * tt)
@@ -585,7 +608,10 @@ def validate_kk(
     initial fast transient; rows where the convolution misses the oracle
     by more than ``FLAG_THRESHOLD`` are flagged (the regime where the
     excitation coherently returns from the defect and the spectral
-    picture breaks down).
+    picture breaks down).  A context whose qubit does not decay, or decays
+    so slowly that :func:`evolve` refuses its trajectory (more than
+    ``MAX_STEPS`` steps, or an infinite length), raises
+    :class:`DomainError` naming the context.
     """
     if len(spectrum.peaks) != 1:
         raise DomainError("validate_kk needs a single-peak parametric spectrum")
@@ -616,11 +642,14 @@ def validate_kk(
         # window for a 1/e drop even when the closed form overestimates
         t_start = 12.0 / (defect.decay + 2.0 * ctx.dephasing)
         slow_rate = min(purcell, defect.decay / 2.0 + qubit_decay)
+        context = f"context ({ctx.freq:.6g} rad/us, {ctx.dephasing:.6g}/us)"
         if not slow_rate > 0:
-            context = f"context ({ctx.freq:.6g} rad/us, {ctx.dephasing:.6g}/us)"
             raise DomainError(f"{context}: the qubit does not decay")
         t_final = t_start + 4.5 / slow_rate
-        trajectory = evolve(model, t_final=t_final)
+        try:
+            trajectory = evolve(model, t_final=t_final)
+        except DomainError as exc:  # a trajectory too long to integrate
+            raise DomainError(f"{context}: {exc}") from None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OscillationWarning)
             oracle_rate, report = extract_decay_rate(trajectory, (t_start, t_final))

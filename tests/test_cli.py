@@ -11,7 +11,13 @@ import pytest
 import zenokit as zk
 from conftest import degenerate_ramsey_signal
 from zenokit.cli import main
-from zenokit.io import dump_json, environment_fingerprint, read_calibration_json
+from zenokit.io import (
+    SPECTRUM_CSV_HEADER,
+    dump_json,
+    environment_fingerprint,
+    read_calibration_json,
+    read_columns_csv,
+)
 from zenokit.units import mhz_to_angular
 
 DATA = Path(__file__).parent / "data"
@@ -356,6 +362,20 @@ class TestPredict:
         assert error["error"] == "DomainError"
         assert message in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", [100.0, 130.0])
+    def test_far_filter_rate_stays_inside_the_table(self, tmp_path, epsilon):
+        # the filter sits ~1e12 MHz off the table; its rate is a weighted
+        # mean of the table's rates once the weight in the window does not
+        # cancel (it used to come out 0.00669/us at 130, below them all)
+        config = tmp_path / "config.json"
+        spectrum = DATA / "spectrum_hotspot.csv"
+        config.write_text(dump_json({**PREDICT, "spectrum_csv": str(spectrum),
+                                     "amplitudes": [0.0, epsilon]}))
+        assert run(["predict", "--config", str(config)], tmp_path / "out") == 0
+        rate = json.loads((tmp_path / "out" / "predict.json").read_text())["results"][1]
+        _, table = read_columns_csv(spectrum, SPECTRUM_CSV_HEADER)
+        assert table.min() <= rate["gamma_per_us"] <= table.max()
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         config = tmp_path / "config.json"
@@ -851,6 +871,33 @@ class TestOracleCommand:
         assert error["message"] == (
             "context (0 rad/us, 3.14159/us): the qubit does not decay"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "coupling_mhz,problem",
+        [
+            (1e-9, "takes 284965828994074935296 steps of dt=1.000e-03 us; at most 4503599"),
+            (1e-160, "t_final must be finite and > 0, got inf"),
+        ],
+    )
+    def test_qubit_that_barely_decays_exits_3(self, tmp_path, capsys, coupling_mhz, problem):
+        # a nearly uncoupled defect stretches the trajectory to ~1e17 us,
+        # whose steps' rounding alone would break the trace tolerance, or
+        # past the largest float
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({
+            **ORACLE,
+            "defect": {**DEFECT, "coupling_mhz": coupling_mhz},
+            "qubit_decay_per_us": 0.0,
+            "oracle_detunings_mhz": [0.0],
+            "oracle_dephasings_mhz": [0.0],
+        }))
+        out = tmp_path / "out"
+        assert run(["oracle", "--config", str(config)], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert error["message"].startswith("context (0 rad/us, 0/us): ")
+        assert problem in error["message"]
         assert not out.exists()
 
     def test_outputs_have_expected_headers(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 import zenokit as zk
 from conftest import CHI_MHZ, GAMMA_1D, G_D, K_MHZ, QUBIT_FREQ, R_MHZ, S_MHZ, make_hotspot_spectrum
 from zenokit import kk
+from zenokit.io import read_calibration_json
 from zenokit.kk import pairwise_sum
 from zenokit.units import TWO_PI, mhz_to_angular
+
+DATA = Path(__file__).parent / "data"
 
 
 def lorentzian_pair_rate(coupling_sq, width, dephasing, detuning):
@@ -35,6 +39,22 @@ def convolution_window(width, dephasing, detuning, center):
     return (center - half, center + half)
 
 
+# the hotspot table's window in the qubit's frame, rad/us
+TABLE_WINDOW = (mhz_to_angular(-15.0), mhz_to_angular(15.0))
+
+
+def assert_weight_matches_mpmath(ctx, window):
+    """``window_normalization`` within 1e-15 relative of its closed form
+    at 50 digits, where the cancellation of the two atans costs nothing."""
+    mpmath = pytest.importorskip("mpmath")
+    norm = zk.window_normalization(ctx, window)
+    with mpmath.workdps(50):
+        c, hw = mpmath.mpf(ctx.freq), mpmath.mpf(ctx.dephasing)
+        lo, hi = (mpmath.mpf(edge) for edge in window)
+        exact = float((mpmath.atan((hi - c) / hw) + mpmath.atan((c - lo) / hw)) / mpmath.pi)
+    assert abs(norm - exact) <= 1e-15 * exact
+
+
 class TestNormalization:
     def test_symmetric_ten_widths(self):
         ctx = zk.MeasurementContext(freq=3.0, dephasing=0.5)
@@ -53,6 +73,28 @@ class TestNormalization:
     def test_approaches_one_for_wide_window(self):
         ctx = zk.MeasurementContext(freq=0.0, dephasing=1.0)
         assert zk.window_normalization(ctx, (-1e9, 1e9)) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("epsilon", [130.0, 100.0, 1.0, 0.4])
+    def test_predict_contexts_outside_the_window_match_mpmath(self, epsilon):
+        # predict's contexts with tests/data/calibration.json on the hotspot
+        # table: the sum of two atans near +-pi/2 cancelled, and gave
+        # 7.07e-17 for a weight of 2.688e-17 at epsilon 130 and missed by
+        # 7.5e-14 relative at 1.0
+        calibration = read_calibration_json(DATA / "calibration.json")
+        ctx = zk.MeasurementContext.from_calibration(calibration, 0.0, epsilon)
+        assert_weight_matches_mpmath(ctx, TABLE_WINDOW)
+
+    @pytest.mark.parametrize(
+        "center,window",
+        [
+            (-200.0, TABLE_WINDOW),
+            (TABLE_WINDOW[1] + 0.05, TABLE_WINDOW),  # just outside the upper edge
+            (150.0, (-math.inf, TABLE_WINDOW[1])),
+            (-150.0, (TABLE_WINDOW[0], math.inf)),
+        ],
+    )
+    def test_centre_outside_the_window_matches_mpmath(self, center, window):
+        assert_weight_matches_mpmath(zk.MeasurementContext(freq=center, dephasing=2.5), window)
 
     def test_errors(self):
         with pytest.raises(zk.DomainError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +114,17 @@ class TestEvolve:
         with pytest.raises(zk.DomainError):
             zk.evolve(model, **{"t_final": 0.1, **step})
 
+    def test_step_count_is_capped(self):
+        # past MAX_STEPS steps rounding alone could break the trace
+        # tolerance, so such a trajectory is refused before it is integrated
+        model = bare_qubit(qubit_decay=1e-9)
+        dt = 2.0**-20  # exact multiples, so the step counts are exact
+        trajectory = zk.evolve(model, t_final=lindblad.MAX_STEPS * dt, dt=dt)
+        assert trajectory.times[-1] == lindblad.MAX_STEPS * dt
+        with pytest.raises(zk.DomainError, match=f"takes {lindblad.MAX_STEPS + 1} steps"):
+            zk.evolve(model, t_final=(lindblad.MAX_STEPS + 1) * dt, dt=dt)
+        assert lindblad.MAX_STEPS == 4503599  # TRACE_TOL / eps
+
     def test_non_finite_sample(self, monkeypatch):
         # a NaN Lindbladian makes every stored sample non-finite
         monkeypatch.setattr(
@@ -185,9 +197,9 @@ OTHER_INITIAL_STATES = {
     "full-rank": (lambda: random_full_rank_state(4), 16),
 }
 
-# samples are advanced in blocks of isqrt(full strides): 7 leaves a
-# partial last block and a partial last stride, 20 whole blocks and a
-# partial last stride, n_steps - 1 one full stride and one single step
+# 7 and 20 leave a partial last stride, n_steps - 1 one full stride and
+# one single step; TestStepMatrix.test_doubling_matches_per_step_loop
+# takes the sample counts around powers of two
 STRIDES = [1, 7, 20, "n_steps", "n_steps - 1", 10**9]
 
 
@@ -198,8 +210,6 @@ def check_against_loop(model, stride, n_reached):
     n_steps = math.ceil(1.0 / (0.01 / model.rate_scale()))
     stride = {"n_steps": n_steps, "n_steps - 1": n_steps - 1}.get(stride, stride)
     assert n_steps % 7 and n_steps % 20
-    assert n_steps // 7 % math.isqrt(n_steps // 7)
-    assert n_steps // 20 % math.isqrt(n_steps // 20) == 0
     times, states = reference_rk4(model, model.initial_excited(), t_final=1.0, sample_stride=stride)
     assert len(times) == 1 + n_steps // stride + (n_steps % stride > 0)
     trajectory = zk.evolve(model, t_final=1.0, sample_stride=stride)
@@ -227,6 +237,23 @@ class TestStepMatrix:
         else:
             model = bare_qubit(**rates)
         check_against_loop(model, stride, n_reached=5 if coupled else 2)
+
+    @pytest.mark.parametrize("rest", [0, 2], ids=["whole-strides", "last-sample-apart"])
+    @pytest.mark.parametrize("n_full", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65])
+    def test_doubling_matches_per_step_loop(self, strong_defect, n_full, rest):
+        # samples are filled by doubling, so counts around powers of two
+        # end on a whole or a partial last product; the rest steps after
+        # the last full stride make one more sample
+        model = zk.LindbladModel(
+            qubit_freq=strong_defect.freq, defect=strong_defect, dephasing=0.5, qubit_decay=GAMMA_Q
+        )
+        dt, stride = 2.0**-10, 3
+        t_final = (stride * n_full + rest) * dt  # exact, so no step is rounded away
+        times, states = reference_rk4(model, model.initial_excited(), t_final, dt, stride)
+        assert len(times) == 1 + n_full + (rest > 0)
+        trajectory = zk.evolve(model, t_final=t_final, dt=dt, sample_stride=stride)
+        assert np.array_equal(trajectory.times, times)
+        assert np.max(np.abs(trajectory.states - states)) <= 1e-14
 
     def test_reduced_check_fails_as_the_whole_matrices(self, strong_defect, monkeypatch):
         # without dephasing the RK4 undershoot of the |e,0> trajectory
@@ -712,6 +739,41 @@ class TestExtractDecayRate:
         step = np.linalg.lstsq(J, -r)[0]
         assert abs(step[1]) <= 1e-13 * rate
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_weak_rate_is_the_two_parameter_optimum(self, seed):
+        # fast-defect contexts like the benchmark's (g/kappa <= 0.12)
+        rng = np.random.default_rng([23, seed])
+        decay, qubit_decay = rng.uniform(9.0, 11.0), rng.uniform(0.005, 0.02)
+        detuning, dephasing = rng.uniform(-0.5, 0.5) * decay, rng.uniform(0.5, 3.0)
+        width = dephasing + decay / 2.0 - qubit_decay / 2.0
+        purcell = decay / 40.0 * rng.uniform(0.98, 1.02)
+        coupling = math.sqrt(purcell * (width**2 + detuning**2) / (2.0 * width))
+        defect = zk.DefectParams(freq=0.0, coupling=coupling, decay=decay)
+        trajectory, window = oracle_fit_input(defect, detuning, dephasing, qubit_decay)
+        rate, report = zk.extract_decay_rate(trajectory, window)
+        assert report.converged and not report.warnings
+        (amplitude, optimum), oscillating = two_parameter_fit(trajectory, window)
+        assert not oscillating
+        assert abs(rate - optimum) <= 1e-14 * optimum
+        assert report.parameters["amplitude"] == pytest.approx(amplitude, rel=1e-13)
+
+    def test_oscillation_flags_match_the_two_parameter_fit(self):
+        # couplings across the onset of coherent exchange with the defect
+        rng = np.random.default_rng(5)
+        flags = []
+        for _ in range(16):
+            decay, coupling = 1.0 / rng.uniform(0.095, 0.11), TWO_PI * rng.uniform(0.2, 0.7)
+            detuning = rng.uniform(1.0, 3.0)
+            dephasing = 0.0 if rng.uniform() < 0.5 else rng.uniform(0.5, 0.9)
+            defect = zk.DefectParams(freq=0.0, coupling=coupling, decay=decay)
+            trajectory, window = oracle_fit_input(defect, detuning, dephasing, GAMMA_Q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", zk.OscillationWarning)
+                _, report = zk.extract_decay_rate(trajectory, window)
+            flags.append((bool(report.warnings), two_parameter_fit(trajectory, window)[1]))
+        assert all(ours == theirs for ours, theirs in flags)
+        assert 0 < sum(ours for ours, _ in flags) < len(flags)  # both verdicts occur
+
     def test_window_must_see_a_decay(self):
         model = bare_qubit(qubit_decay=0.01)
         trajectory = zk.evolve(model, t_final=10.0, dt=0.05)
@@ -723,6 +785,43 @@ class TestExtractDecayRate:
         trajectory = zk.evolve(model, t_final=5.0)
         with pytest.raises(zk.DomainError):
             zk.extract_decay_rate(trajectory, (0.1, 50.0))
+
+
+def oracle_fit_input(defect, detuning, dephasing, qubit_decay):
+    """The trajectory and fit window of one ``validate_kk`` context."""
+    model = zk.LindbladModel(
+        qubit_freq=detuning, dephasing=dephasing, qubit_decay=qubit_decay, defect=defect
+    )
+    purcell = zk.generalized_purcell(
+        zk.QubitParams(freq=detuning, decay=qubit_decay, dephasing=dephasing), defect
+    )
+    t_start = 12.0 / (defect.decay + 2.0 * dephasing)
+    t_final = t_start + 4.5 / min(purcell, defect.decay / 2.0 + qubit_decay)
+    return zk.evolve(model, t_final=t_final), (t_start, t_final)
+
+
+def two_parameter_fit(trajectory, window):
+    """``(A, rate)`` of ``A exp(-rate t)`` fitted on ``extract_decay_rate``'s
+    samples by scipy over both parameters, and whether its residual
+    reaches ``OSCILLATION_FRACTION`` of its envelope.
+
+    scipy's trust-region test compares costs, which stop resolving the
+    rate near 1e-14; two Gauss-Newton steps on the full model finish it.
+    """
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    tt = np.geomspace(*window, lindblad.FIT_SAMPLES)
+    pp = np.interp(tt, trajectory.times, trajectory.populations())
+    fun = fits._exponential_residual_jacobian(tt, pp)
+    theta = least_squares(
+        lambda th: fun(th)[0], fits._exponential_seed(tt, pp), jac=lambda th: fun(th)[1],
+        method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    ).x
+    for _ in range(2):
+        r, J = fun(theta)
+        theta = theta + np.linalg.lstsq(J, -r)[0]
+    envelope = abs(theta[0]) * np.exp(-theta[1] * tt)
+    oscillating = np.max(np.abs(fun(theta)[0]) / envelope) > lindblad.OSCILLATION_FRACTION
+    return theta, bool(oscillating)
 
 
 def oscillator_superoperator(model):

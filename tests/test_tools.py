@@ -54,3 +54,16 @@ def test_every_fixture_maker_runs(make_goldens, tmp_path, monkeypatch):
     written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
     committed = sorted(p.relative_to(DATA) for p in DATA.rglob("*") if p.is_file())
     assert written == committed
+
+
+def test_named_golden_is_the_only_one_rewritten(make_goldens, tmp_path, monkeypatch):
+    # a named run reads the committed fixtures and rewrites only its own
+    # golden directory and the environment record beside it
+    monkeypatch.setattr(make_goldens, "GOLDEN", tmp_path)
+    make_goldens.main(["oracle"])
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["environment.json", "oracle/comparison.csv", "oracle/zeno_map.csv"]
+    golden = ROOT / "tests" / "golden" / "oracle"
+    assert (tmp_path / "oracle" / "zeno_map.csv").read_bytes() == (golden / "zeno_map.csv").read_bytes()
+    with pytest.raises(SystemExit, match="unknown golden orcale"):
+        make_goldens.main(["orcale"])

@@ -7,14 +7,18 @@ fit_swap, flux_noise and the oracle_per_us column) carry round-off from
 the BLAS kernel and numpy's SIMD dispatch in their last digits, so the
 environment that wrote them is recorded in tests/golden/environment.json.
 
-A program change should move only the goldens it is about.  The script
-rewrites everything, so after a run restore from git whatever the change
-did not mean to move: tests/data/swap_linecut.csv comes from the RK4
-integrator and moves in its last digits whenever the integrator's
-arithmetic does, and tests/golden/fit_swap/ is rewritten with this host's
-BLAS round-off.  Run from the repository root:
+A program change should move only the goldens it is about.  With no
+argument the script rewrites every fixture and golden; that also moves
+tests/data/swap_linecut.csv, which comes from the RK4 integrator and
+moves in its last digits whenever the integrator's arithmetic does, and
+tests/golden/fit_swap/, which carries this host's BLAS round-off.  Name
+golden directories (``oracle``, ``predict``, ``predict_flat``,
+``calibrate``, ``convert_t1``, ``fit_swap``, ``flux_noise``) to rewrite
+only those, from the committed fixtures, plus environment.json.  Run
+from the repository root:
 
-    python3 tools/make_goldens.py
+    python3 tools/make_goldens.py            # every fixture and golden
+    python3 tools/make_goldens.py oracle     # tests/golden/oracle/ only
 """
 import shutil
 import sys
@@ -178,39 +182,49 @@ def run_cli(golden_name: str, argv: list[str]) -> None:
         raise SystemExit(f"golden command {golden_name} failed with exit code {code}")
 
 
-def main() -> None:
-    if DATA.exists():
-        shutil.rmtree(DATA)
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    make_spectra()
-    make_calibration_input()
-    make_predict_configs()
-    make_ramsey_traces()
-    make_oracle_config()
-    make_convert_t1_input()
-    make_swap_linecut()
-    make_echo_traces()
+# each golden directory and the CLI arguments that write it from the fixtures
+GOLDEN_COMMANDS = {
+    "predict": lambda: ["predict", "--config", str(DATA / "predict_config.json")],
+    "predict_flat": lambda: ["predict", "--config", str(DATA / "predict_flat_config.json")],
+    "calibrate": lambda: ["calibrate", "--config", str(DATA / "calibrate_config.json")],
+    "oracle": lambda: ["oracle", "--config", str(DATA / "oracle_config.json")],
+    "convert_t1": lambda: [
+        "convert-t1", "--input", str(DATA / "convert_t1_input.csv"), "--t-delay", "30.0"
+    ],
+    "fit_swap": lambda: [
+        "fit-swap", "--input", str(DATA / "swap_linecut.csv"), "--f-guess", "3.2"
+    ],
+    "flux_noise": lambda: ["fit-flux-noise", "--config", str(DATA / "flux_config.json")],
+}
 
-    run_cli("predict", ["predict", "--config", str(DATA / "predict_config.json")])
-    run_cli("predict_flat", ["predict", "--config", str(DATA / "predict_flat_config.json")])
-    run_cli("calibrate", ["calibrate", "--config", str(DATA / "calibrate_config.json")])
-    run_cli("oracle", ["oracle", "--config", str(DATA / "oracle_config.json")])
-    run_cli(
-        "convert_t1",
-        ["convert-t1", "--input", str(DATA / "convert_t1_input.csv"), "--t-delay", "30.0"],
-    )
-    run_cli(
-        "fit_swap",
-        ["fit-swap", "--input", str(DATA / "swap_linecut.csv"), "--f-guess", "3.2"],
-    )
-    run_cli("flux_noise", ["fit-flux-noise", "--config", str(DATA / "flux_config.json")])
+
+def main(names: list[str]) -> None:
+    unknown = sorted(set(names) - set(GOLDEN_COMMANDS))
+    if unknown:
+        known = ", ".join(GOLDEN_COMMANDS)
+        raise SystemExit(f"unknown golden {', '.join(unknown)}; known: {known}")
+    if not names:
+        if DATA.exists():
+            shutil.rmtree(DATA)
+        if GOLDEN.exists():
+            shutil.rmtree(GOLDEN)
+        make_spectra()
+        make_calibration_input()
+        make_predict_configs()
+        make_ramsey_traces()
+        make_oracle_config()
+        make_convert_t1_input()
+        make_swap_linecut()
+        make_echo_traces()
+        print("fixtures written to", DATA)
+    for name, argv in GOLDEN_COMMANDS.items():
+        if not names or name in names:
+            run_cli(name, argv())
     # Top level, beside the per-command directories, so their file lists
     # stay as the CLI writes them.
     write(GOLDEN / "environment.json", dump_json(environment_fingerprint()))
-    print("fixtures written to", DATA)
     print("goldens written to", GOLDEN)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
