@@ -27,30 +27,30 @@ integrated.  The step rule, and with it the fourth-order error, is that
 of the per-step loop; only the rounding differs.
 
 Every trajectory starts from ``|e,0>``, and all of this runs on the
-reached sector: the entries of vec(rho) that ``|e,0>`` reaches through
-the nonzero pattern of the Lindbladian.  The others stay exactly zero
-under every power of the step, so they are never multiplied.  That is
-5 of the 16 entries (the populations of ``|g,0>``, ``|g,1>``, ``|e,0>``
-and the ``|e,0>``-``|g,1>`` coherence with its conjugate), on 3 of the
-4 levels.  A bare qubit is the case of a defect with coupling 0.
+fixed sector ``_SECTOR``: 5 of the 16 entries of vec(rho), the
+populations of ``|g,0>``, ``|g,1>``, ``|e,0>`` and the
+``|e,0>``-``|g,1>`` coherence with its conjugate.  Exchange keeps the
+excitation number and every jump lowers it, so no Lindbladian of the
+model leads out of the sector, and the other entries stay exactly zero
+under every power of the step; they are never multiplied.  A bare qubit
+is the case of a defect with coupling 0.
 
 Trace and Hermiticity are conserved by the equation itself; the
 integrator checks them (plus positivity and finite entries) on every
 stored sample with the tolerances of :func:`check_density_matrix`, and
 refuses to return when they drift, since that always means the step
 size is too large.  The check runs once over the whole trajectory, on
-the sector's own columns: the sector is stored column-major, so each
-reached entry of every sample is one contiguous row, and each step of
-the check is one array operation over all samples.  The entries outside
-the sector are zero in every sample, so the Hermiticity error, the trace
-and the Cholesky factorization that certifies positivity (with a margin
-above the eigenvalue tolerance, and no LAPACK call per matrix) skip
-them; the skipped steps subtract exact zeros, so the certificate is that
-of the whole matrices.  A trajectory the sector does not clear is
-decided on the whole matrices, block by block, where only a block that
-their certificate cannot clear pays for eigenvalues, so verdicts and
-messages are those of the whole matrices.  Each channel's dissipator is
-the same for every model, so it is built once.
+the sector's own columns: the sector is stored column-major, so each of
+its entries of every sample is one contiguous row, and each step of the
+check is one array operation over all samples.  Each sample is
+``p_g0 (+) [[p_g1, c*], [c, p_e0]] (+) 0``, so the Hermiticity error and
+the trace are those of the whole matrix, and positivity is certified in
+closed form, by the three pivots of a Cholesky factorization with a
+margin above the eigenvalue tolerance (see :func:`_sector_clears`).  A
+trajectory this does not clear is decided on the whole matrices, block
+by block, with eigenvalues, so verdicts and messages are those of the
+whole matrices.  Each channel's dissipator is the same for every model,
+so it is built once.
 
 The decay-rate fit is separable: at a fixed rate the amplitude is a
 linear least-squares solve, so the Levenberg-Marquardt descent runs on
@@ -92,6 +92,12 @@ EIGENVALUE_TOL = -1e-9
 # trace by about eps, so past TRACE_TOL / eps (4.5e6) steps rounding alone
 # could fail the trace check, whatever the step size
 MAX_STEPS = int(TRACE_TOL / np.finfo(float).eps)
+
+# the entries of row-major vec(rho) that evolution from |e,0> can make
+# nonzero: the populations of |g,0>, |g,1>, |e,0> and the |g,1>-|e,0>
+# coherence with its conjugate; exchange keeps the excitation number and
+# every jump lowers it, so no Lindbladian of the model leads out of them
+_SECTOR = [0, 5, 6, 9, 10]
 
 # samples per whole-matrix check of a trajectory that its sector does not
 # clear; bounds the temporaries' memory
@@ -221,9 +227,17 @@ class Trajectory:
         return np.abs(np.einsum("tii->t", self.states).real - 1.0)
 
 
-def check_density_matrix(rho: np.ndarray, context: str = "density matrix") -> None:
+def check_density_matrix(rho, context: str = "density matrix") -> None:
     """Enforce finite entries and the Hermiticity, unit trace, and
-    positivity tolerances."""
+    positivity tolerances (:func:`_first_violation`) on one matrix, given
+    as any array-like; raise :class:`StabilityError` naming the first
+    broken one, or :class:`DomainError` naming the shape of an input that
+    is not one non-empty square matrix of numbers."""
+    rho = np.asarray(rho)
+    square = rho.ndim == 2 and rho.shape[0] == rho.shape[1] and rho.size
+    if not square or rho.dtype.kind not in "iufc":
+        shape = f"shape {rho.shape} of {rho.dtype}"
+        raise DomainError(f"{context}: need one non-empty square matrix of numbers, got {shape}")
     found = _first_violation(rho[np.newaxis])
     if found:
         raise StabilityError(f"{context}: {found[1]}")
@@ -232,28 +246,21 @@ def check_density_matrix(rho: np.ndarray, context: str = "density matrix") -> No
 def _first_violation(rho: np.ndarray) -> tuple[int, str] | None:
     """Index of the first matrix of the stack ``rho`` that breaks a
     tolerance, and what it breaks; the checks run in the order finite
-    entries, Hermiticity, trace, positivity.  ``None`` when all pass.
-
-    :func:`_screen` does every check but eigenvalues, here on the entry
-    columns that are not zero in every matrix of the stack.  Only a stack
-    whose positivity it cannot certify pays for ``eigvalsh``, whose
-    verdict and message then stand, so the outcome is exactly that of
-    ``eigvalsh`` alone.
+    entries, Hermiticity (``max |rho - rho^H|``), trace, positivity (the
+    smallest eigenvalue of the Hermitian part, by ``eigvalsh``).  ``None``
+    when all pass.  Non-finite matrices are zeroed before the other
+    checks, so that those stay finite.
     """
-    n, d = len(rho), rho.shape[-1]
-    flat = np.asarray(rho, dtype=complex).reshape(n, d * d)
-    pattern = (flat != 0).any(axis=0)
-    finite, herm, trace_err, bad, certified = _screen(
-        flat[:, pattern].T.copy(), pattern.reshape(d, d)
-    )
-    if not certified:
-        checked = np.where(finite[:, np.newaxis, np.newaxis], rho, 0.0)
-        eigmin = np.linalg.eigvalsh(0.5 * (checked + checked.conj().transpose(0, 2, 1)))[:, 0]
-        bad |= eigmin < EIGENVALUE_TOL
-    bad = np.flatnonzero(bad)
-    if not bad.size:
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    checked = np.where(finite[:, np.newaxis, np.newaxis], rho, 0.0)
+    rho_h = checked.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(checked - rho_h), axis=(1, 2))
+    trace_err = np.abs(np.einsum("tii->t", checked).real - 1.0)
+    eigmin = np.linalg.eigvalsh(0.5 * (checked + rho_h))[:, 0]
+    bad = ~finite | (herm > HERMITICITY_TOL) | (trace_err > TRACE_TOL) | (eigmin < EIGENVALUE_TOL)
+    if not bad.any():
         return None
-    i = int(bad[0])
+    i = int(np.argmax(bad))
     if not finite[i]:
         j, k = np.argwhere(~np.isfinite(rho[i]))[0]
         return i, f"non-finite entry ({j}, {k}): {rho[i, j, k]}"
@@ -264,123 +271,43 @@ def _first_violation(rho: np.ndarray) -> tuple[int, str] | None:
     return i, f"eigenvalue {eigmin[i]:.2e} < {EIGENVALUE_TOL}"
 
 
-def _screen(
-    columns: np.ndarray, pattern: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The checks of :func:`_first_violation` short of eigenvalues.
+def _sector_clears(columns: np.ndarray) -> bool:
+    """Whether every sample passes the checks of :func:`_first_violation`,
+    decided on the ``_SECTOR`` entries alone; ``False`` leaves the verdict
+    to the whole matrices.
 
-    The stack of ``d x d`` matrices is given by entry columns: ``pattern``
-    is a ``(d, d)`` mask, and ``columns``, shape ``(pattern.sum(), n)``,
-    holds one row per ``True`` entry in row-major order, one entry of
-    every matrix per row.  The entries outside ``pattern`` are zero in
-    every matrix, and no step reads them.  :func:`_first_violation`
-    lists the entries that are not zero in every matrix of its stack,
-    all ``d*d`` of a dense one; :func:`evolve` lists those ``|e,0>``
-    reaches.  Both get the checks and the certificate of the whole
-    matrices.
+    ``columns``, shape ``(5, n)``, holds one sample per column, in the
+    order of ``_SECTOR``: ``p_g0``, ``p_g1``, ``rho[g1, e0]``,
+    ``rho[e0, g1]``, ``p_e0``.  Every other entry is zero, so each sample
+    is ``p_g0 (+) [[p_g1, .], [., p_e0]] (+) 0``.  Its Hermiticity error,
+    ``2 |Im|`` of the populations and the coherences' mismatch, is bit for
+    bit the whole matrix's ``max |rho - rho^H|``, and its trace is summed
+    in diagonal order, as ``einsum`` sums it.
 
-    Returns, per matrix, whether it is finite, its Hermiticity and trace
-    errors, and whether it breaks one of those three tolerances; then
-    whether positivity is certified for the whole stack.
-
-    Non-finite matrices are zeroed, and only when there are any.  The
-    Hermiticity error is the largest ``|rho_ij - conj(rho_ji)|`` over the
-    pairs ``i < j`` and ``2 |Im rho_ii|``: the lower half of ``rho - rho^H``
-    mirrors the upper half exactly, so this is bit for bit the full
-    matrix's maximum, and a pair of zeros adds nothing to it.  The trace
-    adds the diagonal's real parts in order, as ``einsum`` does; adding
-    an exact zero leaves a sum as it is.
-
-    Positivity is certified by a Cholesky factorization of
-    ``herm - (EIGENVALUE_TOL + 1e-12) I``, ``herm`` the Hermitian part,
-    run entry by entry over the whole stack at once (see
-    :func:`_cholesky_certifies`).  Any Cholesky ordering has the backward
-    error ``(n + 1) eps ||rho||`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, Thm 10.3), 2e-15 for a state of these
-    dimensions and far below the 1e-12 margin, so a factorization whose
-    pivots all stay positive proves every smallest eigenvalue above the
-    tolerance by more than ``eigvalsh``'s own rounding.
+    Positivity is certified by a Cholesky factorization of ``herm - s I``,
+    ``herm`` the Hermitian part and ``s = EIGENVALUE_TOL + 1e-12``, whose
+    pivots are ``p_g0 - s``, ``p_g1 - s``, ``p_e0 - s - |h|^2 / (p_g1 - s)``
+    (``h`` the coherence of ``herm``) and ``-s`` for ``|e,1>``.  Any
+    Cholesky ordering has the backward error ``(n + 1) eps ||rho||``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3),
+    2e-15 here and far below the 1e-12 margin, so pivots that all stay
+    positive prove every smallest eigenvalue above the tolerance by more
+    than ``eigvalsh``'s own rounding.
     """
-    d, n = len(pattern), columns.shape[1]
-    finite = np.ones(n, dtype=bool)
     if not np.isfinite(columns.view(float)).all():
-        finite = np.isfinite(columns).all(axis=0)
-        # non-finite matrices become zero so that the checks below stay finite
-        columns = np.where(finite, columns, 0.0)
-    entry = {(i, j): column for (i, j), column in zip(np.argwhere(pattern).tolist(), columns)}
-    diagonal = [entry.get((i, i)) for i in range(d)]
-    herm, trace = np.zeros(n), np.zeros(n)
-    for column in diagonal:
-        if column is not None:
-            herm = np.maximum(herm, 2.0 * np.abs(column.imag))
-            trace = trace + column.real
-    upper = {}  # the Hermitian part above the diagonal, where it is not zero
-    for i in range(d):
-        for j in range(i + 1, d):
-            above, below = entry.get((i, j)), entry.get((j, i))
-            if above is None and below is None:
-                continue
-            above = 0.0 if above is None else above
-            below = 0.0 if below is None else below.conj()
-            herm = np.maximum(herm, np.abs(above - below))
-            upper[i, j] = (above + below) * 0.5
-    trace_err = np.abs(trace - 1.0)
-    bad = ~finite | (herm > HERMITICITY_TOL) | (trace_err > TRACE_TOL)
+        return False
+    p_g0, p_g1, above, below, p_e0 = columns
+    below = below.conj()
+    herm = max(np.max(np.abs(above - below)), np.max(2.0 * np.abs(columns[[0, 1, 4]].imag)))
+    trace_err = np.max(np.abs(p_g0.real + p_g1.real + p_e0.real - 1.0))
+    if herm > HERMITICITY_TOL or trace_err > TRACE_TOL:
+        return False
     shift = EIGENVALUE_TOL + 1e-12
-    pivots = [-shift if column is None else column.real - shift for column in diagonal]
-    return finite, herm, trace_err, bad, _cholesky_certifies(pivots, upper)
-
-
-def _cholesky_certifies(pivots: list, upper: dict) -> bool:
-    """Whether every matrix of a stack factors as ``R^H R`` with
-    positive pivots, ``R`` upper triangular.
-
-    The stack is given by entry columns, the matrix index last:
-    ``pivots`` lists the ``d`` real diagonals, a float for one that is
-    the same in every matrix, and is used up; ``upper`` maps ``(i, j)``,
-    ``i < j``, to the entry above the diagonal, and leaves out the ones
-    that are zero in every matrix.  Each step factors one row of ``R``
-    for all ``n`` matrices at once and takes its squares off the pivots
-    still to come.  An entry of ``R`` is left out, as zero, when its own
-    entry is and no product of two earlier entries of ``R`` fills it
-    in; that skips only subtractions of exact zeros, which leave every
-    pivot bit for bit as the full factorization has it.
-    """
-    d = len(pivots)
-    R = {}
-    for j, pivot in enumerate(pivots):
-        if not np.min(pivot) > 0:  # also refuses NaN, as LAPACK does
-            return False
-        scale = None
-        for m in range(j + 1, d):
-            value = upper.get((j, m))
-            for k in range(j):
-                if (k, j) in R and (k, m) in R:
-                    value = (0.0 if value is None else value) - R[k, j].conj() * R[k, m]
-            if value is None:
-                continue
-            if scale is None:
-                scale = 1.0 / np.sqrt(pivot)
-            value = R[j, m] = value * scale
-            pivots[m] = pivots[m] - (value.real * value.real + value.imag * value.imag)
-    return True
-
-
-def _reached(S: np.ndarray, vec0: np.ndarray) -> np.ndarray:
-    """Mask of the entries of vec(rho) that evolution under ``S`` from
-    ``vec0`` can make nonzero.
-
-    They are the closure of ``vec0``'s nonzero entries under the links
-    ``j -> i`` of the nonzero ``S[i, j]``.  No link leaves the closure,
-    so every power of ``S`` keeps the entries outside it exactly zero.
-    """
-    links = S != 0
-    reached = vec0 != 0
-    while True:
-        grown = reached | links[:, reached].any(axis=1)
-        if np.array_equal(grown, reached):
-            return reached
-        reached = grown
+    pivot_g0, pivot_g1 = p_g0.real - shift, p_g1.real - shift
+    if not (-shift > 0 and np.min(pivot_g0) > 0 and np.min(pivot_g1) > 0):
+        return False
+    h = (above + below) * 0.5 * (1.0 / np.sqrt(pivot_g1))
+    return bool(np.min(p_e0.real - shift - (h.real * h.real + h.imag * h.imag)) > 0)
 
 
 def evolve(
@@ -397,14 +324,14 @@ def evolve(
     ``P`` with them gives the next ``m`` (fewer at the end), and ``P`` is
     squared.  The last sample, when ``sample_stride`` does not divide
     the step count, comes from the matching smaller power of the step.
-    All of these act only on the entries of vec(rho)
-    that ``|e,0>`` reaches (see :func:`_reached`); the states are those
-    entries scattered into zeros.  Every stored sample is then checked
-    for finite entries and against the trace, Hermiticity and positivity
+    All of these act only on the ``_SECTOR`` entries of vec(rho), the
+    only ones that ``|e,0>`` reaches; the states are those entries
+    scattered into zeros.  Every stored sample is then checked for
+    finite entries and against the trace, Hermiticity and positivity
     tolerances of :func:`check_density_matrix`, in one pass of
-    :func:`_screen` over the reached entries' columns and, when that
-    does not clear the trajectory, on the whole matrices block by block,
-    which give the verdict and message.
+    :func:`_sector_clears` over the sector's columns and, when that does
+    not clear the trajectory, by :func:`_first_violation` on the whole
+    matrices block by block, which gives the verdict and message.
 
     Parameters
     ----------
@@ -451,14 +378,10 @@ def evolve(
 
     # one RK4 step of the linear, time-invariant Lindbladian is the fixed
     # matrix I + A + A^2/2 + A^3/6 + A^4/24 with A = dt * S, taken on the
-    # entries of vec(rho) that |e,0> reaches; the others stay exactly zero
+    # sector; the other entries stay exactly zero
     d = model.dim
-    S = model.superoperator()
-    vec0 = model.initial_excited().reshape(-1)
-    reached = _reached(S, vec0)
-    r = int(reached.sum())
-    A = dt * S[np.ix_(reached, reached)]
-    eye = np.eye(r, dtype=complex)
+    A = dt * model.superoperator()[np.ix_(_SECTOR, _SECTOR)]
+    eye = np.eye(len(_SECTOR), dtype=complex)
     step = eye + A @ (eye + A @ (0.5 * eye + A @ (eye / 6.0 + A / 24.0)))
 
     n_full, rest = divmod(n_steps, sample_stride)
@@ -466,10 +389,10 @@ def evolve(
     if rest:
         steps = np.append(steps, n_steps)
     times = np.concatenate(([0.0], steps * dt))
-    # the sector is laid out column-major, so that each reached entry of
+    # the sector is laid out column-major, so that each of its entries of
     # every sample is one contiguous row of ``columns`` for the check
-    columns = np.empty((r, times.size), dtype=complex)
-    columns[:, 0] = vec0[reached]
+    columns = np.empty((len(_SECTOR), times.size), dtype=complex)
+    columns[:, 0] = model.initial_excited().reshape(-1)[_SECTOR]
     # by doubling: with columns 0..m-1 holding M^0..M^(m-1) applied to the
     # first sample and P = M^m, one product fills columns m..2m-1
     P, m = np.linalg.matrix_power(step, sample_stride), 1
@@ -480,14 +403,10 @@ def evolve(
     if rest:
         columns[:, -1] = np.linalg.matrix_power(step, rest) @ columns[:, n_full]
     flat = np.zeros((times.size, d * d), dtype=complex)
-    flat[:, reached] = columns.T
+    flat[:, _SECTOR] = columns.T
     states = flat.reshape(-1, d, d)
 
-    # every other entry of every sample is zero, so the reached entries'
-    # columns give the whole matrices' checks and certificate; a
-    # trajectory they do not clear is decided on the whole matrices
-    *_, bad, certified = _screen(columns[:, 1:], reached.reshape(d, d))
-    if not certified or bad.any():
+    if not _sector_clears(columns[:, 1:]):
         for start in range(1, times.size, _CHECK_BLOCK):
             found = _first_violation(states[start : start + _CHECK_BLOCK])
             if found:
