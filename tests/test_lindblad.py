@@ -450,8 +450,45 @@ def states_with_smallest_eigenvalue(rng, dim, smallest, rank_deficient):
     return states
 
 
+def arrow_states(rng, dim, smallest):
+    """Unit-trace Hermitian matrices with the given smallest eigenvalues
+    (each below ``1 / dim``) whose only entries off the diagonal are in
+    row and column 0, so a Cholesky factorization fills in every other
+    entry above the diagonal."""
+    states = np.zeros((len(smallest), dim, dim), dtype=complex)
+    for state, low in zip(states, smallest):
+        state[0, 1:] = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+        state += state.conj().T
+        state[np.diag_indices(dim)] = rng.uniform(1.0, 2.0, dim)
+        state /= np.trace(state).real
+        # an affine map of the spectrum keeps the zeros and the unit trace
+        lowest = np.linalg.eigvalsh(state)[0]
+        scale = (1.0 - dim * low) / (1.0 - dim * lowest)
+        state *= scale
+        state[np.diag_indices(dim)] += low - scale * lowest
+    return states
+
+
 class TestPositivityCertificate:
-    """The Cholesky certificate decides exactly as ``eigvalsh`` does."""
+    """The whole-matrix check decides positivity exactly as ``eigvalsh``
+    does."""
+
+    @pytest.mark.parametrize("tolerance", [lindblad.EIGENVALUE_TOL, 0.05])
+    def test_fills_in_zero_entries(self, monkeypatch, tolerance):
+        # the entries off row and column 0 are zero in every matrix, a
+        # pattern that a factorization would have to fill in; the check
+        # must decide on it as on any other
+        monkeypatch.setattr(lindblad, "EIGENVALUE_TOL", tolerance)
+        rng = np.random.default_rng(3)
+        decided = set()
+        for offset in self.OFFSETS:
+            smallest = [tolerance + 0.02, tolerance + offset, tolerance + 0.03]
+            stack = arrow_states(rng, 4, smallest)
+            assert np.all(stack[:, 1:, 1:][:, ~np.eye(3, dtype=bool)] == 0)
+            expected = eigvalsh_first_violation(stack)
+            assert lindblad._first_violation(stack) == expected
+            decided.add(expected is None)
+        assert decided == {True, False}  # both verdicts were reached
 
     OFFSETS = [-1e-11, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 1e-11]
 
@@ -575,8 +612,14 @@ def planted_sector_stacks(draw):
     return stack
 
 
-# every trajectory the sector tests cover
-INITIAL_STATES = ["excited", "bare-qubit", *OTHER_INITIAL_STATES]
+# every trajectory the sector tests cover, with how many entries of
+# vec(rho) the per-step loop from its initial state makes nonzero: |e,0>
+# reaches the 5 of the sector, and 2 of them for a qubit coupled to no
+# defect; the other states reach 9 and all 16
+INITIAL_STATES = {"excited": 5, "bare-qubit": 2, "plus": 9, "full-rank": 16}
+
+# the trajectories that evolve integrates, all from |e,0>
+SECTOR_STATES = ["excited", "bare-qubit"]
 
 
 def test_sector_is_closed():
@@ -627,6 +670,46 @@ def per_sample(name, states):
 class TestSectorCertificate:
     """``evolve`` checks its samples on the columns of the sector's
     entries; that must decide as the whole matrices do."""
+
+    @pytest.mark.parametrize("state", INITIAL_STATES)
+    def test_reached_entries_are_the_loops_nonzero_ones(self, strong_defect, state):
+        # the entries the whole-state loop makes nonzero are the closure of
+        # the generator's links from the initial state's nonzero ones, and
+        # from |e,0> they lie in the sector
+        model, rho0, _ = undamped_trajectory(state, strong_defect)
+        d = model.dim
+        links = model.superoperator() != 0
+        closure = rho0.reshape(-1) != 0
+        for _ in range(d * d):
+            closure |= links[:, closure].any(axis=1)
+        _, states = reference_rk4(model, rho0, t_final=3.0)
+        nonzero = np.any(states.reshape(-1, d * d) != 0, axis=0)
+        assert nonzero.sum() == INITIAL_STATES[state]
+        assert np.array_equal(nonzero, closure)
+        outside = np.ones(d * d, dtype=bool)
+        outside[lindblad._SECTOR] = False
+        assert (state in SECTOR_STATES) == (not nonzero[outside].any())
+
+    @pytest.mark.parametrize("state", SECTOR_STATES)
+    @pytest.mark.parametrize("name", ["EIGENVALUE_TOL", "TRACE_TOL"])
+    def test_screen_of_reached_entries_is_the_whole_matrices(
+        self, strong_defect, monkeypatch, state, name
+    ):
+        # on evolve's own trajectories, at the tolerance and at the median
+        # sample's value, the sector clears only what the whole matrices
+        # pass, and at the tolerance it clears every sample
+        _, _, trajectory = undamped_trajectory(state, strong_defect)
+        samples = trajectory.states[1:]
+        flat = samples.reshape(len(samples), -1)
+        columns = np.ascontiguousarray(flat[:, lindblad._SECTOR].T)
+        certified = []
+        for tolerance in [getattr(lindblad, name), np.median(per_sample(name, samples))]:
+            monkeypatch.setattr(lindblad, name, tolerance)
+            clears = lindblad._sector_clears(columns)
+            if clears:
+                assert eigvalsh_first_violation(samples) is None
+            certified.append(clears)
+        assert certified[0]
 
     @settings(max_examples=100, deadline=None)
     @given(stack=planted_sector_stacks())
