@@ -52,13 +52,9 @@ by block, with eigenvalues, so verdicts and messages are those of the
 whole matrices.  Each channel's dissipator is the same for every model,
 so it is built once.
 
-The decay-rate fit is separable: at a fixed rate the amplitude is a
-linear least-squares solve, so the Levenberg-Marquardt descent runs on
-the rate alone with the amplitude projected out (variable projection,
-Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  It ends with one
-scalar Gauss-Newton step from the point where the descent reports
-convergence, so the rate is the least-squares optimum to rounding rather
-than wherever the gradient first fell below its tolerance.
+The decay rate is fit with the one exponential fit of :mod:`zenokit.fits`
+(variable projection on the rate, closed by a Gauss-Newton step; see
+that module's docstring), on log-spaced resamples of the population.
 """
 from __future__ import annotations
 
@@ -73,15 +69,8 @@ import numpy as np
 from . import kk
 from .defect import DefectParams, QubitParams, generalized_purcell
 from .errors import DomainError, FitError, OscillationWarning, StabilityError
-from .fits import (
-    FitReport,
-    _exponential_amplitude,
-    _exponential_projected_residual_jacobian,
-    _exponential_residual_jacobian,
-    _exponential_seed,
-    _lm_minimize,
-    _report,
-)
+from .fits import FitReport, _exponential_fit
+from .fits import _lm_minimize  # noqa: F401  (unused here; perfbench/tracer.py wraps this name)
 from .spectrum import ParametricSpectrum
 
 TRACE_TOL = 1e-9
@@ -424,16 +413,13 @@ def extract_decay_rate(
 
     The population is resampled on ``FIT_SAMPLES`` logarithmically
     spaced times inside ``fit_window`` (reliable over orders of magnitude
-    of decay) and fit to ``A exp(-rate t)`` by variable projection: the
-    descent runs on the rate, with ``A`` the least-squares amplitude at
-    each rate and the exact derivative of ``A(rate) exp(-rate t)`` as its
-    Jacobian, and a converged descent ends with one Gauss-Newton step.
-    The report's uncertainties and gradient norm are those of both
-    parameters at the optimum.  If the residual anywhere exceeds
-    ``OSCILLATION_FRACTION`` of the fitted envelope, the trajectory is
-    not exponential: an :class:`OscillationWarning` is emitted and noted
-    on the report; that is the signature of coherent qubit-defect
-    oscillations, where a single rate stops being meaningful.
+    of decay) and fit to ``A exp(-rate t)`` by :func:`fits._exponential_fit`,
+    the exponential fit that ``fit_exponential`` runs too.  If the
+    residual anywhere exceeds ``OSCILLATION_FRACTION`` of the fitted
+    envelope, the trajectory is not exponential: an
+    :class:`OscillationWarning` is emitted and noted on the report; that
+    is the signature of coherent qubit-defect oscillations, where a
+    single rate stops being meaningful.
 
     Raises
     ------
@@ -452,35 +438,19 @@ def extract_decay_rate(
         raise DomainError(f"invalid fit window [{lo}, {hi}]")
     if hi > t[-1] * (1 + 1e-12):
         raise DomainError(f"fit window ends at {hi} but trajectory stops at {t[-1]}")
-    p_lo = float(np.interp(lo, t, p))
-    p_hi = float(np.interp(hi, t, p))
+    tt = np.geomspace(lo, hi, FIT_SAMPLES)
+    pp = np.interp(tt, t, p)
+    # geomspace returns its end points exactly
+    p_lo, p_hi = pp[0], pp[-1]
     if p_hi > p_lo / math.e:
         raise DomainError(
             f"population only drops from {p_lo:.4g} to {p_hi:.4g} in the window; "
             "need a 1/e drop"
         )
 
-    tt = np.geomspace(lo, hi, FIT_SAMPLES)
-    pp = np.interp(tt, t, p)
-    # variable projection: the descent runs on the rate alone, the
-    # amplitude being the least-squares one at each rate
-    (rate,), r, J, converged, iterations, _ = _lm_minimize(
-        _exponential_projected_residual_jacobian(tt, pp),
-        _exponential_seed(tt, pp)[1:],
-        data_norm=float(np.linalg.norm(pp)),
-    )
-    if converged:
-        # the descent stops once the gradient is below a tolerance, which
-        # can leave the rate off in its 11th digit; one Gauss-Newton step
-        # from there lands on the least-squares optimum to rounding; a zero
-        # column, from a population that is zero throughout, takes none
-        rate -= (J[:, 0] @ r) / ((J[:, 0] @ J[:, 0]) or 1.0)
-    theta = np.array([_exponential_amplitude(tt, pp, rate)[0], rate])
-    r, J = _exponential_residual_jacobian(tt, pp)(theta)
-    gnorm = float(np.max(np.abs(J.T @ r)))
-    report = _report(("amplitude", "decay_rate"), theta, r, J, converged, iterations, gnorm)
-
-    envelope = np.abs(theta[0]) * np.exp(-theta[1] * tt)
+    report, r = _exponential_fit(tt, pp)
+    amplitude, rate = report.parameters["amplitude"], report.parameters["decay_rate"]
+    envelope = abs(amplitude) * np.exp(-rate * tt)
     floor = max(float(envelope.max()), 1e-300) * 1e-12
     ratio = float(np.max(np.abs(r) / np.maximum(envelope, floor)))
     if ratio > OSCILLATION_FRACTION:
@@ -490,12 +460,12 @@ def extract_decay_rate(
         )
         warnings.warn(OscillationWarning(message))
         report = replace(report, warnings=report.warnings + (message,))
-    elif not converged:
+    elif not report.converged:
         raise FitError(
-            f"decay-rate fit did not converge: {iterations} iterations, "
-            f"gradient norm {gnorm:.3e}"
+            f"decay-rate fit did not converge: {report.iterations} iterations, "
+            f"gradient norm {report.gradient_norm:.3e}"
         )
-    return report.parameters["decay_rate"], report
+    return rate, report
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,39 @@ def degenerate_ramsey_signal(times):
     return signal + np.random.default_rng(100).normal(0.0, 0.005, 750)
 
 
+def exponential_residual_jacobian(times, signal):
+    """``(r, J)`` of ``A exp(-g t)`` at ``theta = (A, g)``, written out
+    here as a reference independent of zenokit's exponential fit."""
+
+    def fun(theta):
+        amp, rate = theta
+        envelope = np.exp(-rate * times)
+        return amp * envelope - signal, np.column_stack([envelope, -times * amp * envelope])
+
+    return fun
+
+
+def exponential_optimum(times, signal):
+    """``(A, g)`` of ``A exp(-g t)`` fitted by scipy over both parameters
+    from a log-linear seed over the positive samples.
+
+    scipy's trust-region test compares costs, which stop resolving the
+    rate near 1e-14; two Gauss-Newton steps on the full model finish it.
+    """
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    fun = exponential_residual_jacobian(times, signal)
+    positive = signal > 0
+    slope, intercept = np.polyfit(times[positive], np.log(signal[positive]), 1)
+    theta = least_squares(
+        lambda th: fun(th)[0], [np.exp(intercept), -slope], jac=lambda th: fun(th)[1],
+        method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    ).x
+    for _ in range(2):
+        r, J = fun(theta)
+        theta = theta + np.linalg.lstsq(J, -r)[0]
+    return theta
+
+
 @pytest.fixture
 def ramsey_trace():
     times = np.arange(0.0, 3.0, 0.004)

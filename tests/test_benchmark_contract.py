@@ -28,13 +28,24 @@ def test_traced_cli_runs_count_each_layer(tmp_path):
     tracer = Tracer()
     tracer.install({name: sys.modules[f"zenokit.{name}"] for name in MODULES})
     try:
-        for command in ("oracle", "predict"):
-            config = DATA / f"{command}_config.json"
-            assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        for command, config in (
+            ("oracle", "oracle_config.json"),
+            ("predict", "predict_config.json"),
+            ("fit-flux-noise", "flux_config.json"),
+        ):
+            argv = [command, "--config", str(DATA / config), "--out", str(tmp_path / command)]
+            assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
     for name in ("lindblad.evolve", "fits.lm_minimize", "kk.decay_rate"):
         assert tracer.totals[name][0] > 0, name
+    # one descent per exponential fit, counted once though the tracer
+    # wraps the name on both fits and lindblad
+    calls = {name: total[0] for name, total in tracer.totals.items()}
+    assert calls["fits.fit_exponential"] == 4  # the four echo traces
+    assert calls["fits.lm_minimize"] == (
+        calls["lindblad.extract_decay_rate"] + calls["fits.fit_exponential"]
+    )
     assert tracer.counts["lindblad.rk4_steps"] > 0
     assert tracer.counts["kk.grid_points"] > 0
     assert cli.validate_kk is zk.validate_kk  # uninstall restored the originals

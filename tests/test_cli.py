@@ -492,6 +492,10 @@ def constant(times):
     return np.full(times.size, 0.5)
 
 
+def unit(times):
+    return np.ones(times.size)
+
+
 def ringing(times):
     return 0.4 * np.cos(2 * math.pi * 10.0 * times) + 0.5
 
@@ -583,6 +587,20 @@ class TestTraceBatch:
             "flat_b.csv: exponential fit did not converge"
         )
         assert not out.exists()
+
+    def test_fit_flux_noise_writes_plus_zero_for_flat_echoes(self, tmp_path):
+        # a flat trace's log-linear seed is minus a +0.0 slope, and its
+        # rate, and the quadratic fit of the zero rates, were written as -0.0
+        config = trace_dir_config(
+            tmp_path, {f"flat_{amp}": (unit, {"flux_amp": amp}) for amp in (0.5, 1.0)}
+        )
+        out = tmp_path / "out"
+        assert run(["fit-flux-noise", "--config", config], out) == 0
+        text = (out / "flux_noise_fit.json").read_text()
+        assert text.count('"gamma_phi_mhz": 0.0,') == 2
+        assert text.count('"decay_rate": 0.0\n') == 4  # the rates and their sigmas
+        assert '"quadratic_coef_mhz": 0.0,' in text
+        assert "-0.0" not in text
 
     def test_fit_flux_noise_refuses_inverted_echo(self, tmp_path, capsys):
         # an unchecked fit takes -exp(-t) on these times as a converged

@@ -21,6 +21,7 @@ from conftest import (
     R_MHZ,
     S_MHZ,
     degenerate_ramsey_signal,
+    exponential_optimum,
     make_ramsey_signal,
 )
 from zenokit import fits
@@ -268,10 +269,9 @@ class TestPolynomialFits:
     def test_zero_response_gives_zero_coefficients(self):
         points = [(e, 0.0) for e in (0.01, 0.02, 0.03, 0.04)]
         S_fit, K_fit, _ = zk.fit_stark_poly(points)
-        assert S_fit == 0.0
-        assert K_fit == 0.0
         R_fit, _ = zk.fit_dephasing_quadratic(points)
-        assert R_fit == 0.0
+        # +0.0, not -0.0, which the CLI would write as such
+        assert all(math.copysign(1.0, c) == 1.0 and c == 0.0 for c in (S_fit, K_fit, R_fit))
 
     def test_dephasing_quadratic_recovers_published_value(self):
         eps = np.linspace(0.005, 0.05, 8)
@@ -292,12 +292,28 @@ class TestPolynomialFits:
         with pytest.raises(zk.FitError):
             zk.fit_stark_poly([(-0.02, 1.0), (0.0, 0.0), (0.02, 1.0)])
 
+    @pytest.mark.parametrize(
+        "fit",
+        [zk.fit_stark_poly, zk.fit_dephasing_quadratic, zk.fit_flux_noise_quadratic],
+        ids=["stark", "dephasing", "flux_noise"],
+    )
+    @pytest.mark.parametrize(
+        "point",
+        [(0.03, math.nan), (0.03, math.inf), (math.nan, 9.0)],
+        ids=["nan_response", "inf_response", "nan_amplitude"],
+    )
+    def test_non_finite_points_are_refused(self, fit, point):
+        # a NaN response came back as a NaN coefficient marked converged
+        points = [(0.01, 1.0), (0.02, 4.0), point, (0.04, 16.0), (0.05, 25.0)]
+        with pytest.raises(zk.DomainError, match="^amplitudes and responses must be finite$"):
+            fit(points)
+
     def test_flux_noise_quadratic_exact(self):
         amps = np.linspace(0.2, 1.0, 6)
         coef, _ = zk.fit_flux_noise_quadratic([(a, 2.37 * a**2) for a in amps])
         assert coef == pytest.approx(2.37, rel=1e-12)
         zero, _ = zk.fit_flux_noise_quadratic([(a, 0.0) for a in amps])
-        assert zero == 0.0
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
     def test_flux_noise_monte_carlo_protocol(self):
         # per-amplitude echo decays, 50 seeded randomizations averaged,
@@ -339,6 +355,50 @@ class TestExponentialFit:
         times = np.linspace(0.0, 5.0, 60)
         with pytest.raises(zk.DomainError, match="strictly increasing"):
             zk.fit_exponential(times[::-1], np.exp(-0.7 * times))
+
+    def test_zero_signal_is_fit_error(self):
+        # the least-squares amplitude of zeros is exactly 0: no decay
+        times = np.linspace(0.1, 2.0, 40)
+        with pytest.raises(zk.FitError, match=r"amplitude 0\.000e\+00, not a positive decay"):
+            zk.fit_exponential(times, np.zeros(times.size))
+
+    def test_flat_trace_has_rate_plus_zero(self):
+        # the log-linear seed is minus a +0.0 slope, -0.0, which the fit used to return
+        rate, report = zk.fit_exponential(np.linspace(0.1, 2.0, 40), np.ones(40))
+        assert math.copysign(1.0, rate) == 1.0 and rate == 0.0
+        assert math.copysign(1.0, report.parameters["decay_rate"]) == 1.0
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-3])
+    def test_rate_is_the_least_squares_optimum(self, sigma):
+        # noisy echo traces; a descent stopped by its gradient tolerance
+        # alone missed the optimum by up to 1e-9 relative
+        times = np.linspace(0.1, 2.0, 40)
+        rng = np.random.default_rng([25, round(-math.log10(sigma))])
+        for _ in range(100):
+            signal = np.exp(-rng.uniform(0.1, 2.0) * times) + rng.normal(0.0, sigma, times.size)
+            rate, report = zk.fit_exponential(times, signal)
+            amplitude, optimum = exponential_optimum(times, signal)
+            assert report.converged
+            assert abs(rate - optimum) <= 1e-12 * optimum
+            assert report.parameters["amplitude"] == pytest.approx(amplitude, rel=1e-12)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "fit_exponential": zk.fit_exponential,
+    "fit_damped_sine": lambda t, s: zk.fit_damped_sine(zk.RamseyTrace(t, s, OFFSET_MHZ)),
+    "fit_swap_chevron": lambda t, s: zk.fit_swap_chevron(t, s, f_guess=3.2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("column, value", [("times", math.nan), ("signal", math.inf)])
+def test_non_finite_samples_are_refused(entry, column, value):
+    # they used to fail inside the fit, as a non-convergence with a nan norm
+    samples = {"times": np.arange(0.0, 3.0, 0.004)}
+    samples["signal"] = make_ramsey_signal(samples["times"])
+    samples[column][100] = value
+    with pytest.raises(zk.DomainError, match=f"^{column} must be finite$"):
+        NON_FINITE_ENTRY_POINTS[entry](samples["times"], samples["signal"])
 
 
 def chevron_model(times, a, b, c, d, rate, freq):

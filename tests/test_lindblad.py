@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zenokit as zk
-from conftest import GAMMA_Q, G_D
-from zenokit import fits, lindblad
+from conftest import GAMMA_Q, G_D, exponential_optimum, exponential_residual_jacobian
+from zenokit import lindblad
 from zenokit.cli import main
 from zenokit.units import TWO_PI
 
@@ -847,7 +847,7 @@ class TestExtractDecayRate:
         tt = np.geomspace(t_start, t_final, lindblad.FIT_SAMPLES)
         pp = np.interp(tt, trajectory.times, trajectory.populations())
         theta = np.array([report.parameters["amplitude"], rate])
-        r, J = fits._exponential_residual_jacobian(tt, pp)(theta)
+        r, J = exponential_residual_jacobian(tt, pp)(theta)
         step = np.linalg.lstsq(J, -r)[0]
         assert abs(step[1]) <= 1e-13 * rate
 
@@ -914,25 +914,14 @@ def oracle_fit_input(defect, detuning, dephasing, qubit_decay):
 
 def two_parameter_fit(trajectory, window):
     """``(A, rate)`` of ``A exp(-rate t)`` fitted on ``extract_decay_rate``'s
-    samples by scipy over both parameters, and whether its residual
-    reaches ``OSCILLATION_FRACTION`` of its envelope.
-
-    scipy's trust-region test compares costs, which stop resolving the
-    rate near 1e-14; two Gauss-Newton steps on the full model finish it.
-    """
-    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    samples by :func:`conftest.exponential_optimum`, and whether its
+    residual reaches ``OSCILLATION_FRACTION`` of its envelope."""
     tt = np.geomspace(*window, lindblad.FIT_SAMPLES)
     pp = np.interp(tt, trajectory.times, trajectory.populations())
-    fun = fits._exponential_residual_jacobian(tt, pp)
-    theta = least_squares(
-        lambda th: fun(th)[0], fits._exponential_seed(tt, pp), jac=lambda th: fun(th)[1],
-        method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    ).x
-    for _ in range(2):
-        r, J = fun(theta)
-        theta = theta + np.linalg.lstsq(J, -r)[0]
+    theta = exponential_optimum(tt, pp)
     envelope = abs(theta[0]) * np.exp(-theta[1] * tt)
-    oscillating = np.max(np.abs(fun(theta)[0]) / envelope) > lindblad.OSCILLATION_FRACTION
+    residual = exponential_residual_jacobian(tt, pp)(theta)[0]
+    oscillating = np.max(np.abs(residual) / envelope) > lindblad.OSCILLATION_FRACTION
     return theta, bool(oscillating)
 
 
