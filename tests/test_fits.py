@@ -383,6 +383,67 @@ class TestExponentialFit:
             assert report.parameters["amplitude"] == pytest.approx(amplitude, rel=1e-12)
 
 
+RAMSEY_EPSILONS = (0.01, 0.016, 0.022, 0.028, 0.034, 0.04)
+ECHO_FLUX_AMPS = (0.25, 0.5, 0.75, 1.0)
+
+
+def draw_ramsey(rng):
+    """A noiseless Ramsey trace drawn as a calibration session draws one
+    (device calibration varied by 10-20%, offset 10 MHz, 750 samples over
+    3 us), and its true decay rate and fringe frequency."""
+    times = np.arange(0.0, 3.0, 0.004)
+    eps = rng.choice(RAMSEY_EPSILONS) * rng.uniform(0.97, 1.03)
+    stark = S_MHZ * rng.uniform(0.9, 1.1) * eps**2 + K_MHZ * rng.uniform(0.8, 1.2) * eps**4
+    dephasing = TWO_PI * R_MHZ * rng.uniform(0.9, 1.1) * eps**2
+    signal = make_ramsey_signal(
+        times,
+        stark_mhz=stark,
+        dephasing=dephasing,
+        amplitude=rng.uniform(0.4, 0.5),
+        phase=rng.uniform(-math.pi, math.pi),
+        baseline=rng.uniform(0.45, 0.55),
+    )
+    return times, signal, {"decay_rate": dephasing, "frequency": OFFSET_MHZ + stark}
+
+
+def draw_echo(rng):
+    """A noiseless 40-sample echo decay drawn as a calibration session
+    draws one, and its true decay rate."""
+    times = np.linspace(0.1, 2.0, 40)
+    rate = TWO_PI * 0.3 * rng.uniform(0.8, 1.2) * rng.choice(ECHO_FLUX_AMPS) ** 2
+    return times, rng.uniform(0.95, 1.0) * np.exp(-rate * times), {"decay_rate": rate}
+
+
+COVERAGE_CASES = {
+    "ramsey": (
+        draw_ramsey,
+        lambda t, s: zk.fit_damped_sine(zk.RamseyTrace(t, s, offset_freq=OFFSET_MHZ))[2],
+    ),
+    "echo": (draw_echo, lambda t, s: zk.fit_exponential(t, s)[1]),
+}
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 1e-3, 5e-3, 2e-2])
+@pytest.mark.parametrize("kind", sorted(COVERAGE_CASES))
+def test_reported_sigma_covers_the_truth(kind, sigma):
+    # noisy session-shaped traces: every fit succeeds, and the reported
+    # 1-sigma (2-sigma) interval holds the truth about 68% (95%) of the time
+    draw, fit = COVERAGE_CASES[kind]
+    seed = [26, sorted(COVERAGE_CASES).index(kind), round(-10 * math.log10(sigma))]
+    rng = np.random.default_rng(seed)
+    scores = {}
+    for _ in range(200):
+        times, signal, truth = draw(rng)
+        report = fit(times, signal + rng.normal(0.0, sigma, times.size))
+        for name, value in truth.items():
+            error = abs(report.parameters[name] - value) / report.uncertainties[name]
+            scores.setdefault(name, []).append(error)
+    for name, errors in scores.items():
+        errors = np.array(errors)
+        assert 0.55 <= np.mean(errors <= 1.0) <= 0.78, name
+        assert np.mean(errors <= 2.0) >= 0.90, name
+
+
 NON_FINITE_ENTRY_POINTS = {
     "fit_exponential": zk.fit_exponential,
     "fit_damped_sine": lambda t, s: zk.fit_damped_sine(zk.RamseyTrace(t, s, OFFSET_MHZ)),
