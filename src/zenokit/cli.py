@@ -236,7 +236,14 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
     if config.get("window_mhz") is not None:
         window_mhz = json_numbers(config, "window_mhz", "config", length=2)
         window = tuple(mhz_to_angular(w - qubit_mhz) for w in window_mhz)
-    residual = mhz_to_angular(json_number(config, "residual_dephasing_mhz", "config", 0.0))
+    # the spectrum's rates already carry the qubit's rest linewidth, so a
+    # dephasing floor added to the filter would count it twice
+    residual = json_number(config, "residual_dephasing_mhz", "config", 0.0)
+    if residual != 0.0:
+        raise ParseError(
+            f"config: key 'residual_dephasing_mhz' holds {residual!r}, but only 0 is accepted: "
+            "the spectrum's rates already include the qubit's dephasing at rest"
+        )
 
     # The sweep runs in the qubit's frame: frequencies enter kk as MHz
     # offsets from the qubit, converted to rad/us.  A 5 GHz carrier in
@@ -248,7 +255,6 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
         0.0,
         amplitudes,
         window=window,
-        residual_dephasing=residual,
     )
     records = [
         {

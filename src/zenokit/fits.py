@@ -1,27 +1,31 @@
 """Least-squares fits that turn raw traces into calibration constants.
 
-The nonlinear models (damped oscillations, exponential decays) are fit
-with a damped Gauss-Newton (Levenberg-Marquardt) loop using analytic
-Jacobians.  The Ramsey fringe and the vacuum-Rabi linecut are one damped
-oscillation model with one fit path, the linecut adding a baseline that
-decays with the fringe.  Initialization is deterministic: discrete-spectrum
-peak pick for the frequency, log-envelope regression for the decay, and a
-linear quadrature projection for amplitude/phase.  Identical inputs
-therefore produce bit-identical fit reports.
+Every nonlinear model here is separable: linear in all but its rate and
+frequency.  The damped oscillation
+``e^{-g t} (a cos 2 pi f t + b sin 2 pi f t [+ c]) + B`` is linear in
+``(a, b[, c], B)`` at fixed ``(g, f)``; the Ramsey fringe omits ``c``
+and the vacuum-Rabi linecut, whose baseline decays with the fringe,
+keeps it.  The exponential ``A e^{-g t}`` is linear in ``A`` at fixed
+``g``.  One core, :func:`_separable_fit`, fits them all by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
+Levenberg-Marquardt descent moves the nonlinear parameters alone, the
+linear ones being the least-squares solve at each step, with Kaufman's
+Jacobian (BIT 15, 49 (1975)), whose ``J.T @ r`` is the exact gradient
+of the projected cost.  The descent ends with one Gauss-Newton step
+from the point where it reports convergence, rather than wherever the
+gradient first fell below its tolerance.  That step lands on the
+least-squares optimum to rounding when the residual is small (1.3e-15
+relative on noiseless Ramsey traces); Gauss-Newton converges only
+linearly when it is large, so a poor model keeps a little of the miss
+(9e-10 relative on ``exp(-3t) + 0.2`` at 20 samples over 0-2 us, up to
+5e-12 on 40-sample echo traces with 1% noise).  Each report gives
+every parameter, with uncertainties from the full Jacobian at the
+result.
 
-There is one exponential fit, :func:`_exponential_fit`, behind both
-:func:`fit_exponential` and the oracle's ``lindblad.extract_decay_rate``.
-``A exp(-g t)`` is separable: at a fixed rate the amplitude is a linear
-least-squares solve, so the Levenberg-Marquardt descent runs on the rate
-alone with the amplitude projected out (variable projection, Golub &
-Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), seeded by a log-linear
-regression.  It ends with one scalar Gauss-Newton step from the point
-where the descent reports convergence, rather than wherever the gradient
-first fell below its tolerance.  That step lands on the least-squares
-optimum to rounding when the residual is small; Gauss-Newton converges
-only linearly when it is large, so a poor model keeps a little of the
-miss (4e-10 relative on ``exp(-3t) + 0.2`` at 20 samples over 0-2 us,
-up to 1e-11 on 40-sample echo traces with 1% noise).
+Initialization is deterministic: discrete-spectrum peak pick for the
+frequency, log-envelope regression for the oscillation's decay and
+log-linear regression for the exponential's.  Identical inputs
+therefore produce bit-identical fit reports.
 
 Units follow the traces: times in us, ordinary frequencies in MHz
 (cycles/us), decay rates in 1/us.  The quadratic/quartic calibration
@@ -48,12 +52,14 @@ STEP_TOL = 1e-12
 class FitReport:
     """Outcome of one least-squares fit.
 
-    ``converged`` is only set when ``gradient_norm``, the largest
-    component of the cost gradient, fell below :func:`_gradient_tolerance`
-    during the descent (``GRADIENT_TOL * max(1, cost)`` or the cost's
-    rounding floor, whichever is larger), or below :func:`_stall_tolerance`
-    once no step lowered the cost.  Uncertainties are 1-sigma values from
-    the residual-variance-scaled normal-equations inverse.
+    ``converged`` is only set when the gradient of the descent's cost in
+    the nonlinear parameters fell below :func:`_gradient_tolerance`
+    (``GRADIENT_TOL * max(1, cost)`` or the cost's rounding floor,
+    whichever is larger), or below :func:`_stall_tolerance` once no step
+    lowered the cost; a linear fit is converged by construction.
+    ``gradient_norm`` is the largest component of the cost gradient in
+    every reported parameter at the result.  Uncertainties are 1-sigma
+    values from the residual-variance-scaled normal-equations inverse.
     """
 
     parameters: dict[str, float]
@@ -213,7 +219,9 @@ def _uncertainties(r: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _report(names, theta, r, J, converged, iterations, gnorm) -> FitReport:
+def _report(names, theta, r, J, converged, iterations) -> FitReport:
+    """The report of ``theta`` named ``names``, at residual ``r`` with
+    Jacobian ``J``; its gradient norm is that of ``J.T @ r``."""
     sig = _uncertainties(r, J)
     return FitReport(
         parameters=dict(zip(names, (float(v) for v in theta))),
@@ -221,7 +229,7 @@ def _report(names, theta, r, J, converged, iterations, gnorm) -> FitReport:
         residual_norm=float(np.linalg.norm(r)),
         converged=converged,
         iterations=iterations,
-        gradient_norm=gnorm,
+        gradient_norm=float(np.max(np.abs(J.T @ r))),
     )
 
 
@@ -298,19 +306,72 @@ def _log_envelope_rate(times, values, freq):
     return max(-float(slope), 0.0)
 
 
-def _quadrature_projection(times, values, freq, rate, with_decaying_baseline=False):
-    """Linear solve at fixed (freq, rate) for the cos, sin, 1 [, envelope] coefficients."""
-    envelope = np.exp(-rate * times)
-    cols = [
-        envelope * np.cos(TWO_PI * freq * times),
-        envelope * np.sin(TWO_PI * freq * times),
-        np.ones_like(times),
-    ]
-    if with_decaying_baseline:
-        cols.append(envelope)
-    design = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return coef
+# ---------------------------------------------------------------------------
+# variable projection: each nonlinear model is linear in all but <= 2 parameters
+
+
+def _solve_linear(phi, signal):
+    """Least-squares ``coef`` of ``phi @ coef ~ signal`` and the inverse
+    Gram matrix ``(phi.T phi)^-1``; LinAlgError if that matrix is not
+    finite or is singular.  Finiteness is tested first, on the sum of the
+    entries, as LAPACK on an overflowed basis can run for seconds."""
+    gram = phi.T @ phi
+    if not math.isfinite(gram.sum()):
+        raise np.linalg.LinAlgError("the basis is not finite")
+    inverse = np.linalg.inv(gram)
+    return inverse @ (phi.T @ signal), inverse
+
+
+def _projected_residual_jacobian(signal, basis):
+    """``fun(theta) -> (r, J)`` of the separable model ``phi @ coef``.
+
+    ``basis(theta) -> (phi, tangent)`` gives the model's columns at the
+    nonlinear parameters ``theta``, and ``tangent(coef, fitted)`` the
+    model's derivatives in ``theta`` at fixed ``coef``.  ``coef`` is the
+    least-squares solve at ``theta``, and ``J = (I - P) tangent``, with
+    ``P`` the projector onto ``phi``'s columns, is Kaufman's Jacobian:
+    ``J.T @ r`` is the exact gradient of the projected cost at every
+    ``theta``.  A basis that :func:`_solve_linear` refuses gives a NaN
+    residual, which the descent rejects.
+    """
+
+    def fun(theta):
+        phi, tangent = basis(theta)
+        try:
+            coef, inverse = _solve_linear(phi, signal)
+        except np.linalg.LinAlgError:
+            return np.full_like(signal, np.nan), np.zeros((signal.size, len(theta)))
+        fitted = phi @ coef
+        T = tangent(coef, fitted)
+        return fitted - signal, T - phi @ (inverse @ (phi.T @ T))
+
+    return fun
+
+
+def _separable_fit(signal, basis, theta0):
+    """Fit the separable model of :func:`_projected_residual_jacobian` by
+    variable projection from ``theta0``.
+
+    Returns ``(theta, coef, r, J, converged, iterations)``, with ``J``
+    the full Jacobian ``[phi, tangent]`` in ``(coef, theta)`` at the
+    result and ``converged`` the descent's verdict.  A converged descent
+    ends with one Gauss-Newton step (see the module docstring).
+    """
+    fun = _projected_residual_jacobian(signal, basis)
+    theta, r, J, converged, iterations, _ = _lm_minimize(
+        fun, theta0, data_norm=float(np.linalg.norm(signal))
+    )
+    if converged:
+        theta = theta - np.linalg.lstsq(J, r, rcond=None)[0]
+    phi, tangent = basis(theta)
+    try:
+        coef, _ = _solve_linear(phi, signal)
+    except np.linalg.LinAlgError as exc:
+        # the descent took no step from a seed it could not evaluate
+        raise FitError(f"fit has no least-squares solution: {exc}") from None
+    fitted = phi @ coef
+    J = np.hstack([phi, tangent(coef, fitted)])
+    return theta, coef, fitted - signal, J, converged, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -319,91 +380,73 @@ def _quadrature_projection(times, values, freq, rate, with_decaying_baseline=Fal
 _DAMPED_SINE_NAMES = ("amplitude", "decay_rate", "frequency", "phase", "baseline")
 
 
-def _damped_sine_residual_jacobian(times, signal):
-    """``(r, J)`` of ``A e^{-g t} cos(2 pi f t + phi) + B [+ C e^{-g t}]``
-    at ``theta = (A, g, f, phi, B[, C])``; the decaying baseline ``C`` is
-    in the model when ``theta`` has six entries."""
+def _damped_sine_basis(times, decaying_baseline=False):
+    """``basis(theta)`` of ``e^{-g t} (a cos 2 pi f t + b sin 2 pi f t [+ c]) + B``
+    at ``theta = (g, f)``: the columns ``(e cos, e sin[, e], 1)``, and
+    the tangent ``(-t (fitted - B), 2 pi t (b e cos - a e sin))``
+    taken from the fitted model."""
+    ones = np.ones_like(times)
+    two_pi_t = TWO_PI * times
 
-    def fun(theta):
-        amp, rate, freq, phase, base, *decaying = theta
+    def basis(theta):
+        rate, freq = theta
         envelope = np.exp(-rate * times)
-        arg = TWO_PI * freq * times + phase
-        cos_t, sin_t = np.cos(arg), np.sin(arg)
-        r = amp * envelope * cos_t + base - signal
-        columns = [
-            envelope * cos_t,
-            -times * amp * envelope * cos_t,
-            -TWO_PI * times * amp * envelope * sin_t,
-            -amp * envelope * sin_t,
-            np.ones_like(times),
-        ]
-        if decaying:
-            (env_off,) = decaying
-            r += env_off * envelope
-            columns[1] -= times * env_off * envelope
-            columns.append(envelope)
-        return r, np.column_stack(columns)
+        arg = two_pi_t * freq
+        e_cos, e_sin = envelope * np.cos(arg), envelope * np.sin(arg)
+        columns = (e_cos, e_sin, envelope, ones) if decaying_baseline else (e_cos, e_sin, ones)
 
-    return fun
+        def tangent(coef, fitted):
+            a, b, *_, base = coef
+            return np.array([-times * (fitted - base), two_pi_t * (b * e_cos - a * e_sin)]).T
 
+        return np.array(columns).T, tangent
 
-def _canonical_damped_sine(theta):
-    """The one of ``theta``'s equivalent sign choices with ``f >= 0``,
-    ``A >= 0`` and ``phi`` in ``(-pi, pi]``; ``B`` and ``C`` are kept."""
-    amp, rate, freq, phase, *linear = theta
-    if freq < 0:
-        freq, phase = -freq, -phase
-    if amp < 0:
-        amp, phase = -amp, phase + math.pi
-    phase = math.remainder(phase, TWO_PI)
-    if phase <= -math.pi:
-        phase += TWO_PI
-    elif phase > math.pi:
-        phase -= TWO_PI
-    return np.array([amp, rate, freq, phase, *linear])
+    return basis
 
 
 def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baseline=False):
-    """Seed and fit :func:`_damped_sine_residual_jacobian`'s model; returns
-    ``(theta, r, J, iterations, gradient_norm, signal range)`` at the
-    canonical ``theta``, or raises FitError naming ``name``.
+    """Seed and fit :func:`_damped_sine_basis`'s model; returns
+    ``(theta, coef, r, J, iterations, signal range)`` with ``f >= 0``,
+    or raises FitError naming ``name``.
 
-    A converged fit is refused as degenerate when its envelope falls by
-    more than a factor e over the smallest sample step, or when ``J``
-    loses rank at the cutoff of the pseudo-inverse in
-    :func:`_uncertainties`: in the first case the fringe is seen by one
-    sample, and the rate and frequency columns of ``J`` vanish; in
-    both, some reported uncertainty would be zero.
+    The model is unchanged under ``(b, f) -> (-b, -f)``, so a fit that
+    ends at ``f < 0`` is reported with both signs flipped.  A converged
+    fit is refused as degenerate when its envelope falls by more than a
+    factor e over the smallest sample step, when its frequency is above
+    the Nyquist frequency of that step, or when ``J`` loses rank at the
+    cutoff of the pseudo-inverse in :func:`_uncertainties`.  In the
+    first case the fringe is seen by one sample, and the rate and
+    frequency columns of ``J`` vanish; in the second the fringe is an
+    alias of a slower one; in the first and last some reported
+    uncertainty would be zero.
     """
     freq0, rate0, spread = _oscillation_seed(times, signal, f_window)
-    a_cos, a_sin, *linear = _quadrature_projection(
-        times, signal, freq0, rate0, decaying_baseline
-    )
-    theta0 = np.array(
-        [math.hypot(a_cos, a_sin), rate0, freq0, math.atan2(-a_sin, a_cos), *linear]
-    )
-
-    fun = _damped_sine_residual_jacobian(times, signal)
-    theta, r, J, converged, iterations, gnorm = _lm_minimize(
-        fun, theta0, data_norm=float(np.linalg.norm(signal))
+    (rate, freq), coef, r, J, converged, iterations = _separable_fit(
+        signal, _damped_sine_basis(times, decaying_baseline), (rate0, freq0)
     )
     if not converged:
         raise FitError(
             f"{name} fit did not converge: {iterations} iterations, "
-            f"gradient norm {gnorm:.3e}, residual {np.linalg.norm(r):.3e}"
+            f"gradient norm {np.max(np.abs(J.T @ r)):.3e}, residual {np.linalg.norm(r):.3e}"
         )
-    theta = _canonical_damped_sine(theta)
-    r, J = fun(theta)
-    fall = theta[1] * float(np.min(np.diff(times)))
-    if fall > 1.0:
+    if freq < 0:
+        freq, coef[1] = -freq, -coef[1]
+        J[:, [1, -1]] *= -1.0
+    step = float(np.min(np.diff(times)))
+    if rate * step > 1.0:
         raise FitError(
-            f"{name} fit is degenerate: its envelope falls by a factor e^{fall:.3g} "
-            f"per sample step (decay rate {theta[1]:.3e}/us)"
+            f"{name} fit is degenerate: its envelope falls by a factor e^{rate * step:.3g} "
+            f"per sample step (decay rate {rate:.3e}/us)"
+        )
+    if freq > 0.5 / step:
+        raise FitError(
+            f"{name} fit is degenerate: its frequency {freq:.6g} MHz is above the "
+            f"{0.5 / step:.6g} MHz Nyquist frequency of the sample step"
         )
     rank = np.linalg.matrix_rank(J.T @ J)
     if rank < J.shape[1]:
         raise FitError(f"{name} fit is degenerate: its Jacobian has rank {rank} of {J.shape[1]}")
-    return theta, r, J, iterations, gnorm, spread
+    return (rate, freq), coef, r, J, iterations, spread
 
 
 def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
@@ -412,7 +455,9 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
     Returns ``(freq_shift, decay_rate, report)`` where ``freq_shift`` is
     the fitted fringe frequency minus the deliberate offset (MHz) and
     ``decay_rate`` the envelope decay in 1/us.  The fitted frequency is
-    taken ``>= 0``, so a zero offset reports ``|shift|``.
+    taken ``>= 0``, so a zero offset reports ``|shift|``.  The fit runs
+    in ``a = A cos(phi)``, ``b = -A sin(phi)``; the report maps it to
+    ``(A, phi)``, with ``phi`` in ``(-pi, pi]``.
 
     Raises
     ------
@@ -430,10 +475,17 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
             raise DomainError(
                 f"trace spans {span_periods:.2f} expected periods, need >= 1.5"
             )
-    theta, r, J, iterations, gnorm, _ = _fit_damped_oscillation(times, signal, "damped-sine")
-    report = _report(_DAMPED_SINE_NAMES, theta, r, J, True, iterations, gnorm)
-    freq_shift = report.parameters["frequency"] - trace.offset_freq
-    return freq_shift, report.parameters["decay_rate"], report
+    (rate, freq), (a, b, base), r, J, iterations, _ = _fit_damped_oscillation(
+        times, signal, "damped-sine"
+    )
+    # the (A, phi) columns by the chain rule through a = A cos(phi), b = -A sin(phi)
+    amp = math.hypot(a, b)
+    J = np.column_stack(
+        [(a * J[:, 0] + b * J[:, 1]) / amp, J[:, 3], J[:, 4], b * J[:, 0] - a * J[:, 1], J[:, 2]]
+    )
+    theta = (amp, rate, freq, math.atan2(-b, a), base)
+    report = _report(_DAMPED_SINE_NAMES, theta, r, J, True, iterations)
+    return freq - trace.offset_freq, rate, report
 
 
 # ---------------------------------------------------------------------------
@@ -442,29 +494,16 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
 _EXP_NAMES = ("amplitude", "decay_rate")
 
 
-def _exponential_amplitude(times, signal, rate) -> tuple[float, np.ndarray]:
-    """Least-squares amplitude ``<signal, e> / <e, e>`` of ``A e`` at a
-    fixed rate, and the envelope ``e = exp(-rate t)``."""
-    envelope = np.exp(-rate * times)
-    return (signal @ envelope) / (envelope @ envelope), envelope
+def _exponential_basis(times):
+    """``basis(theta)`` of ``A e^{-g t}`` at ``theta = (g,)``: the column
+    ``e``, and the tangent ``-t * fitted``."""
 
-
-def _exponential_projected_residual_jacobian(times, signal):
-    """``(r, J)`` of ``A e^{-g t}`` at ``theta = (g,)``, with ``A`` the
-    least-squares amplitude at ``g``.  ``J`` is the exact derivative of
-    ``A(g) e^{-g t}``, whose ``dA/dg`` follows from differentiating
-    :func:`_exponential_amplitude`."""
-
-    def fun(theta):
+    def basis(theta):
         (rate,) = theta
-        # a wild trial rate underflows <e, e> to 0; its non-finite cost rejects it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            amp, envelope = _exponential_amplitude(times, signal, rate)
-            slope = times * envelope
-            d_amp = (2.0 * amp * (envelope @ slope) - signal @ slope) / (envelope @ envelope)
-            return amp * envelope - signal, (d_amp * envelope - amp * slope)[:, np.newaxis]
+        envelope = np.exp(-rate * times)[:, np.newaxis]
+        return envelope, lambda coef, fitted: (-times * fitted)[:, np.newaxis]
 
-    return fun
+    return basis
 
 
 def _exponential_seed(times, signal) -> float:
@@ -477,30 +516,16 @@ def _exponential_seed(times, signal) -> float:
 
 
 def _exponential_fit(times, signal) -> tuple[FitReport, np.ndarray]:
-    """Fit ``A exp(-g t)`` by variable projection; returns ``(report, r)``.
+    """Fit ``A exp(-g t)`` by :func:`_separable_fit`; returns ``(report, r)``.
 
-    The descent runs on ``g`` alone (see the module docstring) and a
-    converged one ends with one Gauss-Newton step.  The report is that
-    of both parameters at the result, with the residual ``r`` and the
-    gradient norm of ``(A, g)``; ``converged`` is the descent's verdict.
-    A rate of zero is reported as ``+0.0``.
+    The report is that of both parameters at the result, with the
+    residual ``r``; ``converged`` is the descent's verdict.  A rate of
+    zero is reported as ``+0.0``.
     """
-    (rate,), r, J, converged, iterations, _ = _lm_minimize(
-        _exponential_projected_residual_jacobian(times, signal),
-        [_exponential_seed(times, signal)],
-        data_norm=float(np.linalg.norm(signal)),
+    (rate,), (amp,), r, J, converged, iterations = _separable_fit(
+        signal, _exponential_basis(times), (_exponential_seed(times, signal),)
     )
-    if converged:
-        # the descent stops once the gradient is below a tolerance, which
-        # can leave the rate off in its 11th digit; one Gauss-Newton step
-        # from there brings it to the optimum; a zero column, from a
-        # signal that is zero throughout, takes none
-        rate -= (J[:, 0] @ r) / ((J[:, 0] @ J[:, 0]) or 1.0)
-    amp, envelope = _exponential_amplitude(times, signal, rate)
-    r = amp * envelope - signal
-    J = np.column_stack([envelope, -times * amp * envelope])
-    gnorm = float(np.max(np.abs(J.T @ r)))
-    return _report(_EXP_NAMES, (amp, rate + 0.0), r, J, converged, iterations, gnorm), r
+    return _report(_EXP_NAMES, (amp, rate + 0.0), r, J, converged, iterations), r
 
 
 def fit_exponential(times, signal) -> tuple[float, FitReport]:
@@ -559,22 +584,16 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
     if f_guess > 0 and (times[-1] - times[0]) * f_guess < 2.0:
         raise DomainError("linecut must span >= 2 expected oscillation periods")
     window = (0.5 * f_guess, 2.0 * f_guess) if f_guess > 0 else None
-    theta, r, J, iterations, gnorm, spread = _fit_damped_oscillation(
+    theta, coef, r, J, iterations, spread = _fit_damped_oscillation(
         times, populations, "vacuum-Rabi", window, decaying_baseline=True
     )
-    amp, rate, freq, phase, base, env_off = theta
+    amp = math.hypot(coef[0], coef[1])
     if amp < 0.02 * spread:
         raise FitError(
             f"no resolvable oscillation: fitted amplitude {amp:.3e} "
             f"vs signal range {spread:.3e}"
         )
-    # the (a, b) columns by the chain rule through A = hypot(a, b), phi = atan2(-b, a)
-    cos_p, sin_p = math.cos(phase), math.sin(phase)
-    J_a = cos_p * J[:, 0] - (sin_p / amp) * J[:, 3]
-    J_b = -sin_p * J[:, 0] - (cos_p / amp) * J[:, 3]
-    J = np.column_stack([J_a, J_b, J[:, [5, 4, 1, 2]]])
-    theta = (amp * cos_p, -amp * sin_p, env_off, base, rate, freq)
-    report = _report(_CHEVRON_NAMES, theta, r, J, True, iterations, gnorm)
+    report = _report(_CHEVRON_NAMES, (*coef, *theta), r, J, True, iterations)
     defect_decay = 2.0 * report.parameters["decay_rate"]
     half_osc = math.pi * report.parameters["frequency"]
     coupling = math.hypot(half_osc, defect_decay / 4.0)
@@ -602,7 +621,7 @@ def _polynomial_fit(points, powers, names):
     # + 0.0: a zero response gives coefficients -0.0, which would be written so
     coef = np.linalg.lstsq(design, response, rcond=None)[0] + 0.0
     r = design @ coef - response
-    report = _report(names, coef, r, design, True, 1, float(np.max(np.abs(design.T @ r))))
+    report = _report(names, coef, r, design, True, 1)
     return coef, report
 
 

@@ -177,15 +177,15 @@ class MeasurementContext:
         calibration: ReadoutCalibration,
         qubit_freq: float,
         epsilon: float,
-        residual_dephasing: float = 0.0,
     ) -> "MeasurementContext":
         """Build the context for drive amplitude ``epsilon``.
 
         The shifted frequency is ``qubit_freq + stark(epsilon)`` and the
         photon number follows ``stark = 2 * chi * nbar``, so the
-        frequency/photon consistency holds by construction.
-        ``residual_dephasing`` is the zero-power dephasing floor, which
-        the quadratic calibration does not capture.  An ``epsilon`` past
+        frequency/photon consistency holds by construction.  The
+        dephasing is the measurement-induced ``R epsilon^2`` alone: a
+        measured loss spectrum already carries the qubit's rest
+        linewidth, which a second term would apply twice.  An ``epsilon`` past
         the calibration's ``max_epsilon`` raises :class:`DomainError`:
         the fitted polynomials say nothing there.
         """
@@ -200,7 +200,7 @@ class MeasurementContext:
             raise DomainError(f"drive amplitude {epsilon} overflows a float") from None
         return cls(
             freq=qubit_freq + stark,
-            dephasing=residual_dephasing + calibration.dephasing(epsilon),
+            dephasing=calibration.dephasing(epsilon),
             nbar=calibration.nbar(epsilon),
         )
 
@@ -502,7 +502,6 @@ def sweep(
     qubit_freq: float,
     amplitudes: Sequence[float],
     window: tuple[float, float] | None = None,
-    residual_dephasing: float = 0.0,
 ) -> list[KkResult]:
     """Predicted decay rate across a sorted sweep of drive amplitudes.
 
@@ -520,8 +519,7 @@ def sweep(
     if np.any(np.diff(amps) < 0):
         raise DomainError("drive amplitudes must be sorted ascending")
     contexts = [
-        MeasurementContext.from_calibration(calibration, qubit_freq, float(eps), residual_dephasing)
-        for eps in amps
+        MeasurementContext.from_calibration(calibration, qubit_freq, float(eps)) for eps in amps
     ]
     measured = [c for c in contexts if c.dephasing >= DELTA_LIMIT]
     if not (isinstance(spectrum, TabulatedSpectrum) and measured):

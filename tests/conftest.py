@@ -76,9 +76,10 @@ def make_ramsey_signal(
 
 
 def degenerate_ramsey_signal(times):
-    """A noisy fringe, 750 samples long, on which the unguarded fit ends
-    where its envelope is gone before the second sample: rate 2.1e5/us,
-    shift 6829 MHz at offset 10 MHz, sigma 0 for both, and converged."""
+    """A noisy fringe, 750 samples long, on which the unguarded fit
+    converges on the 13.03 MHz fringe aliased through the 250 samples/us,
+    at 236.97 MHz.  A full-parameter descent ended instead where the
+    envelope is gone before the second sample (rate 2.1e5/us, sigma 0)."""
     signal = make_ramsey_signal(
         times, stark_mhz=3.01, dephasing=10.77, amplitude=0.43, phase=1.0
     )

@@ -521,8 +521,10 @@ class TestTraceBatch:
         assert not out.exists()
 
     def test_calibrate_names_a_degenerate_fit(self, tmp_path, capsys):
-        # the unguarded fit reported sigma 0 and let calibrate fail later,
-        # on the Stark polynomial, with a message naming no trace
+        # an unguarded fit converges on an alias of the fringe, which
+        # calibrate would take in; before the alias, on a fringe gone within
+        # one sample, whose sigma 0 let calibrate fail later, on the Stark
+        # polynomial, with a message naming no trace
         config = trace_dir_config(
             tmp_path,
             {"a": (ringing, RAMSEY_SIDECAR), "b": (degenerate_ramsey_signal, RAMSEY_SIDECAR)},
@@ -532,7 +534,7 @@ class TestTraceBatch:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "FitError"
         assert error["message"].startswith(
-            "trace fits failed for: b.csv: damped-sine fit is degenerate: "
+            "trace fits failed for: b.csv: damped-sine fit is degenerate: its frequency "
         )
         assert not out.exists()
 

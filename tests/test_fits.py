@@ -25,7 +25,7 @@ from conftest import (
     make_ramsey_signal,
 )
 from zenokit import fits
-from zenokit.fits import _CHEVRON_NAMES, _DAMPED_SINE_NAMES, _damped_sine_residual_jacobian
+from zenokit.fits import _CHEVRON_NAMES
 from zenokit.io import (
     POPULATION_CSV_HEADER,
     calibration_to_json,
@@ -168,22 +168,28 @@ class TestDampedSine:
         assert first == second  # bit-identical parameters and report
 
     def test_gradient_at_optimum_vs_finite_differences(self, ramsey_trace):
-        # a noisy Ramsey fringe, and a noisy linecut, whose decaying
-        # baseline C is the model's sixth parameter
+        # Kaufman's J.T @ r is the exact gradient of the projected cost, at
+        # the optimum and away from it: on a noisy Ramsey fringe, a noisy
+        # linecut, whose basis adds the decaying baseline, and a noisy echo
         rng = np.random.default_rng(11)
-        noisy = ramsey_trace.signal + rng.normal(0.0, 0.02 * 0.45, ramsey_trace.times.size)
-        _, _, report = zk.fit_damped_sine(
-            zk.RamseyTrace(ramsey_trace.times, noisy, offset_freq=OFFSET_MHZ)
-        )
-        theta = np.array([report.parameters[k] for k in _DAMPED_SINE_NAMES])
-        check_gradient(_damped_sine_residual_jacobian(ramsey_trace.times, noisy), theta)
+        times = ramsey_trace.times
+        noisy = ramsey_trace.signal + rng.normal(0.0, 0.02 * 0.45, times.size)
+        _, _, report = zk.fit_damped_sine(zk.RamseyTrace(times, noisy, offset_freq=OFFSET_MHZ))
+        theta = np.array([report.parameters["decay_rate"], report.parameters["frequency"]])
+        check_gradient(fits._projected_residual_jacobian(noisy, fits._damped_sine_basis(times)), theta)
 
         times, populations = swap_linecut()
         noisy = populations + rng.normal(0.0, 0.01, times.size)
         _, _, report = zk.fit_swap_chevron(times, noisy, f_guess=3.2)
-        a, b, c, d, rate, freq = (report.parameters[k] for k in _CHEVRON_NAMES)
-        theta = np.array([math.hypot(a, b), rate, freq, math.atan2(-b, a), d, c])
-        check_gradient(_damped_sine_residual_jacobian(times, noisy), theta)
+        theta = np.array([report.parameters["decay_rate"], report.parameters["frequency"]])
+        basis = fits._damped_sine_basis(times, decaying_baseline=True)
+        check_gradient(fits._projected_residual_jacobian(noisy, basis), theta)
+
+        times = np.linspace(0.1, 2.0, 40)
+        noisy = np.exp(-0.7 * times) + rng.normal(0.0, 0.01, times.size)
+        rate, _ = zk.fit_exponential(times, noisy)
+        basis = fits._exponential_basis(times)
+        check_gradient(fits._projected_residual_jacobian(noisy, basis), np.array([rate]))
 
     def test_rejects_short_or_narrow_traces(self):
         with pytest.raises(zk.DomainError):
@@ -216,25 +222,42 @@ class TestDampedSine:
             zk.fit_damped_sine(zk.RamseyTrace(times, np.full(100, 0.7), offset_freq=10.0))
 
     def test_degenerate_fit_is_refused(self):
-        # the fringe is seen by the first sample alone, so the rate and
-        # frequency columns of J vanish and their sigma would read 0
+        # the descent converges on the 13.03 MHz fringe aliased through 250
+        # samples/us, at 236.97 MHz
         times = np.arange(0.0, 3.0, 0.004)
         trace = zk.RamseyTrace(times, degenerate_ramsey_signal(times), offset_freq=OFFSET_MHZ)
-        with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its envelope falls"):
+        with pytest.raises(
+            zk.FitError,
+            match=r"^damped-sine fit is degenerate: its frequency 236\.968 MHz is above the "
+            r"125 MHz Nyquist frequency of the sample step$",
+        ):
             zk.fit_damped_sine(trace)
 
-    def test_rank_deficient_fit_is_refused(self, monkeypatch, ramsey_trace):
-        # a fit whose envelope is resolved but whose amplitude is zero has
-        # vanishing rate, frequency and phase columns
+    def test_envelope_gone_within_one_sample_is_refused(self, monkeypatch, ramsey_trace):
+        # the fringe would be seen by the first sample alone, so the rate
+        # and frequency columns of J vanish and their sigma would read 0
         fit = fits._lm_minimize
 
-        def zero_amplitude(fun, theta0, data_norm):
+        def fast_decay(fun, theta0, data_norm):
             theta, *rest = fit(fun, theta0, data_norm)
-            theta[0] = 0.0
+            theta[0] = 1e3
             return theta, *rest
 
-        monkeypatch.setattr(fits, "_lm_minimize", zero_amplitude)
-        with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its Jacobian has rank 2 of 5$"):
+        monkeypatch.setattr(fits, "_lm_minimize", fast_decay)
+        with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its envelope falls"):
+            zk.fit_damped_sine(ramsey_trace)
+
+    def test_rank_deficient_fit_is_refused(self, monkeypatch, ramsey_trace):
+        # a fit whose envelope is resolved but whose linear coefficients
+        # are zero has vanishing rate and frequency columns
+        solve = fits._solve_linear
+
+        def zero_coefficients(phi, signal):
+            coef, inverse = solve(phi, signal)
+            return np.zeros_like(coef), inverse
+
+        monkeypatch.setattr(fits, "_solve_linear", zero_coefficients)
+        with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its Jacobian has rank 3 of 5$"):
             zk.fit_damped_sine(ramsey_trace)
 
 
@@ -367,6 +390,22 @@ class TestExponentialFit:
         rate, report = zk.fit_exponential(np.linspace(0.1, 2.0, 40), np.ones(40))
         assert math.copysign(1.0, rate) == 1.0 and rate == 0.0
         assert math.copysign(1.0, report.parameters["decay_rate"]) == 1.0
+
+    def test_seed_with_an_underflowed_envelope_is_fit_error(self):
+        # 800 us in, the seeded envelope exp(-t) is 0 at every sample, so
+        # the basis is singular; this raised numpy's LinAlgError
+        times = np.linspace(0.1, 2.0, 40)
+        with pytest.raises(zk.FitError, match="^fit has no least-squares solution: Singular matrix$"):
+            zk.fit_exponential(times + 800.0, np.exp(-times))
+
+    def test_non_finite_basis_gives_a_nan_residual(self):
+        # LAPACK on an overflowed basis can run for seconds, so the trial is
+        # refused before it
+        times = np.linspace(0.1, 2.0, 40)
+        fun = fits._projected_residual_jacobian(np.exp(-times), fits._exponential_basis(times))
+        with np.errstate(over="ignore"):
+            r, J = fun(np.array([-1e3]))
+        assert np.all(np.isnan(r)) and not np.any(J)
 
     @pytest.mark.parametrize("sigma", [1e-4, 1e-3])
     def test_rate_is_the_least_squares_optimum(self, sigma):
@@ -544,15 +583,13 @@ class TestSwapChevron:
         baseline=st.floats(-0.05, 0.05),
         rate=st.floats(0.5, 4.0),
         freq=st.floats(2.5, 5.0),
-        flip_amplitude=st.booleans(),
         flip_frequency=st.booleans(),
     )
     def test_cartesian_report_on_drawn_linecuts(
-        self, amplitude, phase, offset, baseline, rate, freq, flip_amplitude, flip_frequency
+        self, amplitude, phase, offset, baseline, rate, freq, flip_frequency
     ):
-        # the model is unchanged under (A, phi) -> (-A, phi + pi) and
-        # (f, phi) -> (-f, -phi); an LM started there ends there, and the
-        # report must still give the generating (a, b)
+        # the model is unchanged under (b, f) -> (-b, -f); a descent started
+        # at -f ends there, and the report must still give the generating (a, b)
         a, b = amplitude * math.cos(phase), -amplitude * math.sin(phase)
         times = np.linspace(0.0, 1.2, 301)
         signal, _ = chevron_model(times, a, b, offset, baseline, rate, freq)
@@ -560,10 +597,8 @@ class TestSwapChevron:
 
         def flipped_start(fun, theta0, data_norm):
             theta0 = np.array(theta0)
-            if flip_amplitude:
-                theta0[[0, 3]] = -theta0[0], theta0[3] + math.pi
             if flip_frequency:
-                theta0[[2, 3]] = -theta0[2], -theta0[3]
+                theta0[1] = -theta0[1]
             result = lm_minimize(fun, theta0, data_norm)
             ends.append(result[0])
             return result
@@ -572,7 +607,7 @@ class TestSwapChevron:
             patch.setattr(fits, "_lm_minimize", flipped_start)
             _, _, report = zk.fit_swap_chevron(times, signal, f_guess=freq)
         (end,) = ends
-        assert (end[0] < 0, end[2] < 0) == (flip_amplitude, flip_frequency)
+        assert (end[1] < 0) == flip_frequency
         assert_cartesian_report(times, report, a, b)
 
     def test_span_precondition(self):

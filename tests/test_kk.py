@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import zenokit as zk
 from conftest import CHI_MHZ, GAMMA_1D, G_D, K_MHZ, QUBIT_FREQ, R_MHZ, S_MHZ, make_hotspot_spectrum
 from zenokit import kk
-from zenokit.io import read_calibration_json
+from zenokit.cli import main
+from zenokit.io import SPECTRUM_CSV_HEADER, read_calibration_json, read_columns_csv
 from zenokit.kk import pairwise_sum
 from zenokit.units import TWO_PI, mhz_to_angular
 
@@ -479,11 +481,26 @@ class TestSweep:
             single = zk.decay_rate(s, r.context, window=window)
             assert (r.raw_rate, r.norm, r.rate) == (single.raw_rate, single.norm, single.rate)
 
-    def test_residual_dephasing_floor(self, device_calibration):
-        s = make_hotspot_spectrum()
-        residual = TWO_PI * 0.05
-        results = zk.sweep(
-            s, device_calibration, QUBIT_FREQ, [0.0], residual_dephasing=residual
-        )
-        assert results[0].context.dephasing == residual
-        assert results[0].norm < 1.0
+    @pytest.mark.parametrize("config", ["predict_config.json", "predict_flat_config.json"])
+    def test_zero_drive_reads_the_table_at_the_qubit(self, tmp_path, capsys, config):
+        # the tabulated rates already carry the qubit's rest linewidth, so
+        # at eps = 0 predict returns the table; a dephasing floor on top,
+        # which applied that linewidth twice, is refused
+        payload = json.loads((DATA / config).read_text())
+        for key in ("spectrum_csv", "calibration_json"):
+            payload[key] = str(DATA / payload[key])
+        freqs, rates = read_columns_csv(payload["spectrum_csv"], SPECTRUM_CSV_HEADER)
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(DATA / config), "--out", str(out)]) == 0
+        first = json.loads((out / "predict.json").read_text())["results"][0]
+        assert first["epsilon"] == 0.0
+        expected = np.interp(payload["qubit_freq_mhz"], freqs, rates)
+        assert first["gamma_per_us"] == pytest.approx(expected, rel=1e-12)
+
+        floor = tmp_path / "floor.json"
+        floor.write_text(json.dumps({**payload, "residual_dephasing_mhz": 0.05}))
+        assert main(["predict", "--config", str(floor), "--out", str(tmp_path / "floor")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ParseError"
+        assert "'residual_dephasing_mhz'" in error["message"]
+        assert not (tmp_path / "floor").exists()
