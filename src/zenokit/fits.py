@@ -1,31 +1,22 @@
 """Least-squares fits that turn raw traces into calibration constants.
 
-Every nonlinear model here is separable: linear in all but its rate and
-frequency.  The damped oscillation
-``e^{-g t} (a cos 2 pi f t + b sin 2 pi f t [+ c]) + B`` is linear in
-``(a, b[, c], B)`` at fixed ``(g, f)``; the Ramsey fringe omits ``c``
-and the vacuum-Rabi linecut, whose baseline decays with the fringe,
-keeps it.  The exponential ``A e^{-g t}`` is linear in ``A`` at fixed
-``g``.  One core, :func:`_separable_fit`, fits them all by variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
-Levenberg-Marquardt descent moves the nonlinear parameters alone, the
-linear ones being the least-squares solve at each step, with Kaufman's
-Jacobian (BIT 15, 49 (1975)), whose ``J.T @ r`` is the exact gradient
-of the projected cost.  The descent ends with one Gauss-Newton step
-from the point where it reports convergence, rather than wherever the
-gradient first fell below its tolerance.  That step lands on the
+Every nonlinear model here is linear in all but its rate and frequency:
+the damped oscillation ``e^{-g t} (a cos 2 pi f t + b sin 2 pi f t [+ c]) + B``
+in ``(a, b[, c], B)`` (the vacuum-Rabi linecut keeps the decaying
+baseline ``c``, the Ramsey fringe omits it), the exponential
+``A e^{-g t}`` in ``A``.  One core, :func:`_separable_fit`, fits them by
+variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)): the Levenberg-Marquardt descent moves the nonlinear parameters
+alone, the linear ones being the least-squares solve at each step, with
+Kaufman's Jacobian (BIT 15, 49 (1975)).  It ends with one Gauss-Newton
+step from where the descent reports convergence.  That lands on the
 least-squares optimum to rounding when the residual is small (1.3e-15
 relative on noiseless Ramsey traces); Gauss-Newton converges only
 linearly when it is large, so a poor model keeps a little of the miss
 (9e-10 relative on ``exp(-3t) + 0.2`` at 20 samples over 0-2 us, up to
-5e-12 on 40-sample echo traces with 1% noise).  Each report gives
-every parameter, with uncertainties from the full Jacobian at the
-result.
-
-Initialization is deterministic: discrete-spectrum peak pick for the
-frequency, log-envelope regression for the oscillation's decay and
-log-linear regression for the exponential's.  Identical inputs
-therefore produce bit-identical fit reports.
+5e-12 on 40-sample echo traces with 1% noise).  Seeds are deterministic
+(spectral peak pick, log-envelope and log-linear regressions), so
+identical inputs produce bit-identical fit reports.
 
 Units follow the traces: times in us, ordinary frequencies in MHz
 (cycles/us), decay rates in 1/us.  The quadratic/quartic calibration
@@ -52,14 +43,14 @@ STEP_TOL = 1e-12
 class FitReport:
     """Outcome of one least-squares fit.
 
-    ``converged`` is only set when the gradient of the descent's cost in
-    the nonlinear parameters fell below :func:`_gradient_tolerance`
+    ``converged`` is only set when the descent's gradient, in the
+    nonlinear parameters, fell below :func:`_gradient_tolerance`
     (``GRADIENT_TOL * max(1, cost)`` or the cost's rounding floor,
     whichever is larger), or below :func:`_stall_tolerance` once no step
-    lowered the cost; a linear fit is converged by construction.
-    ``gradient_norm`` is the largest component of the cost gradient in
-    every reported parameter at the result.  Uncertainties are 1-sigma
-    values from the residual-variance-scaled normal-equations inverse.
+    lowered the cost.  ``gradient_norm`` is the largest component of
+    the cost gradient in all reported parameters at the result, and the
+    uncertainties are 1-sigma values from the residual-variance-scaled
+    normal-equations inverse there.
     """
 
     parameters: dict[str, float]
@@ -220,8 +211,6 @@ def _uncertainties(r: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def _report(names, theta, r, J, converged, iterations) -> FitReport:
-    """The report of ``theta`` named ``names``, at residual ``r`` with
-    Jacobian ``J``; its gradient norm is that of ``J.T @ r``."""
     sig = _uncertainties(r, J)
     return FitReport(
         parameters=dict(zip(names, (float(v) for v in theta))),
@@ -312,9 +301,8 @@ def _log_envelope_rate(times, values, freq):
 
 def _solve_linear(phi, signal):
     """Least-squares ``coef`` of ``phi @ coef ~ signal`` and the inverse
-    Gram matrix ``(phi.T phi)^-1``; LinAlgError if that matrix is not
-    finite or is singular.  Finiteness is tested first, on the sum of the
-    entries, as LAPACK on an overflowed basis can run for seconds."""
+    Gram matrix; LinAlgError if that matrix is not finite or singular.
+    Finiteness comes first: LAPACK on an overflowed basis can hang."""
     gram = phi.T @ phi
     if not math.isfinite(gram.sum()):
         raise np.linalg.LinAlgError("the basis is not finite")
@@ -323,16 +311,16 @@ def _solve_linear(phi, signal):
 
 
 def _projected_residual_jacobian(signal, basis):
-    """``fun(theta) -> (r, J)`` of the separable model ``phi @ coef``.
+    """``fun(theta) -> (r, J)`` of the model ``phi @ coef``, ``coef``
+    being the least-squares solve at ``theta``.
 
-    ``basis(theta) -> (phi, tangent)`` gives the model's columns at the
-    nonlinear parameters ``theta``, and ``tangent(coef, fitted)`` the
-    model's derivatives in ``theta`` at fixed ``coef``.  ``coef`` is the
-    least-squares solve at ``theta``, and ``J = (I - P) tangent``, with
-    ``P`` the projector onto ``phi``'s columns, is Kaufman's Jacobian:
-    ``J.T @ r`` is the exact gradient of the projected cost at every
-    ``theta``.  A basis that :func:`_solve_linear` refuses gives a NaN
-    residual, which the descent rejects.
+    ``basis(theta) -> (phi, tangent)`` gives the columns, and
+    ``tangent(coef, fitted)`` the model's derivatives in ``theta`` at
+    fixed ``coef``.  ``J = (I - P) tangent``, with ``P`` the projector
+    onto the columns, is Kaufman's Jacobian: its ``J.T @ r`` is the
+    exact gradient of the projected cost at every ``theta``.  A basis
+    that :func:`_solve_linear` refuses gives a NaN residual, which the
+    descent rejects.
     """
 
     def fun(theta):
@@ -349,14 +337,10 @@ def _projected_residual_jacobian(signal, basis):
 
 
 def _separable_fit(signal, basis, theta0):
-    """Fit the separable model of :func:`_projected_residual_jacobian` by
-    variable projection from ``theta0``.
-
-    Returns ``(theta, coef, r, J, converged, iterations)``, with ``J``
-    the full Jacobian ``[phi, tangent]`` in ``(coef, theta)`` at the
-    result and ``converged`` the descent's verdict.  A converged descent
-    ends with one Gauss-Newton step (see the module docstring).
-    """
+    """Fit :func:`_projected_residual_jacobian`'s model from ``theta0``;
+    returns ``(theta, coef, r, J, converged, iterations)``, ``J`` being
+    the full Jacobian in ``(coef, theta)`` at the result.  A converged
+    descent ends with one Gauss-Newton step."""
     fun = _projected_residual_jacobian(signal, basis)
     theta, r, J, converged, iterations, _ = _lm_minimize(
         fun, theta0, data_norm=float(np.linalg.norm(signal))
@@ -367,7 +351,6 @@ def _separable_fit(signal, basis, theta0):
     try:
         coef, _ = _solve_linear(phi, signal)
     except np.linalg.LinAlgError as exc:
-        # the descent took no step from a seed it could not evaluate
         raise FitError(f"fit has no least-squares solution: {exc}") from None
     fitted = phi @ coef
     J = np.hstack([phi, tangent(coef, fitted)])
@@ -381,10 +364,9 @@ _DAMPED_SINE_NAMES = ("amplitude", "decay_rate", "frequency", "phase", "baseline
 
 
 def _damped_sine_basis(times, decaying_baseline=False):
-    """``basis(theta)`` of ``e^{-g t} (a cos 2 pi f t + b sin 2 pi f t [+ c]) + B``
-    at ``theta = (g, f)``: the columns ``(e cos, e sin[, e], 1)``, and
-    the tangent ``(-t (fitted - B), 2 pi t (b e cos - a e sin))``
-    taken from the fitted model."""
+    """``basis(theta)`` of the damped oscillation at ``theta = (g, f)``:
+    columns ``(e cos, e sin[, e], 1)``, tangent ``(-t (fitted - B),
+    2 pi t (b e cos - a e sin))``."""
     ones = np.ones_like(times)
     two_pi_t = TWO_PI * times
 
@@ -406,19 +388,16 @@ def _damped_sine_basis(times, decaying_baseline=False):
 
 def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baseline=False):
     """Seed and fit :func:`_damped_sine_basis`'s model; returns
-    ``(theta, coef, r, J, iterations, signal range)`` with ``f >= 0``,
-    or raises FitError naming ``name``.
+    ``(theta, coef, r, J, iterations, signal range)``, or raises
+    FitError naming ``name``.
 
-    The model is unchanged under ``(b, f) -> (-b, -f)``, so a fit that
-    ends at ``f < 0`` is reported with both signs flipped.  A converged
-    fit is refused as degenerate when its envelope falls by more than a
-    factor e over the smallest sample step, when its frequency is above
-    the Nyquist frequency of that step, or when ``J`` loses rank at the
-    cutoff of the pseudo-inverse in :func:`_uncertainties`.  In the
-    first case the fringe is seen by one sample, and the rate and
-    frequency columns of ``J`` vanish; in the second the fringe is an
-    alias of a slower one; in the first and last some reported
-    uncertainty would be zero.
+    The model is unchanged under ``(b, f) -> (-b, -f)``; the result has
+    ``f >= 0``.  A fit is refused as degenerate when its envelope falls
+    by more than a factor e over the smallest sample step (the fringe is
+    seen by one sample), when its frequency is above that step's Nyquist
+    frequency (the fringe is an alias), or when ``J`` loses rank at the
+    cutoff of :func:`_uncertainties`' pseudo-inverse; in the first and
+    last cases some reported uncertainty would be zero.
     """
     freq0, rate0, spread = _oscillation_seed(times, signal, f_window)
     (rate, freq), coef, r, J, converged, iterations = _separable_fit(
@@ -455,9 +434,8 @@ def fit_damped_sine(trace: RamseyTrace) -> tuple[float, float, FitReport]:
     Returns ``(freq_shift, decay_rate, report)`` where ``freq_shift`` is
     the fitted fringe frequency minus the deliberate offset (MHz) and
     ``decay_rate`` the envelope decay in 1/us.  The fitted frequency is
-    taken ``>= 0``, so a zero offset reports ``|shift|``.  The fit runs
-    in ``a = A cos(phi)``, ``b = -A sin(phi)``; the report maps it to
-    ``(A, phi)``, with ``phi`` in ``(-pi, pi]``.
+    taken ``>= 0``, so a zero offset reports ``|shift|``.  The fit's
+    ``a = A cos(phi)``, ``b = -A sin(phi)`` are reported as ``(A, phi)``.
 
     Raises
     ------
@@ -495,8 +473,7 @@ _EXP_NAMES = ("amplitude", "decay_rate")
 
 
 def _exponential_basis(times):
-    """``basis(theta)`` of ``A e^{-g t}`` at ``theta = (g,)``: the column
-    ``e``, and the tangent ``-t * fitted``."""
+    """``basis(theta)`` of ``A e^{-g t}`` at ``theta = (g,)``."""
 
     def basis(theta):
         (rate,) = theta
@@ -516,12 +493,8 @@ def _exponential_seed(times, signal) -> float:
 
 
 def _exponential_fit(times, signal) -> tuple[FitReport, np.ndarray]:
-    """Fit ``A exp(-g t)`` by :func:`_separable_fit`; returns ``(report, r)``.
-
-    The report is that of both parameters at the result, with the
-    residual ``r``; ``converged`` is the descent's verdict.  A rate of
-    zero is reported as ``+0.0``.
-    """
+    """Fit ``A exp(-g t)`` by :func:`_separable_fit`; returns ``(report, r)``
+    with a rate of zero reported as ``+0.0``."""
     (rate,), (amp,), r, J, converged, iterations = _separable_fit(
         signal, _exponential_basis(times), (_exponential_seed(times, signal),)
     )
