@@ -522,9 +522,8 @@ class TestTraceBatch:
 
     def test_calibrate_names_a_degenerate_fit(self, tmp_path, capsys):
         # an unguarded fit converges on an alias of the fringe, which
-        # calibrate would take in; before the alias, on a fringe gone within
-        # one sample, whose sigma 0 let calibrate fail later, on the Stark
-        # polynomial, with a message naming no trace
+        # calibrate would take into its Stark polynomial; the refusal names
+        # the trace
         config = trace_dir_config(
             tmp_path,
             {"a": (ringing, RAMSEY_SIDECAR), "b": (degenerate_ramsey_signal, RAMSEY_SIDECAR)},
