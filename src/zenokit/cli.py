@@ -31,7 +31,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -307,12 +306,12 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
                 "epsilon": eps,
                 "stark_mhz": shift,
                 "gamma_phi_mhz": angular_to_mhz(rate),
-                "report": asdict(report),
+                "report": vars(report),
             }
             for path, eps, shift, rate, report in entries
         ],
-        "stark_fit": asdict(stark_report),
-        "dephasing_fit": asdict(dephasing_report),
+        "stark_fit": vars(stark_report),
+        "dephasing_fit": vars(dephasing_report),
     }
     return {
         out_dir / "calibration.json": calibration_to_json(calibration),
@@ -402,7 +401,7 @@ def cmd_fit_swap(args, config, config_dir, out_dir) -> dict[Path, str]:
         "format": FORMAT_TAG,
         "coupling_mhz": angular_to_mhz(coupling),
         "defect_decay_per_us": defect_decay,
-        "report": asdict(report),
+        "report": vars(report),
     }
     return {out_dir / "swap_fit.json": dump_json(payload)}
 
@@ -415,7 +414,7 @@ def cmd_fit_flux_noise(args, config, config_dir, out_dir) -> dict[Path, str]:
             "file": path.name,
             "flux_amp": meta["flux_amp"],
             "gamma_phi_mhz": angular_to_mhz(rate),
-            "report": asdict(report),
+            "report": vars(report),
         }
         for path, meta, (rate, report) in fitted
     ]
@@ -424,7 +423,7 @@ def cmd_fit_flux_noise(args, config, config_dir, out_dir) -> dict[Path, str]:
         "format": FORMAT_TAG,
         "quadratic_coef_mhz": angular_to_mhz(coefficient),
         "traces": per_trace,
-        "report": asdict(fit_report),
+        "report": vars(fit_report),
     }
     return {out_dir / "flux_noise_fit.json": dump_json(payload)}
 

@@ -7,6 +7,11 @@ reader, :func:`json_number` (a list: :func:`json_numbers`).  A spectrum
 file is held to the spectrum's own invariants, by :func:`spectrum_from_mhz`.
 The other modules hold models and numerics and open no file.
 
+The table reader parses data rows with numpy's C reader, whose
+conversion is ``float()``'s own ``PyOS_string_to_double``, so the bits
+are those of a per-cell ``float()``; a line-by-line ``float()`` pass
+runs only on the tables that reader refuses or cannot vouch for.
+
 Every output file embeds the format tag so downstream tooling can check
 what produced it; CSV files carry it as a leading ``#`` comment, JSON
 files as a ``"format"`` key.  Floats are serialized with ``repr``, which
@@ -98,10 +103,22 @@ def read_columns_csv(path, header: str) -> tuple[np.ndarray, ...]:
     """Strictly parse a numeric CSV whose header matches exactly.
 
     ``path`` is a file path, not an open stream.  Leading ``#``
-    comment lines and blank lines are skipped.  A header mismatch, no
-    data rows, or a row with the wrong column count, a non-numeric or a
-    non-finite value raises :class:`ParseError`, naming the file and,
-    for a bad row, its line.  Returns one contiguous array per column.
+    comment lines and blank lines are skipped, and so are blank lines
+    among the data rows.  A header mismatch, no data rows, or a row with
+    the wrong column count, a non-numeric or a non-finite value raises
+    :class:`ParseError`, naming the file and, for a bad row, its line.
+    Returns one contiguous array per column.
+
+    The data rows are parsed by numpy's C reader, ``np.loadtxt``.  It
+    converts each cell with ``PyOS_string_to_double``, the routine
+    ``float()`` calls, so the bits are those of ``float()`` on each
+    cell.  Where that reader raises, or returns a table of the wrong
+    width or with a non-finite value, the rows are parsed again line by
+    line with ``float()``, which either raises the error naming the line
+    or returns the table: ``float()`` alone takes ``1_000``, non-ASCII
+    digits and whitespace-only lines among the rows.  Lines are numbered
+    by the file's own newline rule (LF, CRLF or CR), and the file is
+    read once, so a pipe can be read too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_columns(fh, os.fspath(path), header)
@@ -118,32 +135,46 @@ def _parse_columns(fh, name: str, header: str) -> tuple[np.ndarray, ...]:
     if seen_header != header:
         raise ParseError(f"{name}: expected header {header!r}, got {seen_header!r}")
     n_cols = header.count(",") + 1
-    lines, linenos = [], []
-    for lineno, line in enumerate(fh, lineno + 1):
-        if line.count(",") == n_cols - 1:
-            lines.append(line)
-            linenos.append(lineno)
-        elif line.strip():
+    # the text layer has already turned every newline into "\n", so this
+    # split gives the file's own lines; read once, never seeked back, so
+    # that a pipe reads too
+    rest = fh.read()
+    if not rest.strip():
+        raise ParseError(f"{name}: no data rows")
+    lines = rest.split("\n")
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != n_cols or not np.isfinite(table).all():
+        table = _parse_lines(lines, name, n_cols, lineno)
+    return tuple(table[:, j].copy() for j in range(n_cols))
+
+
+def _parse_lines(lines, name: str, n_cols: int, lineno: int) -> np.ndarray:
+    """The rows of ``lines``, which follow line ``lineno``, by ``float()``
+    line by line, or the :class:`ParseError` of the first bad line."""
+    kept = []
+    for lineno, line in enumerate(lines, lineno + 1):
+        if not line.strip():
+            continue
+        if line.count(",") != n_cols - 1:
             raise ParseError(
                 f"{name}:{lineno}: expected {n_cols} columns, got {line.count(',') + 1}"
             )
-    if not lines:
-        raise ParseError(f"{name}: no data rows")
-    # float() every cell of one joined string and check finiteness once
-    # over the table, keeping per-row objects out of the hot loop; a
-    # failure is then traced back to its line
-    try:
-        table = np.array([*map(float, ",".join(lines).split(","))]).reshape(-1, n_cols)
-    except ValueError:
-        for lineno, line in zip(linenos, lines):
-            try:
-                [float(part.strip()) for part in line.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"{name}:{lineno}: {exc}") from None
+        kept.append((lineno, line))
+    # every row's width is checked before any cell is parsed
+    rows = []
+    for lineno, line in kept:
+        try:
+            rows.append([float(part.strip()) for part in line.split(",")])
+        except ValueError as exc:
+            raise ParseError(f"{name}:{lineno}: {exc}") from None
+    table = np.array(rows)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        raise ParseError(f"{name}:{linenos[int(np.argmin(finite))]}: non-finite value")
-    return tuple(table[:, j].copy() for j in range(n_cols))
+        raise ParseError(f"{name}:{kept[int(np.argmin(finite))][0]}: non-finite value")
+    return table
 
 
 def read_spectrum_csv(path) -> TabulatedSpectrum:

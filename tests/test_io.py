@@ -1,15 +1,26 @@
-"""The CSV table writer: its byte contract and its column-shape guard.
+"""The CSV table writer and reader: their byte and bit contracts, and
+the writer's column-shape guard and the reader's grammar and messages.
 
 ``format_table_csv`` formats each distinct value of a column once.  The
 bytes must equal a per-cell ``repr(float(v))`` written row by row, which
-is kept here as the reference.
+is kept here as the reference.  ``read_columns_csv`` parses with numpy's
+C reader; its bits must equal a per-cell ``float()``, kept here as the
+reference, and its refusals must name the line the file's own newline
+rule numbers.
 """
+import os
+import threading
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenokit.io import FORMAT_TAG, format_table_csv
+from zenokit import io
+from zenokit.errors import ParseError
+from zenokit.io import FORMAT_TAG, format_table_csv, read_columns_csv
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 0.1, 1.0 / 3.0, -2.5, 1e300]
 
@@ -100,3 +111,157 @@ class TestShapeGuard:
     def test_unequal_lengths_are_refused(self):
         with pytest.raises(ValueError, match="differ in length"):
             format_table_csv("a,b", ([1.0, 2.0, 3.0], [1.0, 2.0]))
+
+
+# --- the reader -----------------------------------------------------------
+
+TESTS = Path(__file__).parent
+FIXTURE_CSVS = sorted([*TESTS.glob("data/**/*.csv"), *TESTS.glob("golden/**/*.csv")])
+
+# the edges of float64 and of its shortest repr
+EDGES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7e308, -1.7e308, 1.7976931348623157e308, 0.30000000000000004, 1.0 / 3.0,
+    2.718281828459045, 1.2345678901234567e-200, 9007199254740993.0, 1e22, 1e23,
+]
+
+
+def float_reference(path):
+    """The header and a per-cell ``float()`` of every data row, read line
+    by line from a text-mode handle: the reader's bit contract."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    lines = [line for line in lines if not line.startswith("#")]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return lines[0].strip(), [np.array(column) for column in zip(*rows)]
+
+
+def assert_same_bits(columns, expected):
+    assert len(columns) == len(expected)
+    for column, reference in zip(columns, expected):
+        assert column.dtype == np.float64
+        assert column.flags.c_contiguous and column.base is None
+        assert column.view(np.int64).tolist() == np.asarray(reference).view(np.int64).tolist()
+
+
+def read_text(tmp_path, text, header="a,b"):
+    """``read_columns_csv`` on a file holding exactly ``text``'s bytes."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return read_columns_csv(path, header)
+
+
+finite_float64 = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(EDGES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(finite_float64, min_size=n, max_size=n), min_size=3, max_size=3)
+))
+def test_written_table_reads_back_bit_equal(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("round_trip") / "table.csv"
+    path.write_text(format_table_csv("a,b,c", [np.array(c) for c in columns]), encoding="utf-8")
+    assert_same_bits(read_columns_csv(path, "a,b,c"), columns)
+
+
+@pytest.mark.parametrize("path", FIXTURE_CSVS, ids=lambda p: str(p.relative_to(TESTS)))
+def test_fixture_reads_bit_equal_to_float(path):
+    header, expected = float_reference(path)
+    assert_same_bits(read_columns_csv(path, header), expected)
+
+
+def test_large_table_reads_bit_equal_without_the_line_pass(tmp_path, monkeypatch):
+    # 20 000 rows, ~1.2 MB of text and 480 kB of float64: the C reader
+    # grows its row buffer many times over; the line-by-line pass must
+    # not run
+    bits = np.random.default_rng(7).integers(0, 2**63, size=(3, 20_000), dtype=np.int64)
+    columns = [c.view(np.float64) for c in bits]
+    columns = [np.where(np.isfinite(c), c, 1.5) for c in columns]
+    path = tmp_path / "large.csv"
+    path.write_text(format_table_csv("a,b,c", columns), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("the line-by-line pass ran")
+
+    monkeypatch.setattr(io, "_parse_lines", refuse)
+    assert_same_bits(read_columns_csv(path, "a,b,c"), columns)
+
+
+class TestReaderGrammar:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1,2\n\n3,4\n",  # blank: the C reader skips it
+            "a,b\n1,2\n   \n\t\n\n3,4\n",  # whitespace-only: only float() does
+            "a,b\r\n1,2\r\n\r\n3,4\r\n",  # CRLF
+            "a,b\r1,2\r3,4\r",  # CR
+            "a,b\n1,2\n3,4",  # no newline after the last row
+            "# zenokit-v1\n\na,b\n1 , 2\n3,\t4\n",  # comment and blank before the header
+        ],
+        ids=["blank", "whitespace-only", "crlf", "cr", "no-final-newline", "preamble"],
+    )
+    def test_accepted_layouts(self, text, tmp_path):
+        assert_same_bits(read_text(tmp_path, text), [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "cell,value",
+        [("1_000", 1000.0), ("\u0661\u0662", 12.0), ("\u00a02.5\u00a0", 2.5), ("-0.0", -0.0)],
+        ids=["underscore", "arabic-indic-digits", "nbsp", "negative-zero"],
+    )
+    def test_cells_float_takes(self, cell, value, tmp_path):
+        assert_same_bits(read_text(tmp_path, f"a,b\n{cell},1\n"), [[value], [1.0]])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a,b\n1,2\n# note\n3,4\n", ":3: expected 2 columns, got 1"),
+            ("a,b\n1,2\n3,4,\n", ":3: expected 2 columns, got 3"),
+            ("a,b\n1,2,5\n", ":2: expected 2 columns, got 3"),
+            ("a,b\n1,2,5\n3,4,6\n", ":2: expected 2 columns, got 3"),
+            ("a,b\n1,2\n3,4\u20285,6\n", ":3: expected 2 columns, got 3"),
+            ("a,b\r1,2\rx,4\r", ":3: could not convert string to float: 'x'"),
+            ("a,b\n1,2\n3, abc \n", ":3: could not convert string to float: 'abc'"),
+            ("a,b\nx,1\n1,2,3\n", ":3: expected 2 columns, got 3"),
+            ("a,b\n1,2\n\n   \n3,nan\n", ":5: non-finite value"),
+            ("a,b\n1,inf\n2,nan\n", ":2: non-finite value"),
+            ("a,b\n\n1,2\n-1e999,3\n", ":4: non-finite value"),
+        ],
+        ids=[
+            "comment-after-header", "trailing-comma", "extra-column", "extra-column-every-row",
+            "line-separator-is-not-a-newline", "cr-lineno", "non-numeric",
+            "column-count-before-cells", "nan-after-blank-lines", "first-non-finite-row",
+            "overflow",
+        ],
+    )
+    def test_refusal_names_its_line(self, text, message, tmp_path):
+        with pytest.raises(ParseError) as info:
+            read_text(tmp_path, text)
+        assert str(info.value) == f"{tmp_path / 'table.csv'}{message}"
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "# tag\na,b\n\n  \n"])
+    def test_header_only_is_no_data_rows_without_a_warning(self, text, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError) as info:
+                read_text(tmp_path, text)
+        assert str(info.value) == f"{tmp_path / 'table.csv'}: no data rows"
+        assert caught == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read(tmp_path):
+    # the rows are read once, never seeked back to
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+
+    def write():
+        path.write_text("# zenokit-v1\na,b\n1,2\n3,x\n")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(ParseError, match=r"pipe\.csv:4: could not convert string to float: 'x'"):
+            read_columns_csv(path, "a,b")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
