@@ -16,18 +16,22 @@ Every output file embeds the format tag so downstream tooling can check
 what produced it; CSV files carry it as a leading ``#`` comment, JSON
 files as a ``"format"`` key.  Floats are serialized with ``repr``, which
 round-trips exactly, and writes go through a temp file + rename so a
-failing run never leaves a half-written output.  CSV tables are written
-by column: :func:`format_table_csv` takes equal-length 1-D columns and
-formats each distinct value of a column once, so a map's coordinate
-columns cost one ``repr`` per grid line, not per point.
+failing run never leaves a half-written output; outputs get the umask's
+permissions.  CSV tables are written by column: :func:`format_table_csv`
+takes equal-length 1-D columns.  A column whose values repeat is
+formatted once per distinct value, so a map's coordinate columns cost
+one ``repr`` per grid line, not per point; a column whose values are all
+distinct is formatted straight, one ``repr`` per cell in row order.  The
+cells, separators and newlines of all rows go into one list and one
+join.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import platform
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +58,37 @@ CALIBRATION_JSON_KEYS = ("S_mhz", "K_mhz", "R_mhz", "chi_mhz")
 # compute kernel at run time.
 KERNEL_ENV_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
+# numbers the temp files of atomic_write_text, which are named from the
+# pid and this count
+_TEMP_NUMBERS = itertools.count()
+
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partially written file."""
+    """Write ``text`` as UTF-8 via a sibling temp file and rename, so
+    readers never see a partially written file.
+
+    The missing parent directories are created.  The file gets mode
+    ``0o666`` less the umask, as ``open(path, "w")`` gives a new file.
+    On any failure the temp file is removed and ``path`` is untouched.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # O_EXCL refuses a name that exists, such as a temp left behind by a
+    # killed process that had this pid; the next number is tried then
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TEMP_NUMBERS)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -221,9 +246,15 @@ def format_table_csv(header: str, columns, tag: str | None = FORMAT_TAG) -> str:
         raise ValueError(f"columns must be 1-D, got shapes {[a.shape for a in arrays]}")
     if len({a.size for a in arrays}) > 1:
         raise ValueError(f"columns differ in length: {[a.size for a in arrays]}")
-    lines = [f"# {tag}", header] if tag else [header]
-    lines += map(",".join, zip(*map(_column_cells, arrays), strict=True))
-    return "\n".join(lines) + "\n"
+    # one flat list: cell, ",", cell, ..., cell, "\n" per row, so the
+    # join reads the cells and no row string is built
+    k, n = len(arrays), arrays[0].size
+    parts = [","] * (2 * k * n)
+    for j, array in enumerate(arrays):
+        parts[2 * j :: 2 * k] = _column_cells(array)
+    parts[2 * k - 1 :: 2 * k] = ["\n"] * n
+    head = f"# {tag}\n{header}\n" if tag else f"{header}\n"
+    return head + "".join(parts)
 
 
 def _column_cells(column: np.ndarray) -> list[str]:
@@ -233,6 +264,10 @@ def _column_cells(column: np.ndarray) -> list[str]:
     # one repr per distinct bit pattern: the int64 view keeps -0.0 apart
     # from 0.0, which compare equal as floats
     patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if patterns.size == values.size:
+        # all distinct: no repr to share; skipping the gather also leaves
+        # the cells in memory in the order the join reads them
+        return [*map(repr, values.tolist())]
     cells = np.array([*map(repr, patterns.view(np.float64).tolist())], dtype=object)
     return cells[inverse].tolist()
 

@@ -1,14 +1,18 @@
-"""The CSV table writer and reader: their byte and bit contracts, and
-the writer's column-shape guard and the reader's grammar and messages.
+"""The CSV table writer and reader: their byte and bit contracts, the
+writer's column-shape guard, the reader's grammar and messages, and the
+atomic file write under them.
 
-``format_table_csv`` formats each distinct value of a column once.  The
+``format_table_csv`` formats each distinct value of a column once where
+values repeat, and each cell straight where they are all distinct.  The
 bytes must equal a per-cell ``repr(float(v))`` written row by row, which
 is kept here as the reference.  ``read_columns_csv`` parses with numpy's
 C reader; its bits must equal a per-cell ``float()``, kept here as the
 reference, and its refusals must name the line the file's own newline
 rule numbers.
 """
+import itertools
 import os
+import stat
 import threading
 import warnings
 from pathlib import Path
@@ -111,6 +115,60 @@ class TestShapeGuard:
     def test_unequal_lengths_are_refused(self):
         with pytest.raises(ValueError, match="differ in length"):
             format_table_csv("a,b", ([1.0, 2.0, 3.0], [1.0, 2.0]))
+
+
+def bit_pattern(value):
+    return np.float64(value).tobytes()
+
+
+def distinct_column(n_rows):
+    """``n_rows`` values, no two with the same bit pattern."""
+    values = st.floats(width=64) | st.sampled_from(SPECIAL)
+    return st.lists(values, min_size=n_rows, max_size=n_rows, unique_by=bit_pattern).map(np.array)
+
+
+@st.composite
+def distinct_columns(draw):
+    n_rows = draw(st.integers(0, 60))
+    return [draw(distinct_column(n_rows)) for _ in range(3)]
+
+
+@st.composite
+def mixed_columns(draw):
+    """One all-distinct column between two drawn from small pools, which
+    repeat once there are more rows than pool values."""
+    repeated = draw(repeated_columns())
+    distinct = draw(distinct_column(repeated[0].size))
+    return [repeated[0], distinct, repeated[1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_columns())
+def test_distinct_columns_match_per_cell_repr(columns):
+    for column in columns:
+        assert np.unique(column.view(np.int64)).size == column.size
+    assert format_table_csv("a,b,c", columns) == reference_csv("a,b,c", columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_columns())
+def test_mixed_columns_match_per_cell_repr(columns):
+    assert format_table_csv("a,b,c", columns) == reference_csv("a,b,c", columns)
+
+
+def test_map_shaped_table_matches_per_cell_repr():
+    # the rate map's layout: row-major coordinates that repeat, and a
+    # rate column whose 80 000 values are all distinct
+    detunings = np.linspace(-20.0, 20.0, 400)
+    dephasings = np.linspace(0.0, 5.0, 200)
+    rates = np.random.default_rng(3).uniform(1e-3, 1.0, 400 * 200)
+    columns = (np.repeat(detunings, 200), np.tile(dephasings, 400), rates)
+    assert np.unique(rates).size == rates.size
+    text = format_table_csv(io.ZENO_MAP_CSV_HEADER, columns)
+    # lines, not one string: a failure then names the first bad row
+    # instead of diffing 2.7 MB of text
+    assert text.splitlines() == reference_csv(io.ZENO_MAP_CSV_HEADER, columns).splitlines()
+    assert text.endswith("\n")
 
 
 # --- the reader -----------------------------------------------------------
@@ -265,3 +323,63 @@ def test_a_pipe_is_read(tmp_path):
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+# --- the atomic write -----------------------------------------------------
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_written_file_has_the_umask_mode(umask, tmp_path):
+    path = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        io.atomic_write_text(path, "first\n")
+        first = stat.S_IMODE(path.stat().st_mode)
+        io.atomic_write_text(path, "second\n")
+        second = stat.S_IMODE(path.stat().st_mode)
+    finally:
+        os.umask(old)
+    assert first == second == 0o666 & ~umask
+    assert path.read_text(encoding="utf-8") == "second\n"
+
+
+def test_failed_encode_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    io.atomic_write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        io.atomic_write_text(path, "new\ud800\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failed_rename_removes_the_temp(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    io.atomic_write_text(path, "old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(io.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        io.atomic_write_text(path, "new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_missing_parents_are_created(tmp_path):
+    path = tmp_path / "a" / "b" / "out.csv"
+    io.atomic_write_text(path, "x,y\n1.0,2.0\n")
+    assert path.read_text(encoding="utf-8") == "x,y\n1.0,2.0\n"
+
+
+def test_existing_temp_name_is_skipped(tmp_path, monkeypatch):
+    # a temp left by a killed process with this pid is neither reused nor
+    # touched
+    monkeypatch.setattr(io, "_TEMP_NUMBERS", itertools.count(5))
+    stale = tmp_path / f"out.csv.{os.getpid()}.5.tmp"
+    stale.write_text("stale", encoding="utf-8")
+    io.atomic_write_text(tmp_path / "out.csv", "fresh\n")
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "fresh\n"
+    assert stale.read_text(encoding="utf-8") == "stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", stale.name]
