@@ -23,7 +23,6 @@ from .errors import (
     FitError,
     OscillationWarning,
     ParseError,
-    RangeError,
     SignError,
     StabilityError,
 )

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kk
 from .defect import DefectParams, decay_rate_map
-from .errors import DomainError, FitError, ParseError, RangeError, StabilityError
+from .errors import DomainError, FitError, ParseError, StabilityError
 from .fits import (
     RamseyTrace,
     fit_damped_sine,
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             atomic_write_text(path, text)
     except (ParseError, OSError) as exc:
         return _fail(EXIT_PARSE, exc)
-    except (DomainError, RangeError, FitError) as exc:
+    except (DomainError, FitError) as exc:
         return _fail(EXIT_DOMAIN, exc)
     except StabilityError as exc:
         return _fail(EXIT_STABILITY, exc)

@@ -1,13 +1,12 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+A frequency outside a tabulated spectrum's grid is no error: the table
+holds its end rates there (see :class:`zenokit.spectrum.TabulatedSpectrum`).
+"""
 
 
 class DomainError(ValueError):
     """A parameter is outside the domain where the operation is defined."""
-
-
-class RangeError(ValueError):
-    """A frequency falls outside a tabulated spectrum's grid and the
-    spectrum was built with the strict extrapolation policy."""
 
 
 class SignError(DomainError):

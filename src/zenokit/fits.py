@@ -49,8 +49,8 @@ class FitReport:
     whichever is larger), or below :func:`_stall_tolerance` once no step
     lowered the cost.  ``gradient_norm`` is the largest component of
     the cost gradient in all reported parameters at the result, and the
-    uncertainties are 1-sigma values from the residual-variance-scaled
-    normal-equations inverse there.
+    uncertainties are 1-sigma values there, from :func:`_rank_and_sigma`'s
+    SVD of the Jacobian.
     """
 
     parameters: dict[str, float]
@@ -200,18 +200,26 @@ def _lm_minimize(residual_jacobian, theta0, data_norm):
     return theta, r, J, converged, iterations, gnorm
 
 
-def _uncertainties(r: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """1-sigma parameter errors from the normal-equations inverse."""
+def _rank_and_sigma(r: np.ndarray, J: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of ``J`` and the 1-sigma parameter errors, from one SVD of ``J``.
+
+    ``J = U diag(s) V^T``; singular values at or below ``max(n, p) * eps
+    * s[0]`` (``lstsq``'s cutoff) count as zero, and the covariance is
+    ``var * V diag(s^-2) V^T`` over the rest, ``var = ||r||^2 / (n - p)``
+    (errors 0 when ``n <= p``).  Working on ``J`` rather than ``J^T J``
+    keeps the condition number unsquared.
+    """
     n, p = J.shape
+    _, s, vt = np.linalg.svd(J, full_matrices=False)
+    rank = int(np.count_nonzero(s > max(n, p) * np.finfo(float).eps * s[0]))
     if n <= p:
-        return np.zeros(p)
-    resid_var = float(r @ r) / (n - p)
-    cov = resid_var * np.linalg.pinv(J.T @ J)
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        return rank, np.zeros(p)
+    scaled = vt[:rank] / s[:rank, np.newaxis]
+    return rank, np.sqrt(float(r @ r) / (n - p) * np.einsum("kj,kj->j", scaled, scaled))
 
 
 def _report(names, theta, r, J, converged, iterations) -> FitReport:
-    sig = _uncertainties(r, J)
+    _, sig = _rank_and_sigma(r, J)
     return FitReport(
         parameters=dict(zip(names, (float(v) for v in theta))),
         uncertainties=dict(zip(names, (float(s) for s in sig))),
@@ -396,8 +404,8 @@ def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baselin
     by more than a factor e over the smallest sample step (the fringe is
     seen by one sample), when its frequency is above that step's Nyquist
     frequency (the fringe is an alias), or when ``J`` loses rank at the
-    cutoff of :func:`_uncertainties`' pseudo-inverse; in the first and
-    last cases some reported uncertainty would be zero.
+    cutoff of :func:`_rank_and_sigma`, which reports the uncertainties;
+    in the first and last cases some reported uncertainty would be zero.
     """
     freq0, rate0, spread = _oscillation_seed(times, signal, f_window)
     (rate, freq), coef, r, J, converged, iterations = _separable_fit(
@@ -422,7 +430,7 @@ def _fit_damped_oscillation(times, signal, name, f_window=None, decaying_baselin
             f"{name} fit is degenerate: its frequency {freq:.6g} MHz is above the "
             f"{0.5 / step:.6g} MHz Nyquist frequency of the sample step"
         )
-    rank = np.linalg.matrix_rank(J.T @ J)
+    rank, _ = _rank_and_sigma(r, J)
     if rank < J.shape[1]:
         raise FitError(f"{name} fit is degenerate: its Jacobian has rank {rank} of {J.shape[1]}")
     return (rate, freq), coef, r, J, iterations, spread
@@ -589,10 +597,11 @@ def _polynomial_fit(points, powers, names):
             f"need >= {len(powers) + 1} distinct amplitudes, got {np.unique(amp).size}"
         )
     design = np.column_stack([amp**p for p in powers])
-    if np.linalg.matrix_rank(design) < len(powers):
+    coef, _, rank, _ = np.linalg.lstsq(design, response, rcond=None)
+    if rank < len(powers):
         raise FitError("rank-deficient design: amplitudes do not separate the terms")
     # + 0.0: a zero response gives coefficients -0.0, which would be written so
-    coef = np.linalg.lstsq(design, response, rcond=None)[0] + 0.0
+    coef = coef + 0.0
     r = design @ coef - response
     report = _report(names, coef, r, design, True, 1)
     return coef, report

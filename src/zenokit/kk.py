@@ -338,9 +338,9 @@ def _tabulated_integral(
 
     Returns one raw rate per ``(centers[i], hws[i])``.  The nodes are
     ``[lo, omegas strictly inside (lo, hi), hi]``, so no segment has zero
-    length, and their values come from ``rate_at``, so the
-    ``hold``/``raise`` extrapolation applies outside the table; nodes,
-    values and slopes are shared by every context.  On a segment
+    length, and their values come from ``rate_at``, so a window past the
+    table integrates its held end rates; nodes, values and slopes are
+    shared by every context.  On a segment
     ``[u0, u1]`` (``u = omega - center``) with slope ``s`` and
     ``a = f(u0) - s * u0`` the integral is
     ``a * atan2((u1 - u0) * hw, hw**2 + u0 * u1) / pi

@@ -1,9 +1,9 @@
 """Bath spectra.
 
 The qubit's frequency-dependent decay rate gamma_q(omega) is represented
-either as a measured table (linear interpolation between grid points) or
-as a parametric model: a flat background plus a sum of Lorentzian defect
-peaks.
+either as a measured table (linear interpolation between grid points,
+holding the end rates outside the grid) or as a parametric model: a
+flat background plus a sum of Lorentzian defect peaks.
 
 All frequencies are angular (rad/us) and all rates are 1/us; see
 :mod:`zenokit.units` for the boundary conversions.  The spectrum CSV
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,12 @@ class TabulatedSpectrum:
 
     Evaluation linearly interpolates between grid points; measured loss
     data are noisy, so higher-order schemes would only invent structure.
-    Outside the grid the behaviour follows ``extrapolation``:
-
-    - ``"hold"`` (default): clamp to the boundary value, mirroring the
-      assumption that outside the measured window the spectrum is well
-      approximated by a constant.
-    - ``"raise"``: raise :class:`RangeError`.
+    Outside the grid each end rate holds: the spectrum beyond the
+    measured window is taken as the constant measured at its edge.
     """
 
     omegas: np.ndarray
     rates: np.ndarray
-    extrapolation: str = "hold"
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
@@ -86,8 +81,6 @@ class TabulatedSpectrum:
             raise DomainError("frequency grid must be strictly increasing")
         if np.any(rates < 0):
             raise DomainError("decay rates must be >= 0")
-        if self.extrapolation not in ("hold", "raise"):
-            raise DomainError(f"unknown extrapolation policy {self.extrapolation!r}")
         omegas.setflags(write=False)
         rates.setflags(write=False)
 
@@ -100,15 +93,8 @@ class TabulatedSpectrum:
         return float(self.omegas[-1])
 
     def rate_at(self, omega):
-        """gamma_q at ``omega`` (scalar or array), per the extrapolation policy."""
-        w = np.asarray(omega, dtype=float)
-        if self.extrapolation == "raise":
-            if np.any(w < self.omega_min) or np.any(w > self.omega_max):
-                raise RangeError(
-                    f"frequency outside tabulated range "
-                    f"[{self.omega_min}, {self.omega_max}] rad/us"
-                )
-        out = np.interp(w, self.omegas, self.rates)
+        """gamma_q at ``omega`` (scalar or array), the end rates held outside the grid."""
+        out = np.interp(np.asarray(omega, dtype=float), self.omegas, self.rates)
         return float(out) if np.isscalar(omega) else out
 
 
@@ -137,10 +123,10 @@ class ParametricSpectrum:
             out = out + peak.contribution(w)
         return float(out) if np.isscalar(omega) else out
 
-    def tabulate(self, omegas, extrapolation: str = "hold") -> TabulatedSpectrum:
+    def tabulate(self, omegas) -> TabulatedSpectrum:
         """Sample onto a grid, e.g. to mimic a measured spectrum."""
         omegas = np.asarray(omegas, dtype=float)
-        return TabulatedSpectrum(omegas, self.rate_at(omegas), extrapolation)
+        return TabulatedSpectrum(omegas, self.rate_at(omegas))
 
 
 BathSpectrum = TabulatedSpectrum | ParametricSpectrum

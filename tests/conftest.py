@@ -7,6 +7,9 @@ K/2pi = 5619 MHz, R/2pi = 429 MHz, chi/2pi = 0.98 MHz, and the
 single-trace Ramsey fit (0.451 MHz Stark shift, 0.362 MHz dephasing at
 drive amplitude 0.025 with a 10 MHz fringe offset).
 """
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,15 @@ QUBIT_FREQ = mhz_to_angular(4884.0)
 DEFECT_FREQ = mhz_to_angular(4300.0)
 
 
+def load_make_goldens():
+    """A fresh module object of ``tools/make_goldens.py``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def strong_defect():
     return zk.DefectParams(freq=DEFECT_FREQ, coupling=G_D, decay=GAMMA_1D)
@@ -41,7 +53,7 @@ def adiabatic_defect():
     return zk.DefectParams(freq=DEFECT_FREQ, coupling=TWO_PI * 0.1, decay=10.0)
 
 
-def make_hotspot_spectrum(center=QUBIT_FREQ, offset_mhz=-3.0, extrapolation="hold"):
+def make_hotspot_spectrum(center=QUBIT_FREQ, offset_mhz=-3.0):
     """Tabulated spectrum with one hot spot displaced from ``center``.
 
     Mimics a measured loss landscape: flat background with a broad
@@ -55,7 +67,7 @@ def make_hotspot_spectrum(center=QUBIT_FREQ, offset_mhz=-3.0, extrapolation="hol
     )
     parametric = zk.ParametricSpectrum(background=GAMMA_Q, peaks=(peak,))
     grid = np.linspace(center - mhz_to_angular(15.0), center + mhz_to_angular(15.0), 2001)
-    return parametric.tabulate(grid, extrapolation=extrapolation)
+    return parametric.tabulate(grid)
 
 
 def make_ramsey_signal(

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import zenokit as zk
-from conftest import degenerate_ramsey_signal
+from conftest import degenerate_ramsey_signal, load_make_goldens
 from zenokit.cli import main
 from zenokit.io import (
     SPECTRUM_CSV_HEADER,
     dump_json,
     environment_fingerprint,
+    format_table_csv,
     read_calibration_json,
     read_columns_csv,
 )
@@ -33,21 +34,8 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-GOLDEN_CASES = [
-    ("predict", ["predict", "--config", str(DATA / "predict_config.json")]),
-    ("predict_flat", ["predict", "--config", str(DATA / "predict_flat_config.json")]),
-    ("calibrate", ["calibrate", "--config", str(DATA / "calibrate_config.json")]),
-    ("oracle", ["oracle", "--config", str(DATA / "oracle_config.json")]),
-    (
-        "convert_t1",
-        ["convert-t1", "--input", str(DATA / "convert_t1_input.csv"), "--t-delay", "30.0"],
-    ),
-    (
-        "fit_swap",
-        ["fit-swap", "--input", str(DATA / "swap_linecut.csv"), "--f-guess", "3.2"],
-    ),
-    ("flux_noise", ["fit-flux-noise", "--config", str(DATA / "flux_config.json")]),
-]
+# each golden with the command that wrote it, from the tool that writes them
+GOLDEN_CASES = [(name, argv()) for name, argv in load_make_goldens().GOLDEN_COMMANDS.items()]
 
 
 def environment_note() -> str:
@@ -292,6 +280,31 @@ class TestPredict:
         # +-1 MHz window around a ~1 MHz-wide filter keeps well under
         # half the Lorentzian weight
         assert norm < 0.5
+
+    def test_window_past_the_table_holds_its_end_rates(self, tmp_path):
+        # the one edge rule: past either end the table holds its end rate,
+        # so padding it with those rates at the window's edges gives the
+        # integral the same nodes and node values, and the same bytes
+        window = [4860.0, 4910.0]
+        freqs, rates = read_columns_csv(DATA / "spectrum_hotspot.csv", SPECTRUM_CSV_HEADER)
+        assert window[0] < freqs[0] and freqs[-1] < window[1]
+        padded = tmp_path / "padded.csv"
+        padded.write_text(
+            format_table_csv(
+                SPECTRUM_CSV_HEADER,
+                (np.r_[window[0], freqs, window[1]], np.r_[rates[0], rates, rates[-1]]),
+            )
+        )
+        payload = json.loads((DATA / "predict_config.json").read_text())
+        payload["calibration_json"] = str(DATA / payload["calibration_json"])
+        outputs = []
+        for spectrum in (DATA / "spectrum_hotspot.csv", padded):
+            config = tmp_path / "config.json"
+            config.write_text(dump_json({**payload, "spectrum_csv": str(spectrum), "window_mhz": window}))
+            out = tmp_path / spectrum.stem
+            assert run(["predict", "--config", str(config)], out) == 0
+            outputs.append([(out / name).read_bytes() for name in ("predict.csv", "predict.json")])
+        assert outputs[0] == outputs[1]
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -315,6 +315,39 @@ class TestPolynomialFits:
         with pytest.raises(zk.FitError):
             zk.fit_stark_poly([(-0.02, 1.0), (0.0, 0.0), (0.02, 1.0)])
 
+    @pytest.mark.parametrize("lo,hi", [(1e-4, 3e-4), (5e-5, 2e-4), (2e-5, 1e-4), (0.01, 0.05)])
+    def test_sigma_matches_the_exact_covariance(self, lo, hi):
+        # at small amplitudes the eps^4 column is ~1e-8 of the eps^2 one, so
+        # D^T D is too ill-conditioned for float64 while D itself is not
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        eps = np.sort(rng.uniform(lo, hi, 6))
+        S, K = mhz_to_angular(S_MHZ), mhz_to_angular(K_MHZ)
+        shift = S * eps**2 + K * eps**4 + rng.normal(0.0, 1e-9 * S * hi**2, eps.size)
+        _, _, report = zk.fit_stark_poly(list(zip(eps, shift)))
+        with mpmath.workdps(50):
+            design = mpmath.matrix([[mpmath.mpf(e) ** 2, mpmath.mpf(e) ** 4] for e in eps])
+            inverse = (design.T * design) ** -1
+            variance = mpmath.mpf(report.residual_norm) ** 2 / (eps.size - 2)
+            exact = [float(mpmath.sqrt(variance * inverse[j, j])) for j in range(2)]
+        sigma = [report.uncertainties[name] for name in ("stark_quad", "stark_quartic")]
+        assert sigma == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    def test_rank_drops_where_a_singular_value_reaches_the_cutoff(self):
+        # J = diag(2, 0.5, s) has exactly these singular values; a value at
+        # max(n, p) eps s_max counts as zero, as it does for lstsq
+        n, p = 10, 3
+        cutoff = max(n, p) * np.finfo(float).eps * 2.0
+        r = np.linspace(-1.0, 1.0, n)
+        sigma_kept = math.sqrt(float(r @ r) / (n - p)) / np.array([2.0, 0.5])
+        for s, rank in ((np.nextafter(cutoff, 0.0), 2), (cutoff, 2), (np.nextafter(cutoff, 1.0), 3)):
+            J = np.zeros((n, p))
+            J[0, 0], J[1, 1], J[2, 2] = 2.0, 0.5, s
+            assert fits._rank_and_sigma(r, J)[0] == rank == np.linalg.lstsq(J, r, rcond=None)[2]
+            sigma = fits._rank_and_sigma(r, J)[1]
+            assert sigma[:2] == pytest.approx(sigma_kept, rel=1e-15)
+            assert (sigma[2] == 0.0) == (rank == 2)
+
     @pytest.mark.parametrize(
         "fit",
         [zk.fit_stark_poly, zk.fit_dephasing_quadratic, zk.fit_flux_noise_quadratic],

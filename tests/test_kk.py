@@ -205,10 +205,11 @@ class TestDecayRate:
             assert result.norm == 1.0
 
     def test_delta_limit_strict_range(self):
-        s = make_hotspot_spectrum(extrapolation="raise")
-        outside = s.omega_max + 1.0
-        with pytest.raises(zk.RangeError):
-            zk.decay_rate(s, zk.MeasurementContext(freq=outside, dephasing=0.0))
+        # outside the table the zero-dephasing rate is the held end rate
+        s = make_hotspot_spectrum()
+        for outside, end in ((s.omega_min - 1.0, s.rates[0]), (s.omega_max + 1.0, s.rates[-1])):
+            result = zk.decay_rate(s, zk.MeasurementContext(freq=outside, dephasing=0.0))
+            assert (result.raw_rate, result.norm, result.rate) == (end, 1.0, end)
 
     def test_single_peak_closed_form(self):
         # one spot check; the acceptance suite runs the full 16-point matrix
@@ -365,14 +366,6 @@ class TestExactIntegral:
         expected = quad_window_integral(s, center, hw, lo, hi)
         assert raw == pytest.approx(expected, rel=1e-11, abs=0.0)
 
-    def test_raise_policy_refuses_a_window_beyond_the_grid(self):
-        s = make_hotspot_spectrum(extrapolation="raise")
-        ctx = zk.MeasurementContext(freq=QUBIT_FREQ, dephasing=1.0)
-        inside = zk.decay_rate(s, ctx, window=(s.omega_min + 1.0, s.omega_max - 1.0))
-        assert inside.rate > 0.0
-        with pytest.raises(zk.RangeError):
-            zk.decay_rate(s, ctx, window=(s.omega_min - 1.0, s.omega_max))
-
     @pytest.mark.parametrize("direction", ["offset", "width"])
     @pytest.mark.parametrize("separation", [0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.1])
     def test_peak_pair_near_coincident_poles(self, separation, direction):
@@ -485,8 +478,10 @@ class TestSweep:
     def test_zero_drive_reads_the_table_at_the_qubit(self, tmp_path, capsys, config):
         # the tabulated rates already carry the qubit's rest linewidth, so
         # at eps = 0 predict returns the table; a dephasing floor on top,
-        # which applied that linewidth twice, is refused
+        # which applied that linewidth twice, is refused, and the retired
+        # key is still accepted as 0
         payload = json.loads((DATA / config).read_text())
+        assert "residual_dephasing_mhz" not in payload
         for key in ("spectrum_csv", "calibration_json"):
             payload[key] = str(DATA / payload[key])
         freqs, rates = read_columns_csv(payload["spectrum_csv"], SPECTRUM_CSV_HEADER)
@@ -496,6 +491,12 @@ class TestSweep:
         assert first["epsilon"] == 0.0
         expected = np.interp(payload["qubit_freq_mhz"], freqs, rates)
         assert first["gamma_per_us"] == pytest.approx(expected, rel=1e-12)
+
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({**payload, "residual_dephasing_mhz": 0.0}))
+        assert main(["predict", "--config", str(zero), "--out", str(tmp_path / "zero")]) == 0
+        for name in ("predict.json", "predict.csv"):
+            assert (tmp_path / "zero" / name).read_bytes() == (out / name).read_bytes()
 
         floor = tmp_path / "floor.json"
         floor.write_text(json.dumps({**payload, "residual_dephasing_mhz": 0.05}))

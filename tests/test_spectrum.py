@@ -69,12 +69,6 @@ class TestTabulated:
         assert s.rate_at(-5.0) == 0.2
         assert s.rate_at(9.0) == 0.4
 
-    def test_strict_extrapolation_raises(self):
-        s = zk.TabulatedSpectrum([0.0, 1.0], [0.2, 0.4], extrapolation="raise")
-        with pytest.raises(zk.RangeError):
-            s.rate_at(1.5)
-        assert s.rate_at(0.5) == pytest.approx(0.3)
-
     @pytest.mark.parametrize(
         "omegas,rates",
         [

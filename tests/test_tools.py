@@ -4,10 +4,11 @@
 fixtures, so a name it imports that the package has moved would
 otherwise go unseen until then.
 """
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import load_make_goldens
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -15,12 +16,7 @@ DATA = ROOT / "tests" / "data"
 
 @pytest.fixture(scope="module")
 def make_goldens():
-    spec = importlib.util.spec_from_file_location(
-        "make_goldens", ROOT / "tools" / "make_goldens.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_make_goldens()
 
 
 # fixtures written with elementwise IEEE arithmetic only, so their bytes

@@ -95,7 +95,6 @@ def make_predict_configs() -> None:
         "calibration_json": "calibration.json",
         "qubit_freq_mhz": QUBIT_FREQ_MHZ,
         "amplitudes": amplitudes,
-        "residual_dephasing_mhz": 0.0,
     }
     write(
         DATA / "predict_config.json",
