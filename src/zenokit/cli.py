@@ -164,23 +164,19 @@ def _resolve(config_dir, path, key) -> Path:
 
 
 def _trace_paths(config, config_dir) -> list[Path]:
+    """The ``*.csv`` files of the config's ``trace_dir``, sorted by name.
+
+    ``traces``, a retired list of paths, is refused whatever it holds,
+    so a config written for it cannot quietly read other files.
+    """
     if "traces" in config:
-        traces = config["traces"]
-        if not isinstance(traces, list):
-            raise ParseError(f"config: key 'traces' must be a list of paths, got {traces!r}")
-        paths = [_resolve(config_dir, p, "traces") for p in traces]
-    elif "trace_dir" in config:
-        directory = _resolve(config_dir, config["trace_dir"], "trace_dir")
-        if not directory.is_dir():
-            raise ParseError(f"trace directory {directory} does not exist")
-        paths = sorted(directory.glob("*.csv"))
-    else:
-        raise ParseError("config: need either 'traces' (list) or 'trace_dir'")
+        raise ParseError("config: key 'traces' is retired; give the trace set as 'trace_dir'")
+    directory = _resolve(config_dir, json_value(config, "trace_dir", "config"), "trace_dir")
+    if not directory.is_dir():
+        raise ParseError(f"trace directory {directory} does not exist")
+    paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise ParseError("no trace files found")
-    for p in paths:
-        if not p.exists():
-            raise ParseError(f"trace file {p} does not exist")
     return paths
 
 
@@ -231,10 +227,10 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
     )
     qubit_mhz = json_number(config, "qubit_freq_mhz", "config")
     amplitudes = json_numbers(config, "amplitudes", "config")
-    window = None
+    # the table is integrated over its own range, so norm is the filter's
+    # weight on measured data; a wider window would hide the extrapolation
     if config.get("window_mhz") is not None:
-        window_mhz = json_numbers(config, "window_mhz", "config", length=2)
-        window = tuple(mhz_to_angular(w - qubit_mhz) for w in window_mhz)
+        raise ParseError("config: key 'window_mhz' is retired; the table's own range is used")
     # the spectrum's rates already carry the qubit's rest linewidth, so a
     # dephasing floor added to the filter would count it twice
     residual = json_number(config, "residual_dephasing_mhz", "config", 0.0)
@@ -253,7 +249,6 @@ def cmd_predict(args, config, config_dir, out_dir) -> dict[Path, str]:
         calibration,
         0.0,
         amplitudes,
-        window=window,
     )
     records = [
         {

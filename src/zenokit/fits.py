@@ -145,17 +145,15 @@ def _lm_minimize(residual_jacobian, theta0, data_norm):
     model minus data and ``data_norm`` is the data's 2-norm.  Returns
     ``(theta, r, J, converged, iterations, gradient_norm)``; convergence
     means the gradient norm fell below :func:`_gradient_tolerance`, or,
-    once no step makes progress, below :func:`_stall_tolerance`.
+    once no step lowers the cost or the last one moved ``theta`` by less
+    than ``STEP_TOL`` relative, below :func:`_stall_tolerance`.
     """
     theta = np.array(theta0, dtype=float)
     r, J = residual_jacobian(theta)
     cost = 0.5 * float(r @ r)
     lam = 1e-3
-    iterations = 0
     converged = False
-    gnorm = np.inf
-    for _ in range(MAX_ITERATIONS):
-        iterations += 1
+    for iterations in range(1, MAX_ITERATIONS + 1):
         g = J.T @ r
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         jtj = J.T @ J
@@ -164,7 +162,8 @@ def _lm_minimize(residual_jacobian, theta0, data_norm):
         if gnorm <= _gradient_tolerance(cost, max(1.0, float(diag.max()))):
             converged = True
             break
-        step_done = False
+        # stays set unless a step lowers the cost by moving theta measurably
+        stalled = True
         while lam <= 1e12:
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(diag), -g)
@@ -180,16 +179,12 @@ def _lm_minimize(residual_jacobian, theta0, data_norm):
                 theta = theta + delta
                 r, J, cost = r_new, J_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
-                step_done = True
-                if float(np.linalg.norm(delta)) <= STEP_TOL * (
-                    STEP_TOL + float(np.linalg.norm(theta))
-                ):
-                    step_done = "stop"
+                step = float(np.linalg.norm(delta))
+                stalled = step <= STEP_TOL * (STEP_TOL + float(np.linalg.norm(theta)))
                 break
             lam *= 10.0
-        if step_done == "stop" or not step_done:
-            g = J.T @ r
-            gnorm = float(np.max(np.abs(g)))
+        if stalled:
+            gnorm = float(np.max(np.abs(J.T @ r)))
             curvature = max(1.0, float(np.einsum("ij,ij->j", J, J).max()))
             tolerance = max(
                 _gradient_tolerance(cost, curvature),

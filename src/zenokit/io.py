@@ -316,13 +316,11 @@ def json_number(payload, key, name, default=None) -> float:
     raise ParseError(f"{name}: key {key!r} holds {value!r}, not a finite number")
 
 
-def json_numbers(payload, key, name, default=None, length=None) -> list[float]:
-    """:func:`json_number` on each element of the list under ``key``,
-    which must hold ``length`` elements if that is given."""
+def json_numbers(payload, key, name, default=None) -> list[float]:
+    """:func:`json_number` on each element of the list under ``key``."""
     values = json_value(payload, key, name, default)
-    if not isinstance(values, list) or length not in (None, len(values)):
-        size = f"{length} " if length else ""
-        raise ParseError(f"{name}: key {key!r} must hold a list of {size}numbers, got {values!r}")
+    if not isinstance(values, list):
+        raise ParseError(f"{name}: key {key!r} must hold a list of numbers, got {values!r}")
     return [json_number({key: value}, key, name) for value in values]
 
 

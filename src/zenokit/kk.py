@@ -201,7 +201,7 @@ class MeasurementContext:
         return cls(
             freq=qubit_freq + stark,
             dephasing=calibration.dephasing(epsilon),
-            nbar=calibration.nbar(epsilon),
+            nbar=photons_from_stark(stark, calibration.chi),
         )
 
 
@@ -501,12 +501,13 @@ def sweep(
     calibration: ReadoutCalibration,
     qubit_freq: float,
     amplitudes: Sequence[float],
-    window: tuple[float, float] | None = None,
 ) -> list[KkResult]:
     """Predicted decay rate across a sorted sweep of drive amplitudes.
 
     Each amplitude is mapped through the readout calibration to a
-    measurement context; the output order matches the input order.  For
+    measurement context; the output order matches the input order.
+    Every context is integrated over :func:`default_window`, so a
+    tabulated spectrum over the table's own range.  For
     a tabulated spectrum the contexts above ``DELTA_LIMIT`` are one
     block-batched pass of the segment kernel, whose nodes and slopes are
     built once, and each result is bit for bit the :func:`decay_rate` of
@@ -523,9 +524,8 @@ def sweep(
     ]
     measured = [c for c in contexts if c.dephasing >= DELTA_LIMIT]
     if not (isinstance(spectrum, TabulatedSpectrum) and measured):
-        return [decay_rate(spectrum, c, window=window) for c in contexts]
-    batch = iter(_tabulated_results(spectrum, measured, window))
+        return [decay_rate(spectrum, c) for c in contexts]
+    batch = iter(_tabulated_results(spectrum, measured, None))
     return [
-        next(batch) if c.dephasing >= DELTA_LIMIT else decay_rate(spectrum, c, window=window)
-        for c in contexts
+        next(batch) if c.dephasing >= DELTA_LIMIT else decay_rate(spectrum, c) for c in contexts
     ]

@@ -51,6 +51,16 @@ def test_traced_cli_runs_count_each_layer(tmp_path):
     assert cli.validate_kk is zk.validate_kk  # uninstall restored the originals
 
 
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_first_invocation_of_each_pool_runs_and_passes_its_gate(name, tmp_path):
+    # the benchmark's generator writes its own configs, so a key the CLI
+    # refuses would otherwise surface only when the benchmark runs
+    invocation = workloads.build(name, 1, tmp_path, zk)[0]
+    for argv in invocation.argvs:
+        assert cli.main(argv) == 0, argv
+    assert invocation.check().errors == []
+
+
 def test_reference_oracle_builds_its_own_model(adiabatic_defect):
     model = zk.LindbladModel(
         qubit_freq=adiabatic_defect.freq, dephasing=3.0, qubit_decay=0.01, defect=adiabatic_defect

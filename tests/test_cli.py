@@ -15,7 +15,6 @@ from zenokit.io import (
     SPECTRUM_CSV_HEADER,
     dump_json,
     environment_fingerprint,
-    format_table_csv,
     read_calibration_json,
     read_columns_csv,
 )
@@ -77,6 +76,17 @@ class TestGoldenFiles:
         path.write_text(dump_json({**payload, "resolution": 51}))
         assert run([command, "--config", str(path)], tmp_path / "out") == 0
         for golden in sorted((GOLDEN / name).iterdir()):
+            assert (tmp_path / "out" / golden.name).read_bytes() == golden.read_bytes()
+
+    def test_null_window_writes_the_golden(self, tmp_path):
+        # a null window_mhz was never read, so it is not refused
+        payload = json.loads((DATA / "predict_config.json").read_text())
+        for key in ("spectrum_csv", "calibration_json"):
+            payload[key] = str(DATA / payload[key])
+        path = tmp_path / "config.json"
+        path.write_text(dump_json({**payload, "window_mhz": None}))
+        assert run(["predict", "--config", str(path)], tmp_path / "out") == 0
+        for golden in sorted((GOLDEN / "predict").iterdir()):
             assert (tmp_path / "out" / golden.name).read_bytes() == golden.read_bytes()
 
 
@@ -261,50 +271,25 @@ class TestPredict:
             "gamma_per_us",
         ]
 
-    def test_explicit_window_narrows_normalization(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(
-            dump_json(
-                {
-                    "spectrum_csv": str(DATA / "spectrum_hotspot.csv"),
-                    "calibration_json": str(DATA / "calibration.json"),
-                    "qubit_freq_mhz": 4884.0,
-                    "amplitudes": [0.05],
-                    "window_mhz": [4883.0, 4885.0],
-                }
-            )
-        )
-        assert run(["predict", "--config", str(config)], tmp_path) == 0
-        payload = json.loads((tmp_path / "predict.json").read_text())
-        norm = payload["results"][0]["norm"]
-        # +-1 MHz window around a ~1 MHz-wide filter keeps well under
-        # half the Lorentzian weight
-        assert norm < 0.5
-
-    def test_window_past_the_table_holds_its_end_rates(self, tmp_path):
+    def test_window_past_the_table_holds_its_end_rates(self):
         # the one edge rule: past either end the table holds its end rate,
-        # so padding it with those rates at the window's edges gives the
-        # integral the same nodes and node values, and the same bytes
-        window = [4860.0, 4910.0]
-        freqs, rates = read_columns_csv(DATA / "spectrum_hotspot.csv", SPECTRUM_CSV_HEADER)
-        assert window[0] < freqs[0] and freqs[-1] < window[1]
-        padded = tmp_path / "padded.csv"
-        padded.write_text(
-            format_table_csv(
-                SPECTRUM_CSV_HEADER,
-                (np.r_[window[0], freqs, window[1]], np.r_[rates[0], rates, rates[-1]]),
-            )
-        )
+        # so a window past its ends gives, for every context of the predict
+        # fixture, the bits of the table padded with those rates at the
+        # window's edges and integrated over its own range
         payload = json.loads((DATA / "predict_config.json").read_text())
-        payload["calibration_json"] = str(DATA / payload["calibration_json"])
-        outputs = []
-        for spectrum in (DATA / "spectrum_hotspot.csv", padded):
-            config = tmp_path / "config.json"
-            config.write_text(dump_json({**payload, "spectrum_csv": str(spectrum), "window_mhz": window}))
-            out = tmp_path / spectrum.stem
-            assert run(["predict", "--config", str(config)], out) == 0
-            outputs.append([(out / name).read_bytes() for name in ("predict.csv", "predict.json")])
-        assert outputs[0] == outputs[1]
+        qubit = payload["qubit_freq_mhz"]
+        calibration = read_calibration_json(DATA / payload["calibration_json"])
+        freqs, rates = read_columns_csv(DATA / payload["spectrum_csv"], SPECTRUM_CSV_HEADER)
+        window = mhz_to_angular(np.array([4860.0, 4910.0]) - qubit)
+        table = zk.TabulatedSpectrum(mhz_to_angular(freqs - qubit), rates)
+        padded = zk.TabulatedSpectrum(
+            mhz_to_angular(np.r_[4860.0, freqs, 4910.0] - qubit), np.r_[rates[0], rates, rates[-1]]
+        )
+        assert window[0] < table.omega_min and table.omega_max < window[1]
+        for eps in payload["amplitudes"]:
+            context = zk.MeasurementContext.from_calibration(calibration, 0.0, eps)
+            held = zk.decay_rate(table, context, window=tuple(window))
+            assert held == zk.decay_rate(padded, context)
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -677,7 +662,7 @@ def config_input(tmp_path, text, command="predict"):
 
 
 def config_key_input(tmp_path, command, payload, key):
-    """A ``command`` run whose config gives ``key`` a value of the wrong type."""
+    """A ``command`` run whose config gives ``key`` a wrong value, or none."""
     argv, _ = config_input(tmp_path, dump_json(payload), command)
     return argv, repr(key)
 
@@ -796,11 +781,15 @@ MALFORMED_INPUTS = {
         },
         "spectrum_csv",
     ),
-    "config-traces-not-paths": lambda tmp: config_key_input(
-        tmp, "calibrate", {"chi_mhz": 0.98, "traces": [1, 2]}, "traces"
+    # a retired key is refused even beside a trace set that would run
+    "config-traces-retired": lambda tmp: config_key_input(
+        tmp,
+        "calibrate",
+        {"chi_mhz": 0.98, "trace_dir": str(DATA / "traces"), "traces": []},
+        "traces",
     ),
-    "config-traces-not-list": lambda tmp: config_key_input(
-        tmp, "calibrate", {"chi_mhz": 0.98, "traces": "x.csv"}, "traces"
+    "config-trace-dir-missing": lambda tmp: config_key_input(
+        tmp, "calibrate", {"chi_mhz": 0.98}, "trace_dir"
     ),
     "config-trace-dir-null": lambda tmp: config_key_input(
         tmp, "calibrate", {"chi_mhz": 0.98, "trace_dir": None}, "trace_dir"
@@ -818,8 +807,8 @@ MALFORMED_INPUTS = {
     "config-amplitudes-not-list": lambda tmp: config_key_input(
         tmp, "predict", {**PREDICT, "amplitudes": 5}, "amplitudes"
     ),
-    "config-window-one-value": lambda tmp: config_key_input(
-        tmp, "predict", {**PREDICT, "window_mhz": [4880]}, "window_mhz"
+    "config-window-retired": lambda tmp: config_key_input(
+        tmp, "predict", {**PREDICT, "window_mhz": [4880.0, 4888.0]}, "window_mhz"
     ),
     "config-map-not-list": lambda tmp: config_key_input(
         tmp, "oracle", {**ORACLE, "map_detunings_mhz": "x"}, "map_detunings_mhz"

@@ -447,15 +447,14 @@ class TestSweep:
 
     # 2999 segments: two contexts per block, so the ten measured contexts
     # run in five blocks
-    @example(seed=0, nodes=3000, amplitudes=[0.01 * k for k in range(1, 11)], windowed=False)
+    @example(seed=0, nodes=3000, amplitudes=[0.01 * k for k in range(1, 11)])
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         nodes=st.integers(2, 4000),
         amplitudes=st.lists(st.floats(0.0, 0.06), min_size=1, max_size=11),
-        windowed=st.booleans(),
     )
-    def test_batch_equals_single_contexts(self, seed, nodes, amplitudes, windowed):
+    def test_batch_equals_single_contexts(self, seed, nodes, amplitudes):
         rng = np.random.default_rng(seed)
         omegas = QUBIT_FREQ - 100.0 + np.cumsum(rng.uniform(0.01, 1.0, nodes))
         s = zk.TabulatedSpectrum(omegas, rng.uniform(1e-3, 1.0, nodes))
@@ -465,30 +464,42 @@ class TestSweep:
             dephasing_quad=mhz_to_angular(R_MHZ),
             chi=mhz_to_angular(CHI_MHZ),
         )
-        span = s.omega_max - s.omega_min
-        window = (s.omega_min + 0.1 * span, s.omega_max + 0.2 * span) if windowed else None
         amps = sorted([0.0, *amplitudes])
-        results = zk.sweep(s, cal, QUBIT_FREQ, amps, window=window)
+        results = zk.sweep(s, cal, QUBIT_FREQ, amps)
         assert len(results) == len(amps)
         for r in results:
-            single = zk.decay_rate(s, r.context, window=window)
+            single = zk.decay_rate(s, r.context)
             assert (r.raw_rate, r.norm, r.rate) == (single.raw_rate, single.norm, single.rate)
 
-    @pytest.mark.parametrize("config", ["predict_config.json", "predict_flat_config.json"])
-    def test_zero_drive_reads_the_table_at_the_qubit(self, tmp_path, capsys, config):
+    @pytest.mark.parametrize(
+        "config,qubit_mhz",
+        [
+            pytest.param("predict_config.json", None, id="predict_config.json"),
+            pytest.param("predict_flat_config.json", None, id="predict_flat_config.json"),
+            # past the hot-spot table's 4899 MHz end
+            pytest.param("predict_config.json", 4904.0, id="qubit-past-the-table"),
+        ],
+    )
+    def test_zero_drive_reads_the_table_at_the_qubit(self, tmp_path, capsys, config, qubit_mhz):
         # the tabulated rates already carry the qubit's rest linewidth, so
-        # at eps = 0 predict returns the table; a dephasing floor on top,
-        # which applied that linewidth twice, is refused, and the retired
-        # key is still accepted as 0
+        # at eps = 0 predict returns the table, its end rate past its end;
+        # a dephasing floor on top, which applied that linewidth twice, is
+        # refused, and the retired key is still accepted as 0
         payload = json.loads((DATA / config).read_text())
         assert "residual_dephasing_mhz" not in payload
         for key in ("spectrum_csv", "calibration_json"):
             payload[key] = str(DATA / payload[key])
+        if qubit_mhz is not None:
+            payload["qubit_freq_mhz"] = qubit_mhz
         freqs, rates = read_columns_csv(payload["spectrum_csv"], SPECTRUM_CSV_HEADER)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
         out = tmp_path / "out"
-        assert main(["predict", "--config", str(DATA / config), "--out", str(out)]) == 0
+        assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
         first = json.loads((out / "predict.json").read_text())["results"][0]
-        assert first["epsilon"] == 0.0
+        assert (first["epsilon"], first["norm"]) == (0.0, 1.0)
+        if payload["qubit_freq_mhz"] > freqs[-1]:
+            assert first["gamma_per_us"] == rates[-1]
         expected = np.interp(payload["qubit_freq_mhz"], freqs, rates)
         assert first["gamma_per_us"] == pytest.approx(expected, rel=1e-12)
 
