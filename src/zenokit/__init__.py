@@ -29,9 +29,12 @@ from .errors import (
 from .fits import (
     FitReport,
     RamseyTrace,
+    Trace,
     fit_damped_sine,
+    fit_damped_sines,
     fit_dephasing_quadratic,
     fit_exponential,
+    fit_exponentials,
     fit_flux_noise_quadratic,
     fit_stark_poly,
     fit_swap_chevron,

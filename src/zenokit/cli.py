@@ -17,11 +17,12 @@ loaded and validated before any computation runs, outputs are written
 atomically at the end, and identical inputs produce byte-identical
 outputs.  Below the CLI, frequencies are offsets, not GHz carriers:
 ``predict`` works in the qubit's frame and ``oracle`` in the defect's,
-with the defect at 0.  ``calibrate`` and ``fit-flux-noise`` report every
-failed trace fit in one ``trace fits failed for:`` error, and prefix an
-invalid trace's DomainError with its file name.  A non-finite
-``--t-delay`` or ``--f-guess``, or an ``--f-guess`` <= 0, is a parse
-error, as in JSON.  Exit codes:
+with the defect at 0.  ``calibrate`` and ``fit-flux-noise`` fit the
+traces that share a time grid in one batch, each with the result it
+would have alone; they report every failed trace fit in one ``trace
+fits failed for:`` error, and prefix an invalid trace's DomainError with
+its file name.  A non-finite ``--t-delay`` or ``--f-guess``, or an
+``--f-guess`` <= 0, is a parse error, as in JSON.  Exit codes:
 0 success, 2 parse error, 3 domain/fit error, 4 integrator stability
 error; failures emit a machine-readable JSON object on stderr.
 """
@@ -38,11 +39,14 @@ import numpy as np
 from . import kk
 from .defect import DefectParams, decay_rate_map
 from .errors import DomainError, FitError, ParseError, StabilityError
-from .fits import (
+from .fits import (  # noqa: F401  (perfbench/tracer.py wraps fit_damped_sine and fit_exponential)
     RamseyTrace,
+    Trace,
     fit_damped_sine,
+    fit_damped_sines,
     fit_dephasing_quadratic,
     fit_exponential,
+    fit_exponentials,
     fit_flux_noise_quadratic,
     fit_stark_poly,
     fit_swap_chevron,
@@ -180,37 +184,34 @@ def _trace_paths(config, config_dir) -> list[Path]:
     return paths
 
 
-def _fit_traces(
-    config, config_dir, sidecar_keys, fit, fit_args=lambda meta, times, signal: (times, signal)
-) -> list[tuple]:
-    """``fit(*fit_args(meta, times, signal))`` on every configured trace.
+def _fit_traces(config, config_dir, sidecar_keys, prepare, fit_all) -> list[tuple]:
+    """``fit_all`` on the configured traces, each read into
+    ``prepare(meta, times, signal)``.
 
-    Every sidecar and CSV is read, and every ``fit_args`` built (which
-    validates the fit's input), before the first fit.  A DomainError
-    from ``fit_args`` or ``fit`` is raised with the file's name in
-    front; the FitErrors are raised as one naming each failed file.
-    Returns ``(path, meta, result)`` per trace.
+    Every sidecar and CSV is read, and every ``prepare`` built (which
+    validates the fit's input), before the fit; a DomainError from
+    ``prepare`` is raised with the file's name in front.  ``fit_all``
+    fits the traces that share a time grid in one batch and returns
+    each trace's result or FitError; the FitErrors are raised as one
+    naming each failed file.  Returns ``(path, meta, result)`` per trace.
     """
     inputs = []
     for path in _trace_paths(config, config_dir):
         meta = read_sidecar_json(path, sidecar_keys)
         times, signal = read_columns_csv(path, TRACE_CSV_HEADER)
         try:
-            inputs.append((path, meta, fit_args(meta, times, signal)))
+            inputs.append((path, meta, prepare(meta, times, signal)))
         except DomainError as exc:
             raise DomainError(f"{path.name}: {exc}") from None
-
-    fitted, failures = [], []
-    for path, meta, args in inputs:
-        try:
-            fitted.append((path, meta, fit(*args)))
-        except FitError as exc:
-            failures.append(f"{path.name}: {exc}")
-        except DomainError as exc:
-            raise DomainError(f"{path.name}: {exc}") from None
+    results = fit_all([trace for _, _, trace in inputs])
+    failures = [
+        f"{path.name}: {result}"
+        for (path, _, _), result in zip(inputs, results)
+        if isinstance(result, FitError)
+    ]
     if failures:
         raise FitError("trace fits failed for: " + "; ".join(failures))
-    return fitted
+    return [(path, meta, result) for (path, meta, _), result in zip(inputs, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +277,8 @@ def cmd_calibrate(args, config, config_dir, out_dir) -> dict[Path, str]:
         config,
         config_dir,
         ("epsilon", "offset_mhz"),
-        fit_damped_sine,
-        lambda meta, times, signal: (RamseyTrace(times, signal, offset_freq=meta["offset_mhz"]),),
+        lambda meta, times, signal: RamseyTrace(times, signal, offset_freq=meta["offset_mhz"]),
+        fit_damped_sines,
     )
     entries = [(path, meta["epsilon"], *result) for path, meta, result in fitted]
 
@@ -402,7 +403,10 @@ def cmd_fit_swap(args, config, config_dir, out_dir) -> dict[Path, str]:
 
 
 def cmd_fit_flux_noise(args, config, config_dir, out_dir) -> dict[Path, str]:
-    fitted = _fit_traces(config, config_dir, ("flux_amp",), fit_exponential)
+    fitted = _fit_traces(
+        config, config_dir, ("flux_amp",), lambda meta, times, signal: Trace(times, signal),
+        fit_exponentials,
+    )
     points = [(meta["flux_amp"], rate) for _, meta, (rate, _) in fitted]
     per_trace = [
         {

@@ -6,16 +6,17 @@ their arguments by parameter name; ``perfbench/refs.py`` builds
 surface only when the benchmark runs.  These tests install the tracer as
 ``perfbench/run.py --trace 1`` does and drive the CLI through it.
 """
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 import zenokit as zk
+from conftest import load_make_goldens
 from zenokit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-DATA = Path(__file__).parent / "data"
 
 sys.path.insert(0, str(ROOT))
 from perfbench import refs, workloads  # noqa: E402  (needs the repository root on the path)
@@ -25,26 +26,31 @@ MODULES = ("cli", "kk", "spectrum", "defect", "lindblad", "fits", "io")
 
 
 def test_traced_cli_runs_count_each_layer(tmp_path):
+    commands = load_make_goldens().GOLDEN_COMMANDS
     tracer = Tracer()
     tracer.install({name: sys.modules[f"zenokit.{name}"] for name in MODULES})
     try:
-        for command, config in (
-            ("oracle", "oracle_config.json"),
-            ("predict", "predict_config.json"),
-            ("fit-flux-noise", "flux_config.json"),
-        ):
-            argv = [command, "--config", str(DATA / config), "--out", str(tmp_path / command)]
-            assert cli.main(argv) == 0
+        for golden in ("oracle", "predict", "flux_noise", "calibrate", "fit_swap", "convert_t1"):
+            assert cli.main(commands[golden]() + ["--out", str(tmp_path / golden)]) == 0, golden
     finally:
         tracer.uninstall()
-    for name in ("lindblad.evolve", "fits.lm_minimize", "kk.decay_rate"):
+    for name in ("lindblad.evolve", "fits.lm_minimize", "kk.decay_rate", "io.read_columns_csv"):
         assert tracer.totals[name][0] > 0, name
-    # one descent per exponential fit, counted once though the tracer
-    # wraps the name on both fits and lindblad
+    # run.py writes these to JSON and divides them: an array-valued return of
+    # a wrapped function would reach them only there
+    for name, value in tracer.counts.items():
+        assert type(value) in (int, float) and math.isfinite(value), (name, value)
+    for name, total in tracer.totals.items():
+        assert all(type(v) in (int, float) and math.isfinite(v) for v in total), (name, total)
+    # the echo and Ramsey sets each share a grid, so each is fitted in one
+    # batched descent, which runs neither single fit nor the batch-of-one
+    # adapter; one descent per oracle rate fit and one for the linecut,
+    # counted once though the tracer wraps _lm_minimize on both fits and lindblad
     calls = {name: total[0] for name, total in tracer.totals.items()}
-    assert calls["fits.fit_exponential"] == 4  # the four echo traces
+    assert calls.get("fits.fit_exponential", 0) == calls.get("fits.fit_damped_sine", 0) == 0
+    assert calls["fits.fit_swap_chevron"] == 1
     assert calls["fits.lm_minimize"] == (
-        calls["lindblad.extract_decay_rate"] + calls["fits.fit_exponential"]
+        calls["lindblad.extract_decay_rate"] + calls["fits.fit_swap_chevron"]
     )
     assert tracer.counts["lindblad.rk4_steps"] > 0
     assert tracer.counts["kk.grid_points"] > 0

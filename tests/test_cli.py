@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zenokit as zk
-from conftest import degenerate_ramsey_signal, load_make_goldens
+from conftest import degenerate_ramsey_signal, load_make_goldens, make_ramsey_signal
 from zenokit.cli import main
 from zenokit.io import (
     SPECTRUM_CSV_HEADER,
@@ -518,6 +518,47 @@ class TestTraceBatch:
         assert "; flat_b.csv: " in error["message"]
         assert not out.exists()
 
+    def test_calibrate_names_only_the_failed_trace(self, tmp_path, capsys):
+        # five fringes and a constant signal on one grid are fitted as one
+        # batch; the constant row alone fails, and nothing is written
+        traces = {
+            f"good_{k}": (
+                lambda times, k=k: make_ramsey_signal(times, stark_mhz=0.1 * (k + 1)),
+                {"epsilon": 0.01 * (k + 1), "offset_mhz": 10.0},
+            )
+            for k in range(5)
+        }
+        config = trace_dir_config(tmp_path, {**traces, "flat": (constant, RAMSEY_SIDECAR)})
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FitError"
+        assert error["message"] == (
+            "trace fits failed for: flat.csv: constant signal: nothing to fit"
+        )
+        assert not out.exists()
+
+    def test_fit_flux_noise_names_only_the_failed_trace(self, tmp_path, capsys):
+        # three decays and a signal of zeros, which has no positive amplitude
+        traces = {
+            f"echo_{k}": (
+                lambda times, k=k: np.exp(-0.5 * (k + 1) * times), {"flux_amp": 0.25 * (k + 1)}
+            )
+            for k in range(3)
+        }
+        config = trace_dir_config(
+            tmp_path, {**traces, "zeros": (lambda times: np.zeros(times.size), {"flux_amp": 1.0})}
+        )
+        out = tmp_path / "out"
+        assert run(["fit-flux-noise", "--config", config], out) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FitError"
+        assert error["message"] == (
+            "trace fits failed for: zeros.csv: "
+            "exponential fit found amplitude 0.000e+00, not a positive decay"
+        )
+        assert not out.exists()
+
     def test_calibrate_names_a_degenerate_fit(self, tmp_path, capsys):
         # an unguarded fit converges on an alias of the fringe, which
         # calibrate would take into its Stark polynomial; the refusal names
@@ -568,12 +609,12 @@ class TestTraceBatch:
         assert not out.exists()
 
     def test_fit_flux_noise_names_every_failed_fit(self, tmp_path, capsys, monkeypatch):
-        # a constant echo signal fits a zero decay rate, so the fit is made
+        # a constant echo signal fits a zero decay rate, so the fits are made
         # to fail here; the loop under test is the one calibrate runs
-        def refuse(times, signal):
-            raise zk.FitError("exponential fit did not converge")
+        def refuse(traces):
+            return [zk.FitError("exponential fit did not converge") for _ in traces]
 
-        monkeypatch.setattr("zenokit.cli.fit_exponential", refuse)
+        monkeypatch.setattr("zenokit.cli.fit_exponentials", refuse)
         config = trace_dir_config(
             tmp_path, {name: (constant, {"flux_amp": 0.5}) for name in ("flat_a", "flat_b")}
         )
@@ -621,11 +662,11 @@ class TestTraceBatch:
     def test_every_trace_is_read_before_the_first_fit(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def counting(trace):
-            calls.append(trace)
-            return zk.fit_damped_sine(trace)
+        def counting(traces):
+            calls.append(traces)
+            return zk.fit_damped_sines(traces)
 
-        monkeypatch.setattr("zenokit.cli.fit_damped_sine", counting)
+        monkeypatch.setattr("zenokit.cli.fit_damped_sines", counting)
         config = trace_dir_config(
             tmp_path, {"a": (ringing, RAMSEY_SIDECAR), "b": (ringing, None)}
         )

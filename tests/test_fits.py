@@ -28,6 +28,7 @@ from zenokit import fits
 from zenokit.fits import _CHEVRON_NAMES
 from zenokit.io import (
     POPULATION_CSV_HEADER,
+    TRACE_CSV_HEADER,
     calibration_to_json,
     read_calibration_json,
     read_columns_csv,
@@ -40,6 +41,17 @@ DATA = Path(__file__).parent / "data"
 def swap_linecut():
     """The committed resonant vacuum-Rabi linecut: ``(times, populations)``."""
     return read_columns_csv(DATA / "swap_linecut.csv", POPULATION_CSV_HEADER)
+
+
+def one_row(signal, basis):
+    """The projected residual and Jacobian of one signal, ``fun(theta)``."""
+    fun = fits._projected_residual_jacobian(signal[np.newaxis], basis)
+
+    def single(theta):
+        r, J = fun(np.asarray(theta)[np.newaxis], slice(None))
+        return r[0], J[0]
+
+    return single
 
 
 def check_gradient(fun, theta):
@@ -176,20 +188,19 @@ class TestDampedSine:
         noisy = ramsey_trace.signal + rng.normal(0.0, 0.02 * 0.45, times.size)
         _, _, report = zk.fit_damped_sine(zk.RamseyTrace(times, noisy, offset_freq=OFFSET_MHZ))
         theta = np.array([report.parameters["decay_rate"], report.parameters["frequency"]])
-        check_gradient(fits._projected_residual_jacobian(noisy, fits._damped_sine_basis(times)), theta)
+        check_gradient(one_row(noisy, fits._damped_sine_basis(times)), theta)
 
         times, populations = swap_linecut()
         noisy = populations + rng.normal(0.0, 0.01, times.size)
         _, _, report = zk.fit_swap_chevron(times, noisy, f_guess=3.2)
         theta = np.array([report.parameters["decay_rate"], report.parameters["frequency"]])
         basis = fits._damped_sine_basis(times, decaying_baseline=True)
-        check_gradient(fits._projected_residual_jacobian(noisy, basis), theta)
+        check_gradient(one_row(noisy, basis), theta)
 
         times = np.linspace(0.1, 2.0, 40)
         noisy = np.exp(-0.7 * times) + rng.normal(0.0, 0.01, times.size)
         rate, _ = zk.fit_exponential(times, noisy)
-        basis = fits._exponential_basis(times)
-        check_gradient(fits._projected_residual_jacobian(noisy, basis), np.array([rate]))
+        check_gradient(one_row(noisy, fits._exponential_basis(times)), np.array([rate]))
 
     def test_rejects_short_or_narrow_traces(self):
         with pytest.raises(zk.DomainError):
@@ -236,14 +247,14 @@ class TestDampedSine:
     def test_envelope_gone_within_one_sample_is_refused(self, monkeypatch, ramsey_trace):
         # the fringe would be seen by the first sample alone, so the rate
         # and frequency columns of J vanish and their sigma would read 0
-        fit = fits._lm_minimize
+        descend = fits._lm_descent
 
-        def fast_decay(fun, theta0, data_norm):
-            theta, *rest = fit(fun, theta0, data_norm)
-            theta[0] = 1e3
+        def fast_decay(fun, theta0, data_norms):
+            theta, *rest = descend(fun, theta0, data_norms)
+            theta[:, 0] = 1e3
             return theta, *rest
 
-        monkeypatch.setattr(fits, "_lm_minimize", fast_decay)
+        monkeypatch.setattr(fits, "_lm_descent", fast_decay)
         with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its envelope falls"):
             zk.fit_damped_sine(ramsey_trace)
 
@@ -252,9 +263,9 @@ class TestDampedSine:
         # are zero has vanishing rate and frequency columns
         solve = fits._solve_linear
 
-        def zero_coefficients(phi, signal):
-            coef, inverse = solve(phi, signal)
-            return np.zeros_like(coef), inverse
+        def zero_coefficients(phi, signals):
+            coef, inverse, refused = solve(phi, signals)
+            return np.zeros_like(coef), inverse, refused
 
         monkeypatch.setattr(fits, "_solve_linear", zero_coefficients)
         with pytest.raises(zk.FitError, match=r"^damped-sine fit is degenerate: its Jacobian has rank 3 of 5$"):
@@ -264,9 +275,9 @@ class TestDampedSine:
 def test_trial_step_that_overflows_to_nan_is_rejected_quietly():
     # the decaying baseline adds C e^{-g t} to A e^{-g t} cos(...): past
     # exp's range a trial step gives inf - inf, a nan cost and no warning
-    def fun(theta):
+    def fun(theta, rows):
         big = np.exp(100.0 * theta)
-        return big - big + theta - 10.0, np.ones((1, 1))
+        return big - big + theta - 10.0, np.ones((1, 1, 1))
 
     theta, r, *_ = fits._lm_minimize(fun, [0.0], data_norm=10.0)
     assert 0.0 < theta[0] < 7.1
@@ -435,7 +446,7 @@ class TestExponentialFit:
         # LAPACK on an overflowed basis can run for seconds, so the trial is
         # refused before it
         times = np.linspace(0.1, 2.0, 40)
-        fun = fits._projected_residual_jacobian(np.exp(-times), fits._exponential_basis(times))
+        fun = one_row(np.exp(-times), fits._exponential_basis(times))
         with np.errstate(over="ignore"):
             r, J = fun(np.array([-1e3]))
         assert np.all(np.isnan(r)) and not np.any(J)
@@ -514,6 +525,116 @@ def test_reported_sigma_covers_the_truth(kind, sigma):
         errors = np.array(errors)
         assert 0.55 <= np.mean(errors <= 1.0) <= 0.78, name
         assert np.mean(errors <= 2.0) >= 0.90, name
+
+
+def fixture_ramsey_traces():
+    """The golden fixtures' Ramsey traces, 6 on one grid."""
+    return [
+        zk.RamseyTrace(
+            *read_columns_csv(path, TRACE_CSV_HEADER),
+            offset_freq=json.loads(path.with_suffix(".json").read_text())["offset_mhz"],
+        )
+        for path in sorted((DATA / "traces").glob("*.csv"))
+    ]
+
+
+def fixture_echo_traces():
+    """The golden fixtures' echo traces, 4 on one grid."""
+    return [
+        zk.Trace(*read_columns_csv(path, TRACE_CSV_HEADER))
+        for path in sorted((DATA / "echo").glob("*.csv"))
+    ]
+
+
+def noisy_session_traces(kind, count=12):
+    """Session-shaped traces with noise, drawn as in
+    test_reported_sigma_covers_the_truth, at 1e-4 to 2e-2."""
+    rng = np.random.default_rng([31, sorted(COVERAGE_CASES).index(kind)])
+    draw, _ = COVERAGE_CASES[kind]
+    traces = []
+    for i in range(count):
+        times, signal, _ = draw(rng)
+        noisy = signal + rng.normal(0.0, (1e-4, 1e-3, 5e-3, 2e-2)[i % 4], times.size)
+        traces.append(
+            zk.RamseyTrace(times, noisy, OFFSET_MHZ) if kind == "ramsey" else zk.Trace(times, noisy)
+        )
+    return traces
+
+
+def fit_alone(trace):
+    """``trace``'s fit on its own, or its FitError."""
+    try:
+        if isinstance(trace, zk.RamseyTrace):
+            return zk.fit_damped_sine(trace)
+        return zk.fit_exponential(trace.times, trace.signal)
+    except zk.FitError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "traces",
+    [
+        fixture_ramsey_traces,
+        fixture_echo_traces,
+        lambda: noisy_session_traces("ramsey"),
+        lambda: noisy_session_traces("echo"),
+    ],
+    ids=["fixture_ramsey", "fixture_echo", "noisy_ramsey", "noisy_echo"],
+)
+def test_a_batch_fits_each_trace_as_alone(traces):
+    # a row's bits, iteration count included, do not depend on its batch
+    traces = traces()
+    assert len({trace.times.tobytes() for trace in traces}) == 1  # one batch
+    batch = zk.fit_damped_sines if isinstance(traces[0], zk.RamseyTrace) else zk.fit_exponentials
+    results = batch(traces)
+    assert results == [fit_alone(trace) for trace in traces]
+    assert all(report.converged for *_, report in results)
+
+
+def test_traces_on_other_grids_are_fitted_in_their_own_batches():
+    times = np.linspace(0.0, 2.0, 101)
+    other = [
+        zk.RamseyTrace(times, make_ramsey_signal(times, stark_mhz=s, offset_mhz=5.0), 5.0)
+        for s in (0.2, 0.4)
+    ]
+    traces = fixture_ramsey_traces()
+    mixed = [other[0], *traces[:3], other[1], *traces[3:]]
+    assert zk.fit_damped_sines(mixed) == [fit_alone(trace) for trace in mixed]
+
+
+def test_a_failed_row_leaves_the_others_alone():
+    # a constant and an aliased fringe among good ones: each fails with its
+    # own FitError, and the other rows are their solo fits
+    good = fixture_ramsey_traces()
+    times = good[0].times
+    constant = zk.RamseyTrace(times, np.full(times.size, 0.5), OFFSET_MHZ)
+    aliased = zk.RamseyTrace(times, degenerate_ramsey_signal(times), OFFSET_MHZ)
+    results = zk.fit_damped_sines([good[0], constant, *good[1:4], aliased, good[4]])
+    assert str(results[1]) == "constant signal: nothing to fit"
+    assert str(results[5]).startswith("damped-sine fit is degenerate: its frequency 236.968 MHz")
+    kept = results[:1] + results[2:5] + results[6:]
+    assert kept == [fit_alone(trace) for trace in good[:5]]
+
+    echoes = fixture_echo_traces()
+    zeros = zk.Trace(echoes[0].times, np.zeros(echoes[0].times.size))
+    results = zk.fit_exponentials([echoes[0], zeros, *echoes[1:]])
+    assert str(results[1]) == "exponential fit found amplitude 0.000e+00, not a positive decay"
+    assert results[:1] + results[2:] == [fit_alone(trace) for trace in echoes]
+
+
+def test_a_singular_or_overflowed_gram_row_leaves_the_others_alone():
+    # numpy's stacked inverse raises for the whole stack on one singular row
+    rng = np.random.default_rng(7)
+    phi = rng.normal(size=(4, 40, 2))
+    phi[1] = 0.0
+    phi[2, 5, 0] = np.inf
+    signals = rng.normal(size=(4, 40))
+    coef, inverse, refused = fits._solve_linear(phi.copy(), signals)
+    assert refused == {1: "Singular matrix", 2: "the basis is not finite"}
+    assert not np.any(coef[1:3]) and not np.any(inverse[1:3])
+    for b in (0, 3):
+        alone, alone_inverse, _ = fits._solve_linear(phi[b : b + 1].copy(), signals[b : b + 1])
+        assert np.array_equal(coef[b], alone[0]) and np.array_equal(inverse[b], alone_inverse[0])
 
 
 NON_FINITE_ENTRY_POINTS = {
@@ -626,18 +747,18 @@ class TestSwapChevron:
         a, b = amplitude * math.cos(phase), -amplitude * math.sin(phase)
         times = np.linspace(0.0, 1.2, 301)
         signal, _ = chevron_model(times, a, b, offset, baseline, rate, freq)
-        lm_minimize, ends = fits._lm_minimize, []
+        descend, ends = fits._lm_descent, []
 
-        def flipped_start(fun, theta0, data_norm):
+        def flipped_start(fun, theta0, data_norms):
             theta0 = np.array(theta0)
             if flip_frequency:
-                theta0[1] = -theta0[1]
-            result = lm_minimize(fun, theta0, data_norm)
-            ends.append(result[0])
+                theta0[:, 1] = -theta0[:, 1]
+            result = descend(fun, theta0, data_norms)
+            ends.append(result[0][0].copy())
             return result
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fits, "_lm_minimize", flipped_start)
+            patch.setattr(fits, "_lm_descent", flipped_start)
             _, _, report = zk.fit_swap_chevron(times, signal, f_guess=freq)
         (end,) = ends
         assert (end[1] < 0) == flip_frequency
