@@ -34,8 +34,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import kk
 from .defect import DefectParams, decay_rate_map
 from .errors import DomainError, FitError, ParseError, StabilityError
@@ -64,6 +62,7 @@ from .io import (
     atomic_write_text,
     calibration_to_json,
     dump_json,
+    format_grid_csv,
     format_spectrum_csv,
     format_table_csv,
     read_calibration_json,
@@ -337,11 +336,6 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
         defect,
         qubit_decay,
     )
-    map_columns = (
-        np.repeat(map_detunings, len(map_dephasings)),
-        np.tile(map_dephasings, len(map_detunings)),
-        grid.ravel(),
-    )
 
     coordinates = [(det, gphi) for det in oracle_detunings for gphi in oracle_dephasings]
     contexts = [
@@ -362,7 +356,9 @@ def cmd_oracle(args, config, config_dir, out_dir) -> dict[Path, str]:
     )
     return {
         out_dir / "comparison.csv": format_table_csv(COMPARISON_CSV_HEADER, comparison_columns),
-        out_dir / "zeno_map.csv": format_table_csv(ZENO_MAP_CSV_HEADER, map_columns),
+        out_dir / "zeno_map.csv": format_grid_csv(
+            ZENO_MAP_CSV_HEADER, map_detunings, map_dephasings, grid
+        ),
     }
 
 

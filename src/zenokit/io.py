@@ -18,12 +18,12 @@ files as a ``"format"`` key.  Floats are serialized with ``repr``, which
 round-trips exactly, and writes go through a temp file + rename so a
 failing run never leaves a half-written output; outputs get the umask's
 permissions.  CSV tables are written by column: :func:`format_table_csv`
-takes equal-length 1-D columns.  A column whose values repeat is
-formatted once per distinct value, so a map's coordinate columns cost
-one ``repr`` per grid line, not per point; a column whose values are all
-distinct is formatted straight, one ``repr`` per cell in row order.  The
-cells, separators and newlines of all rows go into one list and one
-join.
+takes equal-length 1-D columns and formats each cell with one ``repr``.
+A map over a grid is written as the outer product it is, by
+:func:`format_grid_csv`: each coordinate is formatted once, with its
+comma, and each grid value once, so the coordinates cost one ``repr`` per
+grid line, not per point.  Either writer puts the cells, separators and
+newlines of all rows into one list and one join.
 """
 from __future__ import annotations
 
@@ -231,12 +231,11 @@ def format_table_csv(header: str, columns, tag: str | None = FORMAT_TAG) -> str:
 
     ``header`` names one column per entry of ``columns``.  A bool column
     is written as ``1``/``0``.  Any other column is converted to float64
-    and written with ``repr``, which round-trips exactly; ``repr`` runs
-    once per distinct bit pattern in the column, so ``-0.0`` and ``0.0``
-    stay apart.  The bytes are those of ``repr(float(v))`` per cell.  A
-    column that is not 1-D, a column count that differs from the
-    header's, or columns of unequal length raise ``ValueError``, so rows
-    passed in place of columns are refused rather than transposed.
+    and each cell is written as ``repr(float(v))``, which round-trips
+    exactly and keeps ``-0.0`` apart from ``0.0``.  A column that is not
+    1-D, a column count that differs from the header's, or columns of
+    unequal length raise ``ValueError``, so rows passed in place of
+    columns are refused rather than transposed.
     """
     arrays = [np.asarray(column) for column in columns]
     n_cols = header.count(",") + 1
@@ -253,23 +252,45 @@ def format_table_csv(header: str, columns, tag: str | None = FORMAT_TAG) -> str:
     for j, array in enumerate(arrays):
         parts[2 * j :: 2 * k] = _column_cells(array)
     parts[2 * k - 1 :: 2 * k] = ["\n"] * n
-    head = f"# {tag}\n{header}\n" if tag else f"{header}\n"
-    return head + "".join(parts)
+    return _csv_head(header, tag) + "".join(parts)
 
 
 def _column_cells(column: np.ndarray) -> list[str]:
     if column.dtype == np.bool_:
         return ["1" if v else "0" for v in column.tolist()]
-    values = np.ascontiguousarray(column, dtype=np.float64)
-    # one repr per distinct bit pattern: the int64 view keeps -0.0 apart
-    # from 0.0, which compare equal as floats
-    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if patterns.size == values.size:
-        # all distinct: no repr to share; skipping the gather also leaves
-        # the cells in memory in the order the join reads them
-        return [*map(repr, values.tolist())]
-    cells = np.array([*map(repr, patterns.view(np.float64).tolist())], dtype=object)
-    return cells[inverse].tolist()
+    return [*map(repr, column.astype(np.float64).tolist())]
+
+
+def format_grid_csv(header: str, rows, columns, values, tag: str | None = FORMAT_TAG) -> str:
+    """Render a map as ``rows[i],columns[j],values[i, j]`` lines in
+    row-major order under a three-column header.
+
+    The bytes are those of :func:`format_table_csv` on the
+    ``repeat``/``tile``/``ravel`` columns, but each coordinate is
+    formatted once, with its comma.  Coordinates that are not 1-D, or
+    ``values`` whose shape is not ``(len(rows), len(columns))``, raise
+    ``ValueError``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    columns = np.asarray(columns, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if rows.ndim != 1 or columns.ndim != 1 or values.shape != (rows.size, columns.size):
+        raise ValueError(
+            f"values of shape {values.shape} do not span rows of shape {rows.shape}"
+            f" and columns of shape {columns.shape}"
+        )
+    row_cells = [f"{v!r}," for v in rows.tolist()]
+    column_cells = [f"{v!r}," for v in columns.tolist()]
+    # one flat list: row cell, column cell, value, "\n" per line
+    parts = ["\n"] * (4 * values.size)
+    parts[0::4] = [cell for cell in row_cells for _ in column_cells]
+    parts[1::4] = column_cells * len(row_cells)
+    parts[2::4] = [*map(repr, values.ravel().tolist())]
+    return _csv_head(header, tag) + "".join(parts)
+
+
+def _csv_head(header: str, tag: str | None) -> str:
+    return f"# {tag}\n{header}\n" if tag else f"{header}\n"
 
 
 def read_json_object(path) -> dict:
@@ -308,20 +329,24 @@ def json_number(payload, key, name, default=None) -> float:
     A boolean, a string, NaN, an infinity or an int beyond float range
     raises :class:`ParseError` naming ``name`` and ``key``.
     """
-    value = json_value(payload, key, name, default)
+    return _finite_number(json_value(payload, key, name, default), key, name)
+
+
+def json_numbers(payload, key, name, default=None) -> list[float]:
+    """:func:`json_number`'s rule and message on each element of the list
+    under ``key``."""
+    values = json_value(payload, key, name, default)
+    if not isinstance(values, list):
+        raise ParseError(f"{name}: key {key!r} must hold a list of numbers, got {values!r}")
+    return [_finite_number(value, key, name) for value in values]
+
+
+def _finite_number(value, key, name) -> float:
     # type(), not isinstance(): a bool is an int.  The exact comparison
     # refuses NaN, infinities and the ints that float() overflows on.
     if type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
     raise ParseError(f"{name}: key {key!r} holds {value!r}, not a finite number")
-
-
-def json_numbers(payload, key, name, default=None) -> list[float]:
-    """:func:`json_number` on each element of the list under ``key``."""
-    values = json_value(payload, key, name, default)
-    if not isinstance(values, list):
-        raise ParseError(f"{name}: key {key!r} must hold a list of numbers, got {values!r}")
-    return [json_number({key: value}, key, name) for value in values]
 
 
 def read_sidecar_json(trace_path, keys) -> dict[str, float]:
@@ -331,9 +356,10 @@ def read_sidecar_json(trace_path, keys) -> dict[str, float]:
     values by key.
     """
     sidecar = Path(trace_path).with_suffix(".json")
-    if not sidecar.exists():
-        raise ParseError(f"missing sidecar {sidecar} for trace {trace_path}")
-    payload = read_json_object(sidecar)
+    try:
+        payload = read_json_object(sidecar)
+    except FileNotFoundError:
+        raise ParseError(f"missing sidecar {sidecar} for trace {trace_path}") from None
     return {key: json_number(payload, key, sidecar) for key in keys}
 
 

@@ -471,6 +471,18 @@ class TestCalibrate:
         config.write_text(dump_json({"chi_mhz": 0.98, "trace_dir": str(traces)}))
         assert run(["calibrate", "--config", str(config)], tmp_path) == 2
 
+    def test_directory_at_the_sidecar_path_exits_2(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        times = np.arange(0.0, 3.0, 0.01)
+        write_csv(traces / "ramsey.csv", "time_us,signal", zip(times, np.cos(times)))
+        (traces / "ramsey.json").mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(dump_json({"chi_mhz": 0.98, "trace_dir": str(traces)}))
+        assert run(["calibrate", "--config", str(config)], tmp_path / "out") == 2
+        assert str(traces / "ramsey.json") in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
+
 
 def trace_dir_config(tmp_path, traces):
     """A config whose ``trace_dir`` holds ``traces``: name -> (signal, sidecar or None)."""
@@ -1037,6 +1049,44 @@ class TestOracleCommand:
             "# zenokit-v1\n"
             "gamma_phi_mhz,detuning_mhz,kk_per_us,eq2_per_us,oracle_per_us,dev_kk,dev_eq2,flag\n"
         )
+
+    def test_map_bytes_match_per_cell_repr(self, tmp_path):
+        # -0.0 apart from 0.0, a detuning given twice, and JSON ints that
+        # are written as floats
+        detunings, dephasings = [-3, -0.0, 0.0, 1.5, 1.5, 2], [0, -0.0, 0.25, 1]
+        config = tmp_path / "config.json"
+        config.write_text(
+            dump_json(
+                {
+                    "defect": {"freq_mhz": 4300.0, "coupling_mhz": 0.2, "decay_per_us": 8},
+                    "qubit_decay_per_us": 0.01,
+                    "map_detunings_mhz": detunings,
+                    "map_dephasings_mhz": dephasings,
+                    "oracle_detunings_mhz": [],
+                    "oracle_dephasings_mhz": [],
+                }
+            )
+        )
+        assert run(["oracle", "--config", str(config)], tmp_path / "out") == 0
+        defect = zk.DefectParams(0.0, mhz_to_angular(0.2), 8.0)
+        grid = zk.decay_rate_map(
+            [mhz_to_angular(x) for x in detunings],
+            [mhz_to_angular(x) for x in dephasings],
+            defect,
+            0.01,
+        )
+        columns = (
+            np.repeat(np.array(detunings, dtype=float), len(dephasings)),
+            np.tile(np.array(dephasings, dtype=float), len(detunings)),
+            grid.ravel(),
+        )
+        expected = "# zenokit-v1\ndetuning_mhz,gamma_phi_mhz,Gamma_per_us\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)
+        )
+        written = (tmp_path / "out" / "zeno_map.csv").read_text()
+        assert written == expected
+        first_row = zip(["0.0", "-0.0", "0.25", "1.0"], grid[0].tolist())
+        assert written.splitlines()[2:6] == [f"-3.0,{gphi},{rate!r}" for gphi, rate in first_row]
 
     @staticmethod
     def assert_golden_with(tmp_path, key, value):

@@ -1,14 +1,14 @@
-"""The CSV table writer and reader: their byte and bit contracts, the
-writer's column-shape guard, the reader's grammar and messages, and the
-atomic file write under them.
+"""The CSV table and grid writers and the reader: their byte and bit
+contracts, the writers' shape guards, the reader's grammar and messages,
+and the atomic file write under them.
 
-``format_table_csv`` formats each distinct value of a column once where
-values repeat, and each cell straight where they are all distinct.  The
-bytes must equal a per-cell ``repr(float(v))`` written row by row, which
-is kept here as the reference.  ``read_columns_csv`` parses with numpy's
-C reader; its bits must equal a per-cell ``float()``, kept here as the
-reference, and its refusals must name the line the file's own newline
-rule numbers.
+``format_table_csv`` formats each cell with one ``repr``;
+``format_grid_csv`` formats each coordinate of a map once and each grid
+value once.  The bytes of both must equal a per-cell ``repr(float(v))``
+written row by row, which is kept here as the reference.
+``read_columns_csv`` parses with numpy's C reader; its bits must equal a
+per-cell ``float()``, kept here as the reference, and its refusals must
+name the line the file's own newline rule numbers.
 """
 import itertools
 import os
@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenokit import io
 from zenokit.errors import ParseError
-from zenokit.io import FORMAT_TAG, format_table_csv, read_columns_csv
+from zenokit.io import FORMAT_TAG, format_grid_csv, format_table_csv, read_columns_csv
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 0.1, 1.0 / 3.0, -2.5, 1e300]
 
@@ -156,18 +156,80 @@ def test_mixed_columns_match_per_cell_repr(columns):
     assert format_table_csv("a,b,c", columns) == reference_csv("a,b,c", columns)
 
 
+# --- the grid writer -----------------------------------------------------
+
+
+def grid_reference(header, rows, columns, values, tag=FORMAT_TAG):
+    """The per-cell reference on the map's ``repeat``/``tile``/``ravel``
+    columns: the grid writer's byte contract."""
+    rows, columns = np.asarray(rows, dtype=float), np.asarray(columns, dtype=float)
+    flat = (np.repeat(rows, columns.size), np.tile(columns, rows.size), np.ravel(values))
+    return reference_csv(header, flat, tag)
+
+
+@st.composite
+def special_grids(draw):
+    """Coordinates and values from ``SPECIAL``, so they repeat, ``-0.0``
+    meets ``0.0`` and ``5e-324`` and ``1e16`` turn up; grids may have zero
+    rows or zero columns."""
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+
+    def axis(n):
+        return draw(st.lists(st.sampled_from(SPECIAL), min_size=n, max_size=n))
+
+    values = np.array(axis(n_rows * n_cols), dtype=float).reshape(n_rows, n_cols)
+    return axis(n_rows), axis(n_cols), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(special_grids())
+@example(([], [1.0, -0.0], np.zeros((0, 2))))
+@example(([0.0, -0.0], [], np.zeros((2, 0))))
+def test_grid_matches_per_cell_repr(grid):
+    rows, columns, values = grid
+    text = format_grid_csv("a,b,c", rows, columns, values)
+    assert text == grid_reference("a,b,c", rows, columns, values)
+
+
+def test_grid_special_values_keep_their_bytes():
+    rows, columns = [-0.0, 0.0, 5e-324], [1e16, -0.0]
+    values = np.array([[0.0, -0.0], [5e-324, 1e16], [1e-5, 0.1]])
+    text = format_grid_csv("a,b,c", rows, columns, values, tag=None)
+    assert text == (
+        "a,b,c\n"
+        "-0.0,1e+16,0.0\n-0.0,-0.0,-0.0\n"
+        "0.0,1e+16,5e-324\n0.0,-0.0,1e+16\n"
+        "5e-324,1e+16,1e-05\n5e-324,-0.0,0.1\n"
+    )
+
+
+class TestGridShapeGuard:
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 2), (6,), (2, 3, 1), (2, 2), ()],
+        ids=["transposed", "flat", "three-d", "short-row", "scalar"],
+    )
+    def test_values_that_do_not_span_the_grid_are_refused(self, shape):
+        with pytest.raises(ValueError, match="do not span"):
+            format_grid_csv("a,b,c", [1.0, 2.0], [1.0, 2.0, 3.0], np.zeros(shape))
+
+    def test_two_dimensional_coordinates_are_refused(self):
+        with pytest.raises(ValueError, match="do not span"):
+            format_grid_csv("a,b,c", np.zeros((2, 1)), [1.0], np.zeros((2, 1)))
+
+
 def test_map_shaped_table_matches_per_cell_repr():
-    # the rate map's layout: row-major coordinates that repeat, and a
-    # rate column whose 80 000 values are all distinct
+    # the rate map's size: 400 x 200 coordinates, each written 200 or 400
+    # times, and 80 000 rates that are all distinct
     detunings = np.linspace(-20.0, 20.0, 400)
     dephasings = np.linspace(0.0, 5.0, 200)
-    rates = np.random.default_rng(3).uniform(1e-3, 1.0, 400 * 200)
-    columns = (np.repeat(detunings, 200), np.tile(dephasings, 400), rates)
+    rates = np.random.default_rng(3).uniform(1e-3, 1.0, (400, 200))
     assert np.unique(rates).size == rates.size
-    text = format_table_csv(io.ZENO_MAP_CSV_HEADER, columns)
+    text = format_grid_csv(io.ZENO_MAP_CSV_HEADER, detunings, dephasings, rates)
     # lines, not one string: a failure then names the first bad row
     # instead of diffing 2.7 MB of text
-    assert text.splitlines() == reference_csv(io.ZENO_MAP_CSV_HEADER, columns).splitlines()
+    reference = grid_reference(io.ZENO_MAP_CSV_HEADER, detunings, dephasings, rates)
+    assert text.splitlines() == reference.splitlines()
     assert text.endswith("\n")
 
 
@@ -323,6 +385,28 @@ def test_a_pipe_is_read(tmp_path):
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+# --- JSON number lists ----------------------------------------------------
+
+
+def test_json_numbers_gives_floats():
+    numbers = io.json_numbers({"k": [1, -0.0, 2.5, 10**300]}, "k", "config")
+    assert [type(x) for x in numbers] == [float] * 4
+    assert [repr(x) for x in numbers] == ["1.0", "-0.0", "2.5", "1e+300"]
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "1.0", float("nan"), float("inf"), -float("inf"), 10**400, None, [1.0]],
+    ids=["bool", "string", "nan", "inf", "-inf", "huge-int", "null", "list"],
+)
+def test_json_numbers_refuses_what_json_number_refuses(bad):
+    message = f"config: key 'k' holds {bad!r}, not a finite number"
+    with pytest.raises(ParseError) as listed:
+        io.json_numbers({"k": [0.5, bad, 1.0]}, "k", "config")
+    with pytest.raises(ParseError) as single:
+        io.json_number({"k": bad}, "k", "config")
+    assert str(listed.value) == str(single.value) == message
 
 
 # --- the atomic write -----------------------------------------------------
