@@ -21,8 +21,8 @@ with the defect at 0.  ``calibrate`` and ``fit-flux-noise`` fit the
 traces that share a time grid in one batch, each with the result it
 would have alone; they report every failed trace fit in one ``trace
 fits failed for:`` error, and prefix an invalid trace's DomainError with
-its file name.  A non-finite ``--t-delay`` or ``--f-guess``, or an
-``--f-guess`` <= 0, is a parse error, as in JSON.  Exit codes:
+its file name.  A non-finite ``--t-delay`` or ``--f-guess``, or one
+<= 0, is a parse error, as in JSON.  Exit codes:
 0 success, 2 parse error, 3 domain/fit error, 4 integrator stability
 error; failures emit a machine-readable JSON object on stderr.
 """
@@ -370,9 +370,9 @@ def _check_finite(value: float, flag: str) -> None:
 
 def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
     _check_finite(args.t_delay, "--t-delay")
-    freqs, populations = read_columns_csv(args.input, T1_CSV_HEADER)
     if not args.t_delay > 0:
-        raise DomainError(f"--t-delay must be > 0, got {args.t_delay}")
+        raise ParseError(f"--t-delay must be > 0 us, got {args.t_delay!r}")
+    freqs, populations = read_columns_csv(args.input, T1_CSV_HEADER)
     rates = []
     for i, p1 in enumerate(populations):
         try:

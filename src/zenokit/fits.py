@@ -23,8 +23,9 @@ grid in one pass (:func:`fit_damped_sines`, :func:`fit_exponentials`),
 with each array carrying a leading row axis.  The basis, the Gram
 solves, the Jacobian, the damped normal equations and the SVD are
 evaluated on stacks, one BLAS or LAPACK call per row; each row keeps its
-own damping, step acceptance, convergence test and iteration count; and
-no operation reduces across rows.  So a row's result is bit for bit
+own damping, step acceptance, convergence test and iteration count; a
+row that finishes stays in the stack, frozen, until the last one does;
+and no operation reduces across rows.  So a row's result is bit for bit
 that of fitting its trace alone, and a row that fails yields its own
 FitError without touching the others.  The single-trace fits are
 batches of one.
@@ -231,67 +232,43 @@ def _lm_descent(residual_jacobian, theta0, data_norms):
     """Damped Gauss-Newton descent on ``0.5 * ||r_b(theta_b)||^2`` for
     each row ``b`` of ``theta0``.
 
-    ``residual_jacobian(theta, rows) -> (r, J)`` evaluates the batch rows
-    ``rows`` (an index array, or ``slice(None)`` for all) at ``theta``,
-    one row of parameters each, with analytic ``J``; ``r`` is model minus
-    data and ``data_norms`` the data's 2-norms.  Each round solves the
-    damped normal equations and evaluates one trial step for every row
-    still descending, as stacks; then each row, in Python floats, keeps
-    its own damping, step acceptance and iteration count, and its own
-    convergence test: the gradient norm fell below
+    ``residual_jacobian(theta) -> (r, J)`` evaluates every row at
+    ``theta``, one row of parameters each, with analytic ``J``; ``r`` is
+    model minus data and ``data_norms`` the data's 2-norms.  Each round
+    solves the damped normal equations and evaluates one trial step for
+    the whole stack; then each row still descending, in Python floats,
+    keeps its own damping, step acceptance and iteration count, and its
+    own convergence test: the gradient norm fell below
     :func:`_gradient_tolerance`, or, once no step lowers the cost or the
     last one moved ``theta`` by less than ``STEP_TOL`` relative, below
-    :func:`_stall_tolerance`.  A finished row leaves the stacks.  Returns
-    ``(theta, r, J, converged, iterations, gradient_norm)``: the first
-    three stacked, the others lists with one entry per row.
+    :func:`_stall_tolerance`.  A finished row stays in the stack, frozen:
+    its trial steps are never accepted, so it keeps its ``theta``, ``r``
+    and ``J``.  Returns ``(theta, r, J, converged, iterations,
+    gradient_norm)``: the first three stacked, the others lists with one
+    entry per row.
     """
     theta = np.array(theta0, dtype=float)
-    rows = slice(None)
-    r, J = residual_jacobian(theta, rows)
+    r, J = residual_jacobian(theta)
     cost = (0.5 * np.vecdot(r, r)).tolist()
     g, normal, diag, curvature, gnorm = _descent_state(r, J)
     eye = np.eye(theta.shape[1])
     lam = [1e-3] * len(theta)
     iterations = [1] * len(theta)
-    data_norms = list(data_norms)
-    # the batch row of each working row, and each batch row's result
-    index = list(range(len(theta)))
-    found = [None] * len(theta)
-    # per working row: None while it descends, else whether it converged
+    # per row: None while it descends, else whether it converged
     ends = [
         True if gn <= _gradient_tolerance(c, cv) else None
         for gn, c, cv in zip(gnorm, cost, curvature)
     ]
-    while True:
-        if None not in ends and len(ends) == len(found):
-            # every row ended in the same round: the stacks are the result
-            return theta, r, J, ends, iterations, gnorm
-        if ends.count(None) < len(ends):
-            live = []
-            for i, end in enumerate(ends):
-                if end is None:
-                    live.append(i)
-                else:
-                    found[index[i]] = (theta[i], r[i], J[i], end, iterations[i], gnorm[i])
-            if not live:
-                theta, r, J, converged, iterations, gnorm = map(list, zip(*found))
-                return np.array(theta), np.array(r), np.array(J), converged, iterations, gnorm
-            index = [index[i] for i in live]
-            rows = np.array(index)
-            theta, r, J, g, normal, diag = (x[live] for x in (theta, r, J, g, normal, diag))
-            cost, lam, iterations, curvature, gnorm, data_norms = (
-                [x[i] for i in live] for x in (cost, lam, iterations, curvature, gnorm, data_norms)
-            )
-            ends = [None] * len(live)
+    while None in ends:
         damping = (np.array(lam)[:, np.newaxis] * diag)[..., np.newaxis] * eye
         delta = _row_solves(np.linalg.solve, normal + damping, -g)[0][..., 0]
         trial = theta + delta
         # a wild trial step may overflow, and inf - inf is nan; its NaN cost,
         # like that of a singular damped matrix's NaN step, is not lower
         with np.errstate(over="ignore", invalid="ignore"):
-            r_new, J_new = residual_jacobian(trial, rows)
+            r_new, J_new = residual_jacobian(trial)
             cost_new = (0.5 * np.vecdot(r_new, r_new)).tolist()
-        better = [new < old for new, old in zip(cost_new, cost)]
+        better = [end is None and new < old for end, new, old in zip(ends, cost_new, cost)]
         if any(better):
             steps = [math.hypot(*row) for row in delta.tolist()]
             norms = [math.hypot(*row) for row in trial.tolist()]
@@ -305,6 +282,8 @@ def _lm_descent(residual_jacobian, theta0, data_norms):
                 cost = [new if ok else old for ok, new, old in zip(better, cost_new, cost)]
             g, normal, diag, curvature, gnorm = _descent_state(r, J)
         for i, ok in enumerate(better):
+            if ends[i] is not None:
+                continue
             if ok:
                 lam[i] = max(lam[i] / 3.0, 1e-12)
                 # a step that barely moved theta
@@ -324,14 +303,16 @@ def _lm_descent(residual_jacobian, theta0, data_norms):
             elif ok:
                 iterations[i] += 1
                 ends[i] = True if gnorm[i] <= _gradient_tolerance(cost[i], curvature[i]) else None
+    return theta, r, J, ends, iterations, gnorm
 
 
 def _lm_minimize(residual_jacobian, theta0, data_norm):
     """:func:`_lm_descent` on a batch of one: the adapter the single-trace
-    fits descend through.  ``residual_jacobian(theta, rows)`` is as there,
-    ``theta0`` the one row of parameters and ``data_norm`` its data's
-    2-norm.  Returns that row's ``(theta, r, J, converged, iterations,
-    gradient_norm)``, the last three as Python scalars."""
+    fits descend through.  ``residual_jacobian(theta)`` is as there, on a
+    stack of one row; ``theta0`` is that row of parameters and
+    ``data_norm`` its data's 2-norm.  Returns the row's ``(theta, r, J,
+    converged, iterations, gradient_norm)``, the last three as Python
+    scalars."""
     theta, r, J, converged, iterations, gnorm = _lm_descent(
         residual_jacobian, np.asarray(theta0, dtype=float)[np.newaxis], [data_norm]
     )
@@ -501,9 +482,8 @@ def _solve_linear(phi, signals):
 
 
 def _projected_residual_jacobian(signals, basis):
-    """``fun(theta, rows) -> (r, J)`` of the model ``phi @ coef`` on the
-    rows ``rows`` of ``signals``, ``coef`` being the least-squares solve
-    at ``theta``.
+    """``fun(theta) -> (r, J)`` of the model ``phi @ coef`` on every row
+    of ``signals``, ``coef`` being the least-squares solve at ``theta``.
 
     ``basis(theta) -> (phi, tangent)`` gives the columns, and
     ``tangent(coef, fitted)`` the model's derivatives in ``theta`` at
@@ -515,13 +495,12 @@ def _projected_residual_jacobian(signals, basis):
     rejects, and a zero Jacobian.
     """
 
-    def fun(theta, rows):
+    def fun(theta):
         phi, tangent = basis(theta)
-        signal = signals[rows]
-        coef, inverse, refused = _solve_linear(phi, signal)
+        coef, inverse, refused = _solve_linear(phi, signals)
         fitted = (phi @ coef)[..., 0]
         T = tangent(coef, fitted)
-        r = fitted - signal
+        r = fitted - signals
         if refused:
             r[list(refused)] = np.nan
         return r, T - phi @ (inverse @ (phi.swapaxes(1, 2) @ T))

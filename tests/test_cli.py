@@ -892,6 +892,13 @@ MALFORMED_INPUTS = {
     "convert-t1-delay-inf": lambda tmp: flag_input(tmp, "--t-delay", "inf"),
     "convert-t1-delay-1e400": lambda tmp: flag_input(tmp, "--t-delay", "1e400"),
     "convert-t1-delay-nan": lambda tmp: flag_input(tmp, "--t-delay", "nan"),
+    # a delay <= 0 gives no rate; it is refused before any read, so a
+    # missing input is never reached
+    "convert-t1-delay-zero": lambda tmp: flag_input(tmp, "--t-delay", "0"),
+    "convert-t1-delay-negative": lambda tmp: (
+        ["convert-t1", "--input", str(tmp / "missing.csv"), "--t-delay=-30"],
+        "--t-delay",
+    ),
     "fit-swap-f-guess-nan": lambda tmp: flag_input(tmp, "--f-guess", "nan"),
     "fit-swap-f-guess-inf": lambda tmp: flag_input(tmp, "--f-guess", "inf"),
     "fit-swap-f-guess-minus-inf": lambda tmp: flag_input(tmp, "--f-guess", "-inf"),

@@ -48,7 +48,7 @@ def one_row(signal, basis):
     fun = fits._projected_residual_jacobian(signal[np.newaxis], basis)
 
     def single(theta):
-        r, J = fun(np.asarray(theta)[np.newaxis], slice(None))
+        r, J = fun(np.asarray(theta)[np.newaxis])
         return r[0], J[0]
 
     return single
@@ -275,13 +275,41 @@ class TestDampedSine:
 def test_trial_step_that_overflows_to_nan_is_rejected_quietly():
     # the decaying baseline adds C e^{-g t} to A e^{-g t} cos(...): past
     # exp's range a trial step gives inf - inf, a nan cost and no warning
-    def fun(theta, rows):
+    def fun(theta):
         big = np.exp(100.0 * theta)
         return big - big + theta - 10.0, np.ones((1, 1, 1))
 
     theta, r, *_ = fits._lm_minimize(fun, [0.0], data_norm=10.0)
     assert 0.0 < theta[0] < 7.1
     assert np.all(np.isfinite(r))
+
+
+def test_a_finished_row_stays_frozen_while_the_others_descend():
+    # row 0 starts 1e-10 off its optimum, inside the gradient test, so it
+    # ends before the first round though a step would still lower its cost;
+    # row 1 takes several steps with row 0 frozen in the stack
+    times = np.linspace(0.0, 4.0, 41)
+    signals = np.array(
+        [np.exp(-2.0 * times), 0.7 * np.exp(-0.5 * times) + 0.01 * np.cos(7.0 * times)]
+    )
+    basis = fits._exponential_basis(times)
+    fun = fits._projected_residual_jacobian(signals, basis)
+    theta0 = np.array([[2.0 + 1e-10], [3.0]])
+    data_norms = np.sqrt(np.vecdot(signals, signals)).tolist()
+    theta, r, J, converged, iterations, gnorm = fits._lm_descent(fun, theta0, data_norms)
+
+    r0, J0 = fun(theta0)
+    assert converged[0] and iterations[0] == 1
+    for got, start in ((theta, theta0), (r, r0), (J, J0)):
+        assert np.array_equal(got[0], start[0])
+
+    alone = fits._lm_minimize(
+        fits._projected_residual_jacobian(signals[1:], basis), theta0[1], data_norms[1]
+    )
+    assert alone[4] > 3
+    for got, expected in zip((theta, r, J), alone[:3]):
+        assert np.array_equal(got[1], expected)
+    assert (converged[1], iterations[1], gnorm[1]) == alone[3:]
 
 
 class TestPolynomialFits:
@@ -572,16 +600,16 @@ def fit_alone(trace):
 
 
 @pytest.mark.parametrize(
-    "traces",
+    "traces,staggered",
     [
-        fixture_ramsey_traces,
-        fixture_echo_traces,
-        lambda: noisy_session_traces("ramsey"),
-        lambda: noisy_session_traces("echo"),
+        (fixture_ramsey_traces, False),
+        (fixture_echo_traces, False),
+        (lambda: noisy_session_traces("ramsey"), True),
+        (lambda: noisy_session_traces("echo"), True),
     ],
     ids=["fixture_ramsey", "fixture_echo", "noisy_ramsey", "noisy_echo"],
 )
-def test_a_batch_fits_each_trace_as_alone(traces):
+def test_a_batch_fits_each_trace_as_alone(traces, staggered):
     # a row's bits, iteration count included, do not depend on its batch
     traces = traces()
     assert len({trace.times.tobytes() for trace in traces}) == 1  # one batch
@@ -589,6 +617,10 @@ def test_a_batch_fits_each_trace_as_alone(traces):
     results = batch(traces)
     assert results == [fit_alone(trace) for trace in traces]
     assert all(report.converged for *_, report in results)
+    if staggered:
+        # rows that end in different rounds, so the early ones sit frozen
+        # in the stack while the others descend
+        assert len({report.iterations for *_, report in results}) > 1
 
 
 def test_traces_on_other_grids_are_fitted_in_their_own_batches():

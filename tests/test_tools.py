@@ -2,8 +2,11 @@
 
 ``tools/make_goldens.py`` runs only when someone regenerates the
 fixtures, so a name it imports that the package has moved would
-otherwise go unseen until then.
+otherwise go unseen until then.  ``tools/code_lines.py`` gives the size
+figures that the change log cites.
 """
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,41 @@ def test_named_golden_is_the_only_one_rewritten(make_goldens, tmp_path, monkeypa
     assert (tmp_path / "oracle" / "zeno_map.csv").read_bytes() == (golden / "zeno_map.csv").read_bytes()
     with pytest.raises(SystemExit, match="unknown golden orcale"):
         make_goldens.main(["orcale"])
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+import math
+
+# a comment line
+
+
+def area(r):
+    """One-line docstring."""
+    x = """a string that is no docstring
+    counts as code"""  # and so does a line with a trailing comment
+    return math.pi * r * r
+
+
+class Shape:
+    """Class docstring.
+
+    With a blank line inside.
+    """
+
+    sides = 0
+'''
+
+
+def test_code_lines_counts_a_module_without_docstrings_comments_or_blanks(tmp_path):
+    # 21 lines: 7 of docstrings (one blank inside), 1 comment, 6 blank, 7 of code
+    module = tmp_path / "shape.py"
+    module.write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(module)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert rows == [["module", "lines", "code"], ["shape.py", "21", "7"], ["total", "21", "7"]]
