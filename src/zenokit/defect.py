@@ -46,7 +46,7 @@ class DefectParams:
     def __post_init__(self):
         if not self.decay > 0:
             raise DomainError(f"defect decay rate must be > 0, got {self.decay}")
-        if self.coupling < 0:
+        if not self.coupling >= 0:
             raise DomainError(f"coupling must be >= 0, got {self.coupling}")
 
     def spectral_peak(self) -> TlsPeak:
@@ -63,9 +63,9 @@ class QubitParams:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        if self.decay < 0:
+        if not self.decay >= 0:
             raise DomainError(f"qubit decay must be >= 0, got {self.decay}")
-        if self.dephasing < 0:
+        if not self.dephasing >= 0:
             raise DomainError(f"dephasing must be >= 0, got {self.dephasing}")
 
 
@@ -148,10 +148,10 @@ def decay_rate_map(
     dephasings = np.atleast_1d(np.asarray(dephasings, dtype=float))
     if detunings.size == 0 or dephasings.size == 0:
         raise DomainError("decay_rate_map needs non-empty grids")
-    if qubit_decay < 0:
+    if not qubit_decay >= 0:
         raise DomainError(f"qubit decay must be >= 0, got {qubit_decay}")
-    if np.any(dephasings < 0):
-        raise DomainError(f"dephasing must be >= 0, got {dephasings[dephasings < 0][0]}")
+    if not np.all(dephasings >= 0):
+        raise DomainError(f"dephasing must be >= 0, got {dephasings[~(dephasings >= 0)][0]}")
     width = dephasings + defect.decay / 2.0 - qubit_decay / 2.0
     _require_positive_width(width)
     return _purcell(qubit_decay, defect.coupling, width[None, :], detunings[:, None])

@@ -99,7 +99,8 @@ class Trace:
     """A sampled record: signal vs time, as :func:`fit_exponentials` takes it.
 
     The samples must pass :func:`_samples` with at least ``MIN_SAMPLES``
-    of them; they are stored read-only.
+    of them; read-only copies are stored, and the caller's arrays are
+    left writeable.
     """
 
     times: np.ndarray
@@ -111,6 +112,7 @@ class Trace:
         for name, array in zip(
             ("times", "signal"), _samples(self.times, self.signal, self.MIN_SAMPLES)
         ):
+            array = array.copy()
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -788,12 +790,12 @@ def fit_exponentials(traces) -> list:
 def fit_exponential(times, signal) -> tuple[float, FitReport]:
     """Fit ``A exp(-g t)`` and return ``(g, report)``.
 
-    Fits with :func:`_exponential_fits`.  Needs :func:`_samples` with at
-    least 2; no convergence raises FitError, and so does a fitted
-    amplitude <= 0, which is no decay (a signal of zeros has amplitude 0).
+    :func:`fit_exponentials` on the batch of one ``Trace(times,
+    signal)``, so the samples must pass :class:`Trace`; no convergence
+    raises FitError, and so does a fitted amplitude <= 0, which is no
+    decay (a signal of zeros has amplitude 0).
     """
-    times, signal = _samples(times, signal, 2)
-    return _one(_decay(_exponential_fits(times, signal[np.newaxis])[0]))
+    return _one(fit_exponentials([Trace(times, signal)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -821,17 +823,22 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
     times, populations : array-like
         The linecut at maximal oscillation amplitude (resonant cut).
     f_guess : float
-        Expected oscillation frequency in MHz; steers the peak pick.
+        Expected oscillation frequency in MHz, > 0 (else DomainError,
+        before the samples are read).  The peak pick searches
+        ``(f_guess / 2, 2 f_guess)``, and the linecut must span at least
+        two periods of it.
 
     Returns
     -------
     (coupling, defect_decay, report)
         Coupling in rad/us, decay in 1/us.
     """
+    if not f_guess > 0:
+        raise DomainError(f"f_guess must be > 0 MHz, got {f_guess}")
     times, populations = _samples(times, populations, 8)
-    if f_guess > 0 and (times[-1] - times[0]) * f_guess < 2.0:
+    if (times[-1] - times[0]) * f_guess < 2.0:
         raise DomainError("linecut must span >= 2 expected oscillation periods")
-    window = (0.5 * f_guess, 2.0 * f_guess) if f_guess > 0 else None
+    window = (0.5 * f_guess, 2.0 * f_guess)
     _, fits, errors = _fit_damped_oscillations(
         times, populations[np.newaxis], "vacuum-Rabi", window, decaying_baseline=True
     )

@@ -52,7 +52,7 @@ from .spectrum import BathSpectrum, TabulatedSpectrum, TlsPeak
 # by O(dephasing) times the spectrum's local slope.
 DELTA_LIMIT = 1e-9
 
-# Accepted and ignored by decay_rate and sweep; see decay_rate.
+# The default of decay_rate's ignored `resolution` keyword; see decay_rate.
 DEFAULT_RESOLUTION = 4001
 
 # The tabulated kernel's arctan and log1p terms use an odd series
@@ -101,7 +101,7 @@ class ReadoutCalibration:
     max_epsilon: float | None = None
 
     def __post_init__(self):
-        if self.dephasing_quad < 0:
+        if not self.dephasing_quad >= 0:
             raise DomainError(f"dephasing coefficient must be >= 0, got {self.dephasing_quad}")
         if self.chi == 0:
             raise DomainError("dispersive shift chi must be nonzero")
@@ -166,9 +166,9 @@ class MeasurementContext:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.dephasing < 0:
+        if not self.dephasing >= 0:
             raise DomainError(f"dephasing rate must be >= 0, got {self.dephasing}")
-        if self.nbar < 0:
+        if not self.nbar >= 0:
             raise DomainError(f"photon number must be >= 0, got {self.nbar}")
 
     @classmethod
@@ -431,8 +431,8 @@ def decay_rate(
     window : (float, float), optional
         Integration window in rad/us; defaults per ``default_window``.
     resolution : int
-        Ignored: the integral is exact.  Kept so existing callers keep
-        working; values below 101 still raise :class:`DomainError`.
+        Ignored and unchecked: the integral is exact.  Kept so existing
+        callers keep working.
 
     Returns
     -------
@@ -450,8 +450,6 @@ def decay_rate(
     if context.dephasing < DELTA_LIMIT:
         rate = float(spectrum.rate_at(context.freq))
         return KkResult(context=context, raw_rate=rate, norm=1.0, rate=rate)
-    if resolution < 101:
-        raise DomainError(f"resolution must be >= 101 grid points, got {resolution}")
     if isinstance(spectrum, TabulatedSpectrum):
         return _tabulated_results(spectrum, [context], window)[0]
 
@@ -515,9 +513,9 @@ def sweep(
     :func:`decay_rate` one by one.
     """
     amps = np.asarray(amplitudes, dtype=float)
-    if amps.size and amps.min() < 0:
+    if amps.size and not amps.min() >= 0:
         raise DomainError("drive amplitudes must be >= 0")
-    if np.any(np.diff(amps) < 0):
+    if not np.all(np.diff(amps) >= 0):
         raise DomainError("drive amplitudes must be sorted ascending")
     contexts = [
         MeasurementContext.from_calibration(calibration, qubit_freq, float(eps)) for eps in amps

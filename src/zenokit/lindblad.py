@@ -139,7 +139,7 @@ class LindbladModel:
     dim: ClassVar[int] = 4
 
     def __post_init__(self):
-        if self.dephasing < 0 or self.qubit_decay < 0:
+        if not (self.dephasing >= 0 and self.qubit_decay >= 0):
             raise DomainError("dissipation rates must be >= 0")
 
     def hamiltonian(self) -> np.ndarray:
@@ -489,31 +489,24 @@ def validate_kk(
 ) -> list[ComparisonRow]:
     """Compare convolution, closed-form, and density-matrix decay rates.
 
-    ``spectrum`` must be the single-peak parametric spectrum matching
-    ``defect`` (same line) with a flat background equal to
-    ``qubit_decay``, so all three routes describe the same physics.  For
-    each measurement context the oracle evolves the full qubit+defect
-    density matrix and fits a decay rate over a window that skips the
-    initial fast transient; rows where the convolution misses the oracle
-    by more than ``FLAG_THRESHOLD`` are flagged (the regime where the
+    ``spectrum`` must equal the defect's own spectrum,
+    ``ParametricSpectrum(background=qubit_decay,
+    peaks=(defect.spectral_peak(),))``, so all three routes describe the
+    same physics; any other spectrum, a tabulated one included, raises
+    :class:`DomainError` naming the expected one.  For each measurement
+    context the oracle evolves the full qubit+defect density matrix and
+    fits a decay rate over a window that skips the initial fast
+    transient; rows where the convolution misses the oracle by more than
+    ``FLAG_THRESHOLD`` are flagged (the regime where the
     excitation coherently returns from the defect and the spectral
     picture breaks down).  A context whose qubit does not decay, or decays
     so slowly that :func:`evolve` refuses its trajectory (more than
     ``MAX_STEPS`` steps, or an infinite length), raises
     :class:`DomainError` naming the context.
     """
-    if len(spectrum.peaks) != 1:
-        raise DomainError("validate_kk needs a single-peak parametric spectrum")
-    peak = spectrum.peaks[0]
-    ref = defect.spectral_peak()
-    if not (
-        math.isclose(peak.center, ref.center, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(peak.width, ref.width, rel_tol=1e-12)
-        and math.isclose(peak.coupling_sq, ref.coupling_sq, rel_tol=1e-12)
-    ):
-        raise DomainError("spectrum peak does not match the defect parameters")
-    if not math.isclose(spectrum.background, qubit_decay, rel_tol=1e-12, abs_tol=1e-15):
-        raise DomainError("spectrum background must equal the intrinsic qubit decay")
+    expected = ParametricSpectrum(background=qubit_decay, peaks=(defect.spectral_peak(),))
+    if spectrum != expected:
+        raise DomainError(f"validate_kk needs the defect's own spectrum, {expected}")
 
     rows = []
     for ctx in contexts:

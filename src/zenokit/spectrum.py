@@ -43,7 +43,7 @@ class TlsPeak:
     def __post_init__(self):
         if not self.width > 0:
             raise DomainError(f"peak width must be > 0, got {self.width}")
-        if self.coupling_sq < 0:
+        if not self.coupling_sq >= 0:
             raise DomainError(f"coupling_sq must be >= 0, got {self.coupling_sq}")
 
     def contribution(self, omega):
@@ -60,15 +60,16 @@ class TabulatedSpectrum:
     Evaluation linearly interpolates between grid points; measured loss
     data are noisy, so higher-order schemes would only invent structure.
     Outside the grid each end rate holds: the spectrum beyond the
-    measured window is taken as the constant measured at its edge.
+    measured window is taken as the constant measured at its edge.  The
+    grid and rates are stored as read-only copies.
     """
 
     omegas: np.ndarray
     rates: np.ndarray
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        rates = np.asarray(self.rates, dtype=float)
+        omegas = np.array(self.omegas, dtype=float)
+        rates = np.array(self.rates, dtype=float)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "rates", rates)
         if omegas.ndim != 1 or omegas.shape != rates.shape:
@@ -107,7 +108,7 @@ class ParametricSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        if self.background < 0:
+        if not self.background >= 0:
             raise DomainError(f"background rate must be >= 0, got {self.background}")
 
     @property

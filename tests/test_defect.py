@@ -195,3 +195,35 @@ class TestAgainstConvolution:
             lorentzian_pair_rate(G_D**2, GAMMA_1D, dephasing, detuning), rel=1e-15
         )
         assert numeric == pytest.approx(closed, rel=1e-3)
+
+
+DEFECT = zk.DefectParams(freq=0.0, coupling=1.0, decay=2.0)
+CALIBRATION = zk.ReadoutCalibration(stark_quad=1.0, stark_quartic=0.0, dephasing_quad=1.0, chi=1.0)
+NAN = float("nan")
+NAN_GUARDED_FIELDS = {
+    "DefectParams.coupling": lambda: zk.DefectParams(freq=0.0, coupling=NAN, decay=2.0),
+    "QubitParams.decay": lambda: zk.QubitParams(freq=0.0, decay=NAN),
+    "QubitParams.dephasing": lambda: zk.QubitParams(freq=0.0, dephasing=NAN),
+    "decay_rate_map.qubit_decay": lambda: zk.decay_rate_map([0.0], [1.0], DEFECT, NAN),
+    "decay_rate_map.dephasings": lambda: zk.decay_rate_map([0.0], [1.0, NAN], DEFECT),
+    "ReadoutCalibration.dephasing_quad": lambda: zk.ReadoutCalibration(
+        stark_quad=1.0, stark_quartic=0.0, dephasing_quad=NAN, chi=1.0
+    ),
+    "MeasurementContext.dephasing": lambda: zk.MeasurementContext(freq=0.0, dephasing=NAN),
+    "MeasurementContext.nbar": lambda: zk.MeasurementContext(freq=0.0, dephasing=1.0, nbar=NAN),
+    "sweep.amplitudes": lambda: zk.sweep(
+        zk.ParametricSpectrum(background=0.01), CALIBRATION, 0.0, [0.1, NAN, 0.2]
+    ),
+    "LindbladModel.dephasing": lambda: zk.LindbladModel(0.0, DEFECT, dephasing=NAN),
+    "LindbladModel.qubit_decay": lambda: zk.LindbladModel(0.0, DEFECT, qubit_decay=NAN),
+    "TlsPeak.coupling_sq": lambda: zk.TlsPeak(center=0.0, width=1.0, coupling_sq=NAN),
+    "ParametricSpectrum.background": lambda: zk.ParametricSpectrum(background=NAN),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NAN_GUARDED_FIELDS))
+def test_nan_is_refused_by_every_nonnegative_guard(field):
+    # each guard reads `not x >= 0`: `x < 0` let NaN through, so that
+    # DefectParams(coupling=nan) gave a NaN Purcell rate without a word
+    with pytest.raises(zk.DomainError, match="must be >= 0"):
+        NAN_GUARDED_FIELDS[field]()

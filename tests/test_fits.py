@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -310,6 +311,26 @@ def test_a_finished_row_stays_frozen_while_the_others_descend():
     for got, expected in zip((theta, r, J), alone[:3]):
         assert np.array_equal(got[1], expected)
     assert (converged[1], iterations[1], gnorm[1]) == alone[3:]
+
+
+def test_a_capped_row_stays_capped_while_the_others_descend(monkeypatch):
+    # row 0 is accepted every round and capped at MAX_ITERATIONS with its
+    # damping at the floor; row 1 alternates an accepted new low with a
+    # rejected 10.0, so it descends for more than 25 rounds after that.
+    # Were the capped row still damped, its damping would pass 1e12 and
+    # its huge data norm would pass the stall test: a capped row converged
+    monkeypatch.setattr(fits, "MAX_ITERATIONS", 30)
+    calls = itertools.count()
+
+    def fun(theta):
+        k = next(calls)
+        row1 = 1.001 if k == 0 else 1.0 - 1e-3 * k if k % 2 else 10.0
+        return np.array([[1e6 - k], [row1]]), np.ones((2, 1, 1))
+
+    _, _, _, converged, iterations, _ = fits._lm_descent(fun, np.zeros((2, 1)), [1e40, 1.0])
+    assert converged[0] is False and iterations[0] == 30
+    rounds = next(calls) - 1  # one call per round after the first
+    assert rounds > 30 + 25
 
 
 class TestPolynomialFits:
@@ -687,6 +708,19 @@ def test_non_finite_samples_are_refused(entry, column, value):
         NON_FINITE_ENTRY_POINTS[entry](samples["times"], samples["signal"])
 
 
+def test_traces_store_copies_and_leave_the_callers_arrays_writeable():
+    # a trace used to freeze the caller's own arrays and keep them as its samples
+    times = np.arange(0.0, 3.0, 0.004)
+    signal = make_ramsey_signal(times)
+    trace = zk.RamseyTrace(times, signal, OFFSET_MHZ)
+    before = zk.fit_damped_sine(trace)
+    zk.fit_exponential(times, signal + 2.0)
+    assert times.flags.writeable and signal.flags.writeable
+    assert not (trace.times.flags.writeable or trace.signal.flags.writeable)
+    times[:], signal[:] = 0.0, 1.0
+    assert zk.fit_damped_sine(trace) == before
+
+
 def chevron_model(times, a, b, c, d, rate, freq):
     """``exp(-rate t) (a cos 2 pi f t + b sin 2 pi f t + c) + d`` and its
     Jacobian, written out in the cartesian parameters of the report."""
@@ -795,6 +829,13 @@ class TestSwapChevron:
         (end,) = ends
         assert (end[1] < 0) == flip_frequency
         assert_cartesian_report(times, report, a, b)
+
+    @pytest.mark.parametrize("f_guess", [0.0, -3.2, math.nan])
+    def test_f_guess_must_be_positive(self, f_guess):
+        # checked before the samples, so even an empty linecut names it; a
+        # guess <= 0 or NaN used to drop the peak window and the span check
+        with pytest.raises(zk.DomainError, match=r"^f_guess must be > 0 MHz, got "):
+            zk.fit_swap_chevron([], [], f_guess=f_guess)
 
     def test_span_precondition(self):
         times = np.linspace(0.0, 0.4, 30)

@@ -245,8 +245,6 @@ class TestDecayRate:
         with pytest.raises(zk.DomainError):
             zk.decay_rate(s, ctx, window=(1.0, -1.0))
         with pytest.raises(zk.DomainError):
-            zk.decay_rate(s, ctx, window=(-1.0, 1.0), resolution=51)
-        with pytest.raises(zk.DomainError):
             zk.MeasurementContext(freq=0.0, dephasing=-1.0)
 
     @settings(max_examples=40, deadline=None)

@@ -1049,6 +1049,12 @@ class TestValidateKk:
         )
         with pytest.raises(zk.DomainError):
             zk.validate_kk(good_spectrum, adiabatic_defect, ctx, qubit_decay=GAMMA_Q)
+        # a table has no peaks to compare: this was an AttributeError
+        table = zk.TabulatedSpectrum([0.0, 1.0], [GAMMA_Q, GAMMA_Q])
+        expected = zk.ParametricSpectrum(GAMMA_Q, (adiabatic_defect.spectral_peak(),))
+        with pytest.raises(zk.DomainError) as error:
+            zk.validate_kk(table, adiabatic_defect, ctx, qubit_decay=GAMMA_Q)
+        assert str(error.value) == f"validate_kk needs the defect's own spectrum, {expected}"
 
 
 class TestModelValidation:

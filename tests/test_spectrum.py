@@ -69,6 +69,14 @@ class TestTabulated:
         assert s.rate_at(-5.0) == 0.2
         assert s.rate_at(9.0) == 0.4
 
+    def test_stores_copies_and_leaves_the_callers_arrays_writeable(self):
+        omegas, rates = np.array([0.0, 1.0]), np.array([0.2, 0.4])
+        s = zk.TabulatedSpectrum(omegas, rates)
+        assert omegas.flags.writeable and rates.flags.writeable
+        assert not (s.omegas.flags.writeable or s.rates.flags.writeable)
+        omegas[1], rates[1] = 5.0, 9.0
+        assert s.omega_max == 1.0 and s.rate_at(9.0) == 0.4
+
     @pytest.mark.parametrize(
         "omegas,rates",
         [
