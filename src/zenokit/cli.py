@@ -63,7 +63,7 @@ from .io import (
     calibration_to_json,
     dump_json,
     format_grid_csv,
-    format_spectrum_csv,
+    format_spectrum_csv,  # noqa: F401  (perfbench/tracer.py wraps this name)
     format_table_csv,
     read_calibration_json,
     json_number,
@@ -379,8 +379,11 @@ def cmd_convert_t1(args, config, config_dir, out_dir) -> dict[Path, str]:
             rates.append(rate_from_fixed_delay(float(p1), args.t_delay))
         except DomainError as exc:
             raise DomainError(f"{args.input}: row {i + 1} (freq {freqs[i]} MHz): {exc}") from None
+    # checked as a spectrum, then written with the frequencies as read: a
+    # round trip through rad/us moves some of them in their last digit
     spectrum = spectrum_from_mhz(freqs, rates, args.input)
-    return {out_dir / "spectrum.csv": format_spectrum_csv(spectrum, tag=FORMAT_TAG)}
+    columns = (freqs, spectrum.rates)
+    return {out_dir / "spectrum.csv": format_table_csv(SPECTRUM_CSV_HEADER, columns)}
 
 
 def cmd_fit_swap(args, config, config_dir, out_dir) -> dict[Path, str]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .spectrum import TlsPeak
 
 
@@ -44,6 +44,7 @@ class DefectParams:
     decay: float
 
     def __post_init__(self):
+        require_finite(self.freq, "defect frequency")
         if not self.decay > 0:
             raise DomainError(f"defect decay rate must be > 0, got {self.decay}")
         if not self.coupling >= 0:
@@ -63,6 +64,7 @@ class QubitParams:
     dephasing: float = 0.0
 
     def __post_init__(self):
+        require_finite(self.freq, "qubit frequency")
         if not self.decay >= 0:
             raise DomainError(f"qubit decay must be >= 0, got {self.decay}")
         if not self.dephasing >= 0:
@@ -150,6 +152,8 @@ def decay_rate_map(
         raise DomainError("decay_rate_map needs non-empty grids")
     if not qubit_decay >= 0:
         raise DomainError(f"qubit decay must be >= 0, got {qubit_decay}")
+    if not np.all(np.isfinite(detunings)):
+        raise DomainError(f"detuning must be finite, got {detunings[~np.isfinite(detunings)][0]}")
     if not np.all(dephasings >= 0):
         raise DomainError(f"dephasing must be >= 0, got {dephasings[~(dephasings >= 0)][0]}")
     width = dephasings + defect.decay / 2.0 - qubit_decay / 2.0

@@ -1,12 +1,20 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the
+finite-number guard the models share.
 
 A frequency outside a tabulated spectrum's grid is no error: the table
 holds its end rates there (see :class:`zenokit.spectrum.TabulatedSpectrum`).
 """
+import math
 
 
 class DomainError(ValueError):
     """A parameter is outside the domain where the operation is defined."""
+
+
+def require_finite(value: float, name: str) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 class SignError(DomainError):

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SignError
+from .errors import DomainError, SignError, require_finite
 from .spectrum import BathSpectrum, TabulatedSpectrum, TlsPeak
 
 # Below this dephasing rate (1/us) the filter is taken as a delta
@@ -101,6 +101,8 @@ class ReadoutCalibration:
     max_epsilon: float | None = None
 
     def __post_init__(self):
+        for name in ("stark_quad", "stark_quartic", "chi"):
+            require_finite(getattr(self, name), name)
         if not self.dephasing_quad >= 0:
             raise DomainError(f"dephasing coefficient must be >= 0, got {self.dephasing_quad}")
         if self.chi == 0:
@@ -135,14 +137,15 @@ def photons_from_stark(stark_shift: float, chi: float) -> float:
     """Mean photon number from ``stark_shift = 2 * chi * nbar``.
 
     Raises :class:`SignError` when the signs of shift and dispersive
-    shift disagree (which would imply a negative photon number).
+    shift disagree (which would imply a negative photon number), or the
+    photon number is NaN.
     """
     if chi == 0:
         raise DomainError("dispersive shift chi must be nonzero")
     nbar = stark_shift / (2.0 * chi)
-    if nbar < 0:
+    if not nbar >= 0:
         raise SignError(
-            f"stark shift {stark_shift} and chi {chi} imply negative photon number {nbar}"
+            f"stark shift {stark_shift} and chi {chi} imply photon number {nbar}, not >= 0"
         )
     return nbar
 
@@ -166,6 +169,7 @@ class MeasurementContext:
     nbar: float = 0.0
 
     def __post_init__(self):
+        require_finite(self.freq, "qubit frequency")
         if not self.dephasing >= 0:
             raise DomainError(f"dephasing rate must be >= 0, got {self.dephasing}")
         if not self.nbar >= 0:

@@ -55,6 +55,21 @@ so it is built once.
 The decay rate is fit with the one exponential fit of :mod:`zenokit.fits`
 (variable projection on the rate, closed by a Gauss-Newton step; see
 that module's docstring), on log-spaced resamples of the population.
+
+The oracle, :func:`validate_kk`, integrates nothing for a
+well-conditioned context.  The fit's linear resampling reads only the two
+samples of :func:`evolve`'s grid that bracket each of its times, plus
+the first two and the last (:func:`_fit_sample_indices`), so only those,
+about 120 of some 4000, are computed, each by exact propagation with the
+eigendecomposition of the sector generator RK4 steps with
+(:func:`_exact_samples`).  ``np.interp`` returns on them what it returns
+on the whole grid, so the rate is still a fit to linear resampling on
+the integrator's grid and moves only by RK4's truncation error.  The
+exact samples pass the same sector check; a context whose eigenbasis is
+ill-conditioned (``EIGENBASIS_COND_LIMIT``, as near an exceptional
+point) or whose exact samples do not clear the check is integrated by
+:func:`evolve` as before, which keeps its accuracy and its
+:class:`StabilityError`.
 """
 from __future__ import annotations
 
@@ -68,7 +83,7 @@ import numpy as np
 
 from . import kk
 from .defect import DefectParams, QubitParams, generalized_purcell
-from .errors import DomainError, FitError, OscillationWarning, StabilityError
+from .errors import DomainError, FitError, OscillationWarning, StabilityError, require_finite
 from .fits import FitReport, _exponential_fit
 from .fits import _lm_minimize  # noqa: F401  (unused here; perfbench/tracer.py wraps this name)
 from .spectrum import ParametricSpectrum
@@ -98,6 +113,14 @@ OSCILLATION_FRACTION = 0.1
 
 # log-spaced samples the decay-rate fit resamples the window onto
 FIT_SAMPLES = 60
+
+# largest condition number of the sector generator's eigenbasis that the
+# oracle propagates exactly: the propagator's rounding grows as cond * eps,
+# 2e-10 at this bound and far inside TRACE_TOL, while the contexts of
+# interest read 3 to 5; at an exceptional point it diverges (3.7e10 at
+# g = kappa/4 with no detuning or dephasing, where the samples missed
+# expm by 1e-6), and such a basis is integrated by RK4 instead
+EIGENBASIS_COND_LIMIT = 1e6
 
 # relative miss of the convolution against the oracle that flags a row
 FLAG_THRESHOLD = 0.1
@@ -139,6 +162,7 @@ class LindbladModel:
     dim: ClassVar[int] = 4
 
     def __post_init__(self):
+        require_finite(self.qubit_freq, "qubit frequency")
         if not (self.dephasing >= 0 and self.qubit_decay >= 0):
             raise DomainError("dissipation rates must be >= 0")
 
@@ -299,6 +323,67 @@ def _sector_clears(columns: np.ndarray) -> bool:
     return bool(np.min(p_e0.real - shift - (h.real * h.real + h.imag * h.imag)) > 0)
 
 
+def _sample_grid(
+    model: LindbladModel,
+    t_final: float,
+    dt: float | None = None,
+    sample_stride: int | None = None,
+) -> tuple[float, int, int, np.ndarray]:
+    """``(dt, n_steps, sample_stride, times)`` of :func:`evolve`'s grid:
+    the step size and count, the stride, and the stored sample times,
+    ``0`` then every ``sample_stride``-th step and the last one.  Raises
+    :func:`evolve`'s :class:`DomainError` on an argument out of range or
+    more than ``MAX_STEPS`` steps."""
+    if not 0 < t_final < math.inf:
+        raise DomainError(f"t_final must be finite and > 0, got {t_final}")
+    scale = model.rate_scale()
+    if dt is None:
+        dt = 0.01 / scale
+    elif not dt > 0:
+        raise DomainError(f"dt must be > 0, got {dt}")
+    if dt > 0.05 / scale:
+        raise DomainError(
+            f"dt={dt} too coarse for rate scale {scale}/us; need dt <= {0.05 / scale:.3e}"
+        )
+
+    n_steps = max(1, int(math.ceil(t_final / dt)))
+    if n_steps > MAX_STEPS:
+        raise DomainError(
+            f"t_final={t_final:.6g} us takes {n_steps} steps of dt={dt:.3e} us; "
+            f"at most {MAX_STEPS} are integrated"
+        )
+    dt = t_final / n_steps
+    if sample_stride is None:
+        sample_stride = max(1, -(-n_steps // 4000))
+    elif not (isinstance(sample_stride, (int, np.integer)) and sample_stride >= 1):
+        raise DomainError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
+
+    n_full, rest = divmod(n_steps, sample_stride)
+    steps = np.arange(1, n_full + 1) * sample_stride
+    if rest:
+        steps = np.append(steps, n_steps)
+    return dt, n_steps, sample_stride, np.concatenate(([0.0], steps * dt))
+
+
+def _sector_generator(model: LindbladModel) -> np.ndarray:
+    """The Lindbladian restricted to ``_SECTOR``, which it never leaves."""
+    return model.superoperator()[np.ix_(_SECTOR, _SECTOR)]
+
+
+def _initial_sector(model: LindbladModel) -> np.ndarray:
+    """The ``_SECTOR`` entries of ``|e,0><e,0|``."""
+    return model.initial_excited().reshape(-1)[_SECTOR]
+
+
+def _scatter(model: LindbladModel, columns: np.ndarray) -> np.ndarray:
+    """The states whose ``_SECTOR`` entries are ``columns``, one sample
+    per column, and whose other entries are zero."""
+    d = model.dim
+    flat = np.zeros((columns.shape[1], d * d), dtype=complex)
+    flat[:, _SECTOR] = columns.T
+    return flat.reshape(-1, d, d)
+
+
 def evolve(
     model: LindbladModel,
     t_final: float = 1.0,
@@ -341,47 +426,20 @@ def evolve(
         trace/Hermiticity/positivity tolerances; the message names the
         first such sample and advises a smaller ``dt``.
     """
-    if not 0 < t_final < math.inf:
-        raise DomainError(f"t_final must be finite and > 0, got {t_final}")
-    scale = model.rate_scale()
-    if dt is None:
-        dt = 0.01 / scale
-    elif not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    if dt > 0.05 / scale:
-        raise DomainError(
-            f"dt={dt} too coarse for rate scale {scale}/us; need dt <= {0.05 / scale:.3e}"
-        )
-
-    n_steps = max(1, int(math.ceil(t_final / dt)))
-    if n_steps > MAX_STEPS:
-        raise DomainError(
-            f"t_final={t_final:.6g} us takes {n_steps} steps of dt={dt:.3e} us; "
-            f"at most {MAX_STEPS} are integrated"
-        )
-    dt = t_final / n_steps
-    if sample_stride is None:
-        sample_stride = max(1, -(-n_steps // 4000))
-    elif not (isinstance(sample_stride, (int, np.integer)) and sample_stride >= 1):
-        raise DomainError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
+    dt, n_steps, sample_stride, times = _sample_grid(model, t_final, dt, sample_stride)
 
     # one RK4 step of the linear, time-invariant Lindbladian is the fixed
     # matrix I + A + A^2/2 + A^3/6 + A^4/24 with A = dt * S, taken on the
     # sector; the other entries stay exactly zero
-    d = model.dim
-    A = dt * model.superoperator()[np.ix_(_SECTOR, _SECTOR)]
+    A = dt * _sector_generator(model)
     eye = np.eye(len(_SECTOR), dtype=complex)
     step = eye + A @ (eye + A @ (0.5 * eye + A @ (eye / 6.0 + A / 24.0)))
 
     n_full, rest = divmod(n_steps, sample_stride)
-    steps = np.arange(1, n_full + 1) * sample_stride
-    if rest:
-        steps = np.append(steps, n_steps)
-    times = np.concatenate(([0.0], steps * dt))
     # the sector is laid out column-major, so that each of its entries of
     # every sample is one contiguous row of ``columns`` for the check
     columns = np.empty((len(_SECTOR), times.size), dtype=complex)
-    columns[:, 0] = model.initial_excited().reshape(-1)[_SECTOR]
+    columns[:, 0] = _initial_sector(model)
     # by doubling: with columns 0..m-1 holding M^0..M^(m-1) applied to the
     # first sample and P = M^m, one product fills columns m..2m-1
     P, m = np.linalg.matrix_power(step, sample_stride), 1
@@ -391,9 +449,7 @@ def evolve(
         m, P = m + k, P @ P
     if rest:
         columns[:, -1] = np.linalg.matrix_power(step, rest) @ columns[:, n_full]
-    flat = np.zeros((times.size, d * d), dtype=complex)
-    flat[:, _SECTOR] = columns.T
-    states = flat.reshape(-1, d, d)
+    states = _scatter(model, columns)
 
     if not _sector_clears(columns[:, 1:]):
         for start in range(1, times.size, _CHECK_BLOCK):
@@ -403,6 +459,59 @@ def evolve(
                 t = times[start + i]
                 raise StabilityError(f"t={t:.6g} us: {problem}; reduce dt below {dt:.3e}")
     return Trajectory(model=model, times=times, states=states)
+
+
+def _exact_samples(model: LindbladModel, times: np.ndarray) -> Trajectory | None:
+    """The trajectory from ``|e,0>`` at ``times``, by exact propagation.
+
+    ``rho(t) = V exp(w t) V^-1 rho(0)`` on the sector, from the
+    eigendecomposition ``S = V diag(w) V^-1`` of the sector generator
+    :func:`evolve` steps with.  The sample at ``times[0] = 0`` is the
+    built initial state, as in :func:`evolve`, and the others pass
+    through :func:`_sector_clears`.  ``None`` when the eigenbasis is too
+    ill-conditioned (``EIGENBASIS_COND_LIMIT``) or the samples do not
+    clear the check; :func:`evolve` decides those.
+    """
+    w, V = np.linalg.eig(_sector_generator(model))
+    if not np.linalg.cond(V) <= EIGENBASIS_COND_LIMIT:
+        return None
+    x0 = _initial_sector(model)
+    columns = V @ (np.linalg.solve(V, x0)[:, np.newaxis] * np.exp(np.outer(w, times)))
+    columns[:, 0] = x0
+    if not _sector_clears(columns[:, 1:]):
+        return None
+    return Trajectory(model=model, times=times, states=_scatter(model, columns))
+
+
+def _fit_times(times: np.ndarray, fit_window: tuple[float, float]) -> np.ndarray:
+    """The ``FIT_SAMPLES`` log-spaced times at which
+    :func:`extract_decay_rate` reads a trajectory sampled at ``times``:
+    ``fit_window`` from no earlier than ``times[1]``."""
+    lo, hi = fit_window
+    lo = max(float(lo), float(times[1]))
+    hi = float(hi)
+    if not lo < hi:
+        raise DomainError(f"invalid fit window [{lo}, {hi}]")
+    if hi > times[-1] * (1 + 1e-12):
+        raise DomainError(f"fit window ends at {hi} but trajectory stops at {times[-1]}")
+    return np.geomspace(lo, hi, FIT_SAMPLES)
+
+
+def _fit_sample_indices(times: np.ndarray, fit_window: tuple[float, float]) -> np.ndarray:
+    """Indices of the samples of ``times`` that :func:`extract_decay_rate`
+    reads: ``0``, ``1``, the last, and the two that bracket each fit time.
+
+    ``np.interp`` finds ``j`` with ``times[j] <= x < times[j + 1]`` and
+    reads samples ``j`` and ``j + 1`` only (the last alone at or past
+    the end), so on these samples it returns, bit for bit, what it
+    returns on all of them; samples 1 and last keep the fit times.
+    """
+    below = np.searchsorted(times, _fit_times(times, fit_window), side="right") - 1
+    keep = np.zeros(times.size, dtype=bool)
+    keep[[0, 1, -1]] = True
+    keep[below] = True
+    keep[np.minimum(below + 1, times.size - 1)] = True
+    return np.flatnonzero(keep)
 
 
 def extract_decay_rate(
@@ -429,17 +538,8 @@ def extract_decay_rate(
     FitError
         No convergence and no detected oscillation.
     """
-    t = trajectory.times
-    p = trajectory.populations()
-    lo, hi = fit_window
-    lo = max(float(lo), float(t[1]))
-    hi = float(hi)
-    if not lo < hi:
-        raise DomainError(f"invalid fit window [{lo}, {hi}]")
-    if hi > t[-1] * (1 + 1e-12):
-        raise DomainError(f"fit window ends at {hi} but trajectory stops at {t[-1]}")
-    tt = np.geomspace(lo, hi, FIT_SAMPLES)
-    pp = np.interp(tt, t, p)
+    tt = _fit_times(trajectory.times, fit_window)
+    pp = np.interp(tt, trajectory.times, trajectory.populations())
     # geomspace returns its end points exactly
     p_lo, p_hi = pp[0], pp[-1]
     if p_hi > p_lo / math.e:
@@ -500,9 +600,16 @@ def validate_kk(
     ``FLAG_THRESHOLD`` are flagged (the regime where the
     excitation coherently returns from the defect and the spectral
     picture breaks down).  A context whose qubit does not decay, or decays
-    so slowly that :func:`evolve` refuses its trajectory (more than
+    so slowly that :func:`evolve` would refuse its trajectory (more than
     ``MAX_STEPS`` steps, or an infinite length), raises
     :class:`DomainError` naming the context.
+
+    The density matrix is computed only at the samples of :func:`evolve`'s
+    grid that the rate fit reads, by exact propagation on the sector
+    (:func:`_exact_samples`); a context whose eigenbasis is
+    ill-conditioned, or whose exact samples fail the density-matrix
+    check, is integrated by :func:`evolve` instead, and only then can
+    :class:`StabilityError` be raised.
     """
     expected = ParametricSpectrum(background=qubit_decay, peaks=(defect.spectral_peak(),))
     if spectrum != expected:
@@ -528,13 +635,17 @@ def validate_kk(
         if not slow_rate > 0:
             raise DomainError(f"{context}: the qubit does not decay")
         t_final = t_start + 4.5 / slow_rate
+        window = (t_start, t_final)
         try:
-            trajectory = evolve(model, t_final=t_final)
+            *_, times = _sample_grid(model, t_final)
         except DomainError as exc:  # a trajectory too long to integrate
             raise DomainError(f"{context}: {exc}") from None
+        trajectory = _exact_samples(model, times[_fit_sample_indices(times, window)])
+        if trajectory is None:
+            trajectory = evolve(model, t_final=t_final)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OscillationWarning)
-            oracle_rate, report = extract_decay_rate(trajectory, (t_start, t_final))
+            oracle_rate, report = extract_decay_rate(trajectory, window)
         dev_kk = abs(kk_rate - oracle_rate) / abs(oracle_rate)
         dev_purcell = abs(purcell - oracle_rate) / abs(oracle_rate)
         rows.append(

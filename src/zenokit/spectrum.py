@@ -11,11 +11,12 @@ format (MHz on disk) is read and written by :mod:`zenokit.io`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class TlsPeak:
     coupling_sq: float
 
     def __post_init__(self):
+        require_finite(self.center, "peak center")
         if not self.width > 0:
             raise DomainError(f"peak width must be > 0, got {self.width}")
         if not self.coupling_sq >= 0:
@@ -108,8 +110,8 @@ class ParametricSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        if not self.background >= 0:
-            raise DomainError(f"background rate must be >= 0, got {self.background}")
+        if not 0 <= self.background < math.inf:
+            raise DomainError(f"background rate must be >= 0 and finite, got {self.background}")
 
     @property
     def max_width(self) -> float:

@@ -24,6 +24,10 @@ from perfbench.tracer import Tracer  # noqa: E402
 
 MODULES = ("cli", "kk", "spectrum", "defect", "lindblad", "fits", "io")
 
+# g = kappa/4 with no detuning, dephasing or qubit decay: an exceptional
+# point, whose defective eigenbasis sends validate_kk to the RK4 fallback
+EXCEPTIONAL_POINT = zk.DefectParams(freq=0.0, coupling=2.5, decay=10.0)
+
 
 def test_traced_cli_runs_count_each_layer(tmp_path):
     commands = load_make_goldens().GOLDEN_COMMANDS
@@ -32,6 +36,11 @@ def test_traced_cli_runs_count_each_layer(tmp_path):
     try:
         for golden in ("oracle", "predict", "flux_noise", "calibrate", "fit_swap", "convert_t1"):
             assert cli.main(commands[golden]() + ["--out", str(tmp_path / golden)]) == 0, golden
+        # the golden oracle contexts are propagated exactly and integrate
+        # nothing; this one integrates, so the evolve hook is still counted
+        spectrum = zk.ParametricSpectrum(0.0, (EXCEPTIONAL_POINT.spectral_peak(),))
+        context = zk.MeasurementContext(freq=0.0, dephasing=0.0)
+        cli.validate_kk(spectrum, EXCEPTIONAL_POINT, [context])
     finally:
         tracer.uninstall()
     for name in ("lindblad.evolve", "fits.lm_minimize", "kk.decay_rate", "io.read_columns_csv"):

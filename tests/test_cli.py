@@ -416,6 +416,14 @@ class TestConvertT1:
         spectrum = zk.read_spectrum_csv(tmp_path / "spectrum.csv")
         assert np.max(np.abs(spectrum.rates - rates) / rates) < 1e-12
 
+    def test_frequencies_are_written_as_read(self, tmp_path):
+        # both fail a round trip through rad/us: 5825.511000000001, 5831.706999999999
+        source = tmp_path / "t1.csv"
+        write_csv(source, "freq_mhz,p1", [(5825.511, 0.9), (5831.707, 0.8)])
+        assert run(["convert-t1", "--input", str(source), "--t-delay", "30.0"], tmp_path) == 0
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["5825.511", "5831.707"]
+
     def test_wrong_header_exits_2(self, tmp_path):
         source = tmp_path / "t1.csv"
         write_csv(source, "freq,p1", [(1.0, 0.5), (2.0, 0.5)])

@@ -227,3 +227,33 @@ def test_nan_is_refused_by_every_nonnegative_guard(field):
     # DefectParams(coupling=nan) gave a NaN Purcell rate without a word
     with pytest.raises(zk.DomainError, match="must be >= 0"):
         NAN_GUARDED_FIELDS[field]()
+
+
+INF = float("inf")
+NON_FINITE_FIELDS = {
+    "DefectParams.freq": lambda: zk.DefectParams(freq=NAN, coupling=1.0, decay=2.0),
+    "QubitParams.freq": lambda: zk.QubitParams(freq=NAN),
+    "MeasurementContext.freq": lambda: zk.MeasurementContext(freq=NAN, dephasing=1.0),
+    "TlsPeak.center": lambda: zk.TlsPeak(center=NAN, width=1.0, coupling_sq=1.0),
+    "LindbladModel.qubit_freq": lambda: zk.LindbladModel(NAN, DEFECT),
+    "ReadoutCalibration.stark_quad": lambda: zk.ReadoutCalibration(
+        stark_quad=NAN, stark_quartic=0.0, dephasing_quad=1.0, chi=1.0
+    ),
+    "ReadoutCalibration.stark_quartic": lambda: zk.ReadoutCalibration(
+        stark_quad=1.0, stark_quartic=NAN, dephasing_quad=1.0, chi=1.0
+    ),
+    "ReadoutCalibration.chi": lambda: zk.ReadoutCalibration(
+        stark_quad=1.0, stark_quartic=0.0, dephasing_quad=1.0, chi=NAN
+    ),
+    "decay_rate_map.detunings": lambda: zk.decay_rate_map([0.0, NAN], [1.0], DEFECT),
+    "photons_from_stark.stark_shift": lambda: zk.photons_from_stark(NAN, 1.0),
+    "ParametricSpectrum.background": lambda: zk.ParametricSpectrum(background=INF),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_non_finite_value_is_refused(field):
+    # a NaN frequency or calibration coefficient gave NaN rates without a
+    # word, and reached LAPACK in the oracle, whose eig raises LinAlgError
+    with pytest.raises(zk.DomainError, match="finite|not >= 0"):
+        NON_FINITE_FIELDS[field]()

@@ -13,6 +13,7 @@ import zenokit as zk
 from conftest import GAMMA_Q, G_D, exponential_optimum, exponential_residual_jacobian
 from zenokit import lindblad
 from zenokit.cli import main
+from zenokit.io import COMPARISON_CSV_HEADER, read_columns_csv
 from zenokit.units import TWO_PI
 
 
@@ -327,10 +328,10 @@ class TestStepMatrix:
             zk.evolve(bare_qubit(), t_final=2.0, dt=0.002)
 
     def test_golden_contexts_need_no_eigenvalues(self, monkeypatch, tmp_path):
-        # the certificate on the sector's entries clears every stored sample
-        # of the golden oracle run in one pass per trajectory, so neither
-        # the whole-matrix fallback nor eigenvalues run, and the initial
-        # state is not checked
+        # the golden oracle contexts are propagated exactly, with no RK4 run;
+        # the certificate on the sector's entries clears every exact sample
+        # in one pass per context, so neither the whole-matrix fallback nor
+        # eigenvalues run, and the initial state is not checked
         calls = {"evolve": 0, "check_density_matrix": 0, "_sector_clears": 0, "eigvalsh": 0}
 
         def counting(name, func):
@@ -349,7 +350,7 @@ class TestStepMatrix:
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         config = Path(__file__).parent / "data" / "oracle_config.json"
         assert main(["oracle", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert calls == {"evolve": 4, "check_density_matrix": 0, "_sector_clears": 4, "eigvalsh": 0}
+        assert calls == {"evolve": 0, "check_density_matrix": 0, "_sector_clears": 4, "eigvalsh": 0}
 
     def test_kron_is_numpy_kron(self):
         rng = np.random.default_rng(5)
@@ -1055,6 +1056,96 @@ class TestValidateKk:
         with pytest.raises(zk.DomainError) as error:
             zk.validate_kk(table, adiabatic_defect, ctx, qubit_decay=GAMMA_Q)
         assert str(error.value) == f"validate_kk needs the defect's own spectrum, {expected}"
+
+
+# g = kappa/4 with no detuning, dephasing or qubit decay: the one-excitation
+# block's two eigenvalues meet, and the sector's eigenbasis is defective
+EXCEPTIONAL_POINT = zk.DefectParams(freq=0.0, coupling=2.5, decay=10.0)
+
+
+def seeded_oracle_context(defect, seed):
+    """A ``validate_kk`` context on ``defect`` at a seeded detuning and
+    dephasing: its RK4 trajectory and its fit window."""
+    rng = np.random.default_rng(seed)
+    detuning, dephasing = rng.uniform(-20.0, 20.0), rng.uniform(0.0, 5.0)
+    return oracle_fit_input(defect, defect.freq + detuning, dephasing, GAMMA_Q)
+
+
+def sector_entries(states):
+    return states.reshape(len(states), -1)[:, lindblad._SECTOR]
+
+
+class TestExactSamples:
+    """``validate_kk`` reads its fit's samples from the exact propagator."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("defect_name", ["adiabatic_defect", "strong_defect"])
+    def test_match_evolve_and_expm(self, request, defect_name, seed):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        trajectory, window = seeded_oracle_context(request.getfixturevalue(defect_name), seed)
+        picked = lindblad._fit_sample_indices(trajectory.times, window)
+        exact = lindblad._exact_samples(trajectory.model, trajectory.times[picked])
+        assert np.array_equal(exact.times, trajectory.times[picked])
+        rk4 = sector_entries(trajectory.states[picked])
+        got = sector_entries(exact.states)
+        assert np.max(np.abs(got - rk4)) <= 1e-10 * np.max(np.abs(rk4))
+        S = lindblad._sector_generator(trajectory.model)
+        x0 = lindblad._initial_sector(trajectory.model)
+        expm = np.array([scipy_linalg.expm(S * t) @ x0 for t in exact.times])
+        assert np.max(np.abs(got - expm)) <= 1e-13
+        # the entries outside the sector stay exactly zero
+        outside = np.delete(exact.states.reshape(len(picked), -1), lindblad._SECTOR, axis=1)
+        assert not outside.any()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("defect_name", ["adiabatic_defect", "strong_defect"])
+    def test_fit_reads_only_the_picked_samples(self, request, defect_name, seed):
+        trajectory, window = seeded_oracle_context(request.getfixturevalue(defect_name), seed)
+        picked = lindblad._fit_sample_indices(trajectory.times, window)
+        assert picked.size <= 2 * lindblad.FIT_SAMPLES + 3
+        model, times, states = trajectory.model, trajectory.times, trajectory.states
+        subset = zk.Trajectory(model, times[picked], states[picked])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", zk.OscillationWarning)
+            assert zk.extract_decay_rate(subset, window) == zk.extract_decay_rate(
+                trajectory, window
+            )
+
+    def test_samples_that_fail_the_check_fall_back_to_rk4(self, monkeypatch, adiabatic_defect):
+        trajectory, window = seeded_oracle_context(adiabatic_defect, 1)
+        times = trajectory.times[lindblad._fit_sample_indices(trajectory.times, window)]
+        assert lindblad._exact_samples(trajectory.model, times) is not None
+        # with no trace tolerance the samples' round-off fails the check
+        monkeypatch.setattr(lindblad, "TRACE_TOL", 0.0)
+        assert lindblad._exact_samples(trajectory.model, times) is None
+
+    def test_exceptional_point_falls_back_to_rk4(self):
+        model = zk.LindbladModel(qubit_freq=0.0, defect=EXCEPTIONAL_POINT)
+        w, V = np.linalg.eig(lindblad._sector_generator(model))
+        assert np.linalg.cond(V) > lindblad.EIGENBASIS_COND_LIMIT
+        assert lindblad._exact_samples(model, np.array([0.0, 0.1, 1.0])) is None
+        spectrum = zk.ParametricSpectrum(
+            background=0.0, peaks=(EXCEPTIONAL_POINT.spectral_peak(),)
+        )
+        context = zk.MeasurementContext(freq=0.0, dephasing=0.0)
+        (row,) = zk.validate_kk(spectrum, EXCEPTIONAL_POINT, [context])
+        with pytest.warns(zk.OscillationWarning):
+            trajectory, window = oracle_fit_input(EXCEPTIONAL_POINT, 0.0, 0.0, 0.0)
+            assert row.oracle_rate == zk.extract_decay_rate(trajectory, window)[0]
+
+    def test_golden_contexts_match_the_rk4_path(self, monkeypatch, tmp_path):
+        config = Path(__file__).parent / "data" / "oracle_config.json"
+
+        def oracle_rates(out):
+            assert main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+            columns = read_columns_csv(out / "comparison.csv", COMPARISON_CSV_HEADER)
+            return columns[COMPARISON_CSV_HEADER.split(",").index("oracle_per_us")]
+
+        exact = oracle_rates(tmp_path / "exact")
+        monkeypatch.setattr(lindblad, "_exact_samples", lambda model, times: None)
+        rk4 = oracle_rates(tmp_path / "rk4")
+        assert exact.size == 4
+        assert np.max(np.abs(exact - rk4) / rk4) <= 1e-12
 
 
 class TestModelValidation:
