@@ -21,11 +21,12 @@ are dropped, matching the published form of the formula.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_rate
 from .spectrum import TlsPeak
 
 
@@ -45,10 +46,9 @@ class DefectParams:
 
     def __post_init__(self):
         require_finite(self.freq, "defect frequency")
-        if not self.decay > 0:
-            raise DomainError(f"defect decay rate must be > 0, got {self.decay}")
-        if not self.coupling >= 0:
-            raise DomainError(f"coupling must be >= 0, got {self.coupling}")
+        if not 0 < self.decay < math.inf:
+            raise DomainError(f"defect decay rate must be > 0 and finite, got {self.decay}")
+        require_rate(self.coupling, "coupling")
 
     def spectral_peak(self) -> TlsPeak:
         """The loss peak this defect contributes to the bath spectrum."""
@@ -65,10 +65,8 @@ class QubitParams:
 
     def __post_init__(self):
         require_finite(self.freq, "qubit frequency")
-        if not self.decay >= 0:
-            raise DomainError(f"qubit decay must be >= 0, got {self.decay}")
-        if not self.dephasing >= 0:
-            raise DomainError(f"dephasing must be >= 0, got {self.dephasing}")
+        require_rate(self.decay, "qubit decay")
+        require_rate(self.dephasing, "dephasing")
 
 
 def effective_width(qubit: QubitParams, defect: DefectParams) -> float:
@@ -150,12 +148,12 @@ def decay_rate_map(
     dephasings = np.atleast_1d(np.asarray(dephasings, dtype=float))
     if detunings.size == 0 or dephasings.size == 0:
         raise DomainError("decay_rate_map needs non-empty grids")
-    if not qubit_decay >= 0:
-        raise DomainError(f"qubit decay must be >= 0, got {qubit_decay}")
+    require_rate(qubit_decay, "qubit decay")
     if not np.all(np.isfinite(detunings)):
         raise DomainError(f"detuning must be finite, got {detunings[~np.isfinite(detunings)][0]}")
-    if not np.all(dephasings >= 0):
-        raise DomainError(f"dephasing must be >= 0, got {dephasings[~(dephasings >= 0)][0]}")
+    rates = (dephasings >= 0) & (dephasings < np.inf)
+    if not rates.all():
+        raise DomainError(f"dephasing must be >= 0 and finite, got {dephasings[~rates][0]}")
     width = dephasings + defect.decay / 2.0 - qubit_decay / 2.0
     _require_positive_width(width)
     return _purcell(qubit_decay, defect.coupling, width[None, :], detunings[:, None])

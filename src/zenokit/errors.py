@@ -1,5 +1,5 @@
 """Exception and warning types shared across the package, and the
-finite-number guard the models share.
+finite-number and rate guards the models share.
 
 A frequency outside a tabulated spectrum's grid is no error: the table
 holds its end rates there (see :class:`zenokit.spectrum.TabulatedSpectrum`).
@@ -15,6 +15,13 @@ def require_finite(value: float, name: str) -> None:
     """Raise :class:`DomainError` naming ``name`` unless ``value`` is finite."""
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_rate(value: float, name: str) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is >= 0
+    and finite: a rate of NaN or infinity is refused."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be >= 0 and finite, got {value}")
 
 
 class SignError(DomainError):

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SignError, require_finite
+from .errors import DomainError, SignError, require_finite, require_rate
 from .spectrum import BathSpectrum, TabulatedSpectrum, TlsPeak
 
 # Below this dephasing rate (1/us) the filter is taken as a delta
@@ -103,8 +103,7 @@ class ReadoutCalibration:
     def __post_init__(self):
         for name in ("stark_quad", "stark_quartic", "chi"):
             require_finite(getattr(self, name), name)
-        if not self.dephasing_quad >= 0:
-            raise DomainError(f"dephasing coefficient must be >= 0, got {self.dephasing_quad}")
+        require_rate(self.dephasing_quad, "dephasing coefficient")
         if self.chi == 0:
             raise DomainError("dispersive shift chi must be nonzero")
         if self.max_epsilon is not None and not self.max_epsilon >= 0:
@@ -170,10 +169,8 @@ class MeasurementContext:
 
     def __post_init__(self):
         require_finite(self.freq, "qubit frequency")
-        if not self.dephasing >= 0:
-            raise DomainError(f"dephasing rate must be >= 0, got {self.dephasing}")
-        if not self.nbar >= 0:
-            raise DomainError(f"photon number must be >= 0, got {self.nbar}")
+        require_rate(self.dephasing, "dephasing rate")
+        require_rate(self.nbar, "photon number")
 
     @classmethod
     def from_calibration(

@@ -83,7 +83,14 @@ import numpy as np
 
 from . import kk
 from .defect import DefectParams, QubitParams, generalized_purcell
-from .errors import DomainError, FitError, OscillationWarning, StabilityError, require_finite
+from .errors import (
+    DomainError,
+    FitError,
+    OscillationWarning,
+    StabilityError,
+    require_finite,
+    require_rate,
+)
 from .fits import FitReport, _exponential_fit
 from .fits import _lm_minimize  # noqa: F401  (unused here; perfbench/tracer.py wraps this name)
 from .spectrum import ParametricSpectrum
@@ -163,8 +170,8 @@ class LindbladModel:
 
     def __post_init__(self):
         require_finite(self.qubit_freq, "qubit frequency")
-        if not (self.dephasing >= 0 and self.qubit_decay >= 0):
-            raise DomainError("dissipation rates must be >= 0")
+        require_rate(self.dephasing, "dephasing rate")
+        require_rate(self.qubit_decay, "qubit decay")
 
     def hamiltonian(self) -> np.ndarray:
         """Hamiltonian in the defect's frame: detuning term plus exchange coupling."""

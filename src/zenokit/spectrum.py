@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_rate
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,9 @@ class TlsPeak:
 
     def __post_init__(self):
         require_finite(self.center, "peak center")
-        if not self.width > 0:
-            raise DomainError(f"peak width must be > 0, got {self.width}")
-        if not self.coupling_sq >= 0:
-            raise DomainError(f"coupling_sq must be >= 0, got {self.coupling_sq}")
+        if not 0 < self.width < math.inf:
+            raise DomainError(f"peak width must be > 0 and finite, got {self.width}")
+        require_rate(self.coupling_sq, "coupling_sq")
 
     def contribution(self, omega):
         """Decay-rate contribution at ``omega`` (scalar or array)."""
@@ -110,8 +109,7 @@ class ParametricSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        if not 0 <= self.background < math.inf:
-            raise DomainError(f"background rate must be >= 0 and finite, got {self.background}")
+        require_rate(self.background, "background rate")
 
     @property
     def max_width(self) -> float:

@@ -200,6 +200,29 @@ class TestByteDeterminism:
         expected = self.outputs(tmp_path / "default")
         assert expected and self.outputs(tmp_path / "switched") == expected
 
+    @pytest.mark.parametrize("switch", sorted(KERNEL_SWITCHES))
+    def test_kernel_switch_keeps_a_large_map(self, switch, tmp_path):
+        # a map above the writer's kernel threshold, whose rates the
+        # vectorized formatter writes in integer arithmetic only
+        config = json.loads((DATA / "oracle_config.json").read_text())
+        config["map_detunings_mhz"] = np.linspace(-3.0, 3.0, 41).tolist()
+        config["map_dephasings_mhz"] = np.linspace(0.05, 2.0, 30).tolist()
+        config["oracle_detunings_mhz"] = config["oracle_dephasings_mhz"] = [0.0]
+        assert 41 * 30 >= zk.io.KERNEL_MIN_CELLS
+        (tmp_path / "config.json").write_text(dump_json(config))
+        argv = ["oracle", "--config", str(tmp_path / "config.json")]
+        assert run(argv, tmp_path / "default") == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "zenokit", *argv, "--out", str(tmp_path / "switched")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **self.KERNEL_SWITCHES[switch]},
+        )
+        assert result.returncode == 0, result.stderr
+        expected = (tmp_path / "default" / "zeno_map.csv").read_bytes()
+        assert expected.count(b"\n") == 2 + 41 * 30
+        assert (tmp_path / "switched" / "zeno_map.csv").read_bytes() == expected
+
 
 class TestPredict:
     def test_rates_keep_the_digits_of_the_mhz_inputs(self, tmp_path):
@@ -932,6 +955,17 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
 
 
 class TestOracleCommand:
+    def test_infinite_coupling_exits_3(self, tmp_path, capsys):
+        # 1e308 MHz overflows to an infinite coupling in rad/us, which
+        # reached the oracle's sampling grid as a ZeroDivisionError
+        config = json.loads((DATA / "oracle_config.json").read_text())
+        config["defect"]["coupling_mhz"] = 1e308
+        (tmp_path / "config.json").write_text(dump_json(config))
+        assert run(["oracle", "--config", str(tmp_path / "config.json")], tmp_path / "out") == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError" and "finite" in error["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_stability_error_exits_4(self, tmp_path, capsys, monkeypatch):
         # with no trace tolerance, the first sample's round-off trips the check
         monkeypatch.setattr(zk.lindblad, "TRACE_TOL", 0.0)

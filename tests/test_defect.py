@@ -230,6 +230,33 @@ def test_nan_is_refused_by_every_nonnegative_guard(field):
 
 
 INF = float("inf")
+INF_GUARDED_FIELDS = {
+    "DefectParams.coupling": lambda: zk.DefectParams(freq=0.0, coupling=INF, decay=2.0),
+    "DefectParams.decay": lambda: zk.DefectParams(freq=0.0, coupling=1.0, decay=INF),
+    "QubitParams.decay": lambda: zk.QubitParams(freq=0.0, decay=INF),
+    "QubitParams.dephasing": lambda: zk.QubitParams(freq=0.0, dephasing=INF),
+    "decay_rate_map.qubit_decay": lambda: zk.decay_rate_map([0.0], [1.0], DEFECT, INF),
+    "decay_rate_map.dephasings": lambda: zk.decay_rate_map([0.0], [1.0, INF], DEFECT),
+    "ReadoutCalibration.dephasing_quad": lambda: zk.ReadoutCalibration(
+        stark_quad=1.0, stark_quartic=0.0, dephasing_quad=INF, chi=1.0
+    ),
+    "MeasurementContext.dephasing": lambda: zk.MeasurementContext(freq=0.0, dephasing=INF),
+    "MeasurementContext.nbar": lambda: zk.MeasurementContext(freq=0.0, dephasing=1.0, nbar=INF),
+    "LindbladModel.dephasing": lambda: zk.LindbladModel(0.0, DEFECT, dephasing=INF),
+    "LindbladModel.qubit_decay": lambda: zk.LindbladModel(0.0, DEFECT, qubit_decay=INF),
+    "TlsPeak.width": lambda: zk.TlsPeak(center=0.0, width=INF, coupling_sq=1.0),
+    "TlsPeak.coupling_sq": lambda: zk.TlsPeak(center=0.0, width=1.0, coupling_sq=INF),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INF_GUARDED_FIELDS))
+def test_infinite_rate_is_refused(field):
+    # every rate guard reads `0 <= x < inf`: `not x >= 0` let an infinite
+    # coupling through, and the oracle then divided by zero
+    with pytest.raises(zk.DomainError, match="0 and finite"):
+        INF_GUARDED_FIELDS[field]()
+
+
 NON_FINITE_FIELDS = {
     "DefectParams.freq": lambda: zk.DefectParams(freq=NAN, coupling=1.0, decay=2.0),
     "QubitParams.freq": lambda: zk.QubitParams(freq=NAN),

@@ -4,8 +4,9 @@ and the atomic file write under them.
 
 ``format_table_csv`` formats each cell with one ``repr``;
 ``format_grid_csv`` formats each coordinate of a map once and each grid
-value once.  The bytes of both must equal a per-cell ``repr(float(v))``
-written row by row, which is kept here as the reference.
+value once, a large map's values by a vectorized formatter.  The bytes
+of both must equal a per-cell ``repr(float(v))`` written row by row,
+which is kept here as the reference.
 ``read_columns_csv`` parses with numpy's C reader; its bits must equal a
 per-cell ``float()``, kept here as the reference, and its refusals must
 name the line the file's own newline rule numbers.
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenokit import io
+from zenokit._shortest import WORDS, repr_lines
 from zenokit.errors import ParseError
 from zenokit.io import FORMAT_TAG, format_grid_csv, format_table_csv, read_columns_csv
 
@@ -231,6 +233,73 @@ def test_map_shaped_table_matches_per_cell_repr():
     reference = grid_reference(io.ZENO_MAP_CSV_HEADER, detunings, dephasings, rates)
     assert text.splitlines() == reference.splitlines()
     assert text.endswith("\n")
+
+
+# --- the vectorized formatter of the large maps ----------------------------
+
+
+def kernel_lines(values):
+    """The text ``repr_lines`` writes for ``values``, one line each."""
+    out = np.zeros((values.size, WORDS), np.uint64)
+    repr_lines(values, out)
+    return out.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+
+
+def shortest_digit_sample(rng):
+    """About 2e5 values that probe Schubfach's digit selection and repr's
+    layout: each binade, each notation, and the ties."""
+    size = 30_000
+    # every biased exponent the kernel serves, 1 .. 2046, with a random
+    # significand and sign
+    binades = np.repeat(np.arange(1, 2047, dtype=np.uint64), 10)
+    signs = rng.integers(0, 2, binades.size).astype(np.uint64) << np.uint64(63)
+    significands = rng.integers(0, 1 << 52, binades.size, dtype=np.uint64)
+    every_binade = (signs | (binades << np.uint64(52)) | significands).view(np.float64)
+    random_bits = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    # decimals rounded to 0..16 places, of magnitudes from 1e-6 to 1e17
+    mantissas = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-6, 18, size)
+    places = rng.integers(0, 17, size)
+    decimals = np.array([float(f"{m:.{p}e}") for m, p in zip(mantissas.tolist(), places.tolist())])
+    # the neighbours of short decimals, where the nearest pick decides
+    short = np.round(rng.uniform(0.0, 100.0, size), 3)
+    neighbours = np.concatenate([np.nextafter(short, np.inf), np.nextafter(short, -np.inf)])
+    integers = rng.integers(0, 2**53, size).astype(np.float64)
+    powers = np.concatenate(
+        [np.ldexp(1.0, np.arange(-1022, 1024)), [float(f"1e{e}") for e in range(-307, 309)]]
+    )
+    return np.concatenate(
+        [every_binade, random_bits, decimals, -decimals, neighbours, integers, powers, -powers]
+    )
+
+
+def test_kernel_writes_repr_of_each_value():
+    values = shortest_digit_sample(np.random.default_rng(37))
+    assert values.size > 200_000
+    assert kernel_lines(values) == [*map(repr, values.tolist())]
+
+
+@pytest.mark.parametrize("cells", [io.KERNEL_MIN_CELLS - 1, io.KERNEL_MIN_CELLS])
+def test_grid_matches_per_cell_repr_at_the_kernel_threshold(cells):
+    # the repr path below the threshold, the kernel at it: the same bytes
+    rng = np.random.default_rng(cells)
+    rows = rng.uniform(-20.0, 20.0, cells)
+    values = rng.uniform(1e-6, 2.0, (cells, 1)) * 10.0 ** rng.integers(-6, 6, (cells, 1))
+    text = format_grid_csv(io.ZENO_MAP_CSV_HEADER, rows, [0.25], values)
+    reference = grid_reference(io.ZENO_MAP_CSV_HEADER, rows, [0.25], values)
+    assert text.splitlines() == reference.splitlines()
+
+
+def test_large_map_special_values_keep_their_bytes():
+    # repr writes these cells in place among the kernel's
+    rng = np.random.default_rng(5)
+    detunings, dephasings = np.linspace(-2.0, 2.0, 40), rng.uniform(0.0, 1.0, 30)
+    rates = rng.uniform(1e-3, 1.0, (40, 30))
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 1e17, np.inf, -np.inf, np.nan]
+    rates.flat[rng.choice(rates.size, len(special), replace=False)] = special
+    text = format_grid_csv(io.ZENO_MAP_CSV_HEADER, detunings, dephasings, rates)
+    reference = grid_reference(io.ZENO_MAP_CSV_HEADER, detunings, dephasings, rates)
+    assert rates.size >= io.KERNEL_MIN_CELLS
+    assert text.splitlines() == reference.splitlines()
 
 
 # --- the reader -----------------------------------------------------------

@@ -3,8 +3,11 @@
 ``tools/make_goldens.py`` runs only when someone regenerates the
 fixtures, so a name it imports that the package has moved would
 otherwise go unseen until then.  ``tools/code_lines.py`` gives the size
-figures that the change log cites.
+figures that the change log cites, and ``tools/bench.py`` the committed
+benchmark pairs; it is checked here against a fake benchmark script, so
+its parsing, pairing and medians are checked without timing anything.
 """
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,72 @@ def test_code_lines_counts_a_module_without_docstrings_comments_or_blanks(tmp_pa
     )
     rows = [line.split() for line in result.stdout.splitlines()]
     assert rows == [["module", "lines", "code"], ["shape.py", "21", "7"], ["total", "21", "7"]]
+
+
+# a stand-in for perfbench/run.py: a human-readable line, then the JSON
+# result line; items_per_probe is the seed, doubled in the "change" tree,
+# peak_rss_mb 50 in both, and seed 3 of the parent fails one invocation
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+tree = Path(__file__).resolve().parent.parent
+with open(tree.parent / "order.log", "a") as log:
+    log.write(f"{tree.name} {args['--seed']}\\n")
+seed = int(args["--seed"])
+scale = 2 if tree.name == "change" else 1
+failed = int(tree.name == "parent" and seed == 3)
+print("perfbench workload=" + args["--workload"])
+metrics = {"items_per_probe": {"value": seed * scale, "unit": "1/probe"},
+           "peak_rss_mb": {"value": 50.0, "unit": "MB"}}
+print(json.dumps({"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}))
+sys.exit(failed)
+"""
+
+
+@pytest.fixture(scope="module")
+def bench_tool():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_alternates_pairs_and_summarizes_them(bench_tool, tmp_path):
+    trees = {}
+    for name in ("parent", "change"):
+        trees[name] = tmp_path / name
+        (trees[name] / "perfbench").mkdir(parents=True)
+        (trees[name] / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+    benchmark = {
+        "command": ["python3", "perfbench/run.py"],
+        "end_to_end": [
+            {"name": "items_per_probe", "better": "higher"},
+            {"name": "peak_rss_mb", "better": "lower"},
+            {"name": "setup_s", "better": "lower"},
+        ],
+    }
+    report = bench_tool.bench(trees["parent"], trees["change"], benchmark, ["w"],
+                              [1, 2, 3, 4, 5], 0.1, log=lambda line: None)
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    assert order == ["parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3",
+                     "change 4", "parent 4", "parent 5", "change 5"]
+    runs = report["workloads"]["w"]["runs"]
+    assert [r["first"] for r in runs] == ["parent", "change"] * 2 + ["parent"]
+    assert runs[2]["parent"] == {"exit_code": 1, "attempted": 10, "failed": 1,
+                                 "metrics": {"items_per_probe": 3, "peak_rss_mb": 50.0}}
+    summary = report["workloads"]["w"]["summary"]
+    assert set(summary) == {"items_per_probe", "peak_rss_mb"}
+    items = summary["items_per_probe"]
+    assert items["parent"] == {"median": 3, "q1": 2, "q3": 4}
+    assert items["change"] == {"median": 6, "q1": 4, "q3": 8}
+    assert (items["pairs"], items["pairs_won"]) == (5, 5)
+    assert items["median_gain"] == 1.0 and items["gain_exceeds_parent_iqr"]
+    # equal values win no pair, in either direction
+    rss = summary["peak_rss_mb"]
+    assert (rss["pairs_won"], rss["median_gain"], rss["gain_exceeds_parent_iqr"]) == (0, 0.0, False)
+
+
+def test_bench_seed_lists(bench_tool):
+    assert bench_tool.parse_seeds("7") == [7]
+    assert bench_tool.parse_seeds("101-103,9") == [101, 102, 103, 9]
