@@ -75,7 +75,7 @@ def _templates():
     literals, masks = [], []
     digit = [_DIGIT + 2 * j for j in range(17)]
     for fixed, decpt, n_digits, exp_sign, hundreds in [
-        *((True, decpt, n, 0, False) for decpt in range(-3, 17) for n in range(1, 18)),
+        *((True, decpt, n, "", False) for decpt in range(-3, 17) for n in range(1, 18)),
         *((False, 0, n, s, h) for s in "+-" for h in (False, True) for n in range(1, 18)),
     ]:
         literal, mask = bytearray(SLOTS), bytearray(SLOTS)
