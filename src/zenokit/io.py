@@ -65,10 +65,14 @@ CALIBRATION_JSON_KEYS = ("S_mhz", "K_mhz", "R_mhz", "chi_mhz")
 KERNEL_ENV_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 # format_grid_csv writes the values of a map of at least this many cells
-# with repr_lines, whose numpy calls cost a fixed ~0.3 ms.  On a 2-core
-# Xeon (numpy 2.4), maps of 4, 16 and 64 columns took 351-424 us against
-# repr's 316-364 us at 512 cells, and 446-603 us against 593-713 us at 1024.
-KERNEL_MIN_CELLS = 1024
+# with repr_lines.  The CLI writes one map per process, so the threshold is
+# where a fresh process's first map breaks even with the import of
+# _shortest (about 4 ms) included.  On a 2-core Xeon (numpy 2.4), medians
+# of 7-9 fresh processes: 12288 cells (96 x 128) took 9.4 ms against
+# repr's 8.7 ms, 16384 cells (1024 x 16, 512 x 32, 256 x 64, 128 x 128)
+# 11.5-12.0 ms against 11.6-12.1 ms, and 20480 cells 13.1 against 14.6 ms.
+# Warm, in one process, the kernel is faster from about 1024 cells on.
+KERNEL_MIN_CELLS = 16384
 # It writes them in blocks of whole map rows of about this many cells.  A
 # 400 x 200 map took 24 ms in blocks of 6400 cells (32 rows), 27.8 ms in
 # blocks of 2048 and 33.5 ms in one 80 000-cell pass, on the same host.

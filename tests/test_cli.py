@@ -205,10 +205,10 @@ class TestByteDeterminism:
         # a map above the writer's kernel threshold, whose rates the
         # vectorized formatter writes in integer arithmetic only
         config = json.loads((DATA / "oracle_config.json").read_text())
-        config["map_detunings_mhz"] = np.linspace(-3.0, 3.0, 41).tolist()
-        config["map_dephasings_mhz"] = np.linspace(0.05, 2.0, 30).tolist()
+        config["map_detunings_mhz"] = np.linspace(-3.0, 3.0, 161).tolist()
+        config["map_dephasings_mhz"] = np.linspace(0.05, 2.0, 102).tolist()
         config["oracle_detunings_mhz"] = config["oracle_dephasings_mhz"] = [0.0]
-        assert 41 * 30 >= zk.io.KERNEL_MIN_CELLS
+        assert 161 * 102 >= zk.io.KERNEL_MIN_CELLS
         (tmp_path / "config.json").write_text(dump_json(config))
         argv = ["oracle", "--config", str(tmp_path / "config.json")]
         assert run(argv, tmp_path / "default") == 0
@@ -220,7 +220,7 @@ class TestByteDeterminism:
         )
         assert result.returncode == 0, result.stderr
         expected = (tmp_path / "default" / "zeno_map.csv").read_bytes()
-        assert expected.count(b"\n") == 2 + 41 * 30
+        assert expected.count(b"\n") == 2 + 161 * 102
         assert (tmp_path / "switched" / "zeno_map.csv").read_bytes() == expected
 
 

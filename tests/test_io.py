@@ -278,7 +278,7 @@ def test_kernel_writes_repr_of_each_value():
     assert kernel_lines(values) == [*map(repr, values.tolist())]
 
 
-@pytest.mark.parametrize("cells", [io.KERNEL_MIN_CELLS - 1, io.KERNEL_MIN_CELLS])
+@pytest.mark.parametrize("cells", [io.KERNEL_MIN_CELLS - 1, io.KERNEL_MIN_CELLS], ids=["below", "at"])
 def test_grid_matches_per_cell_repr_at_the_kernel_threshold(cells):
     # the repr path below the threshold, the kernel at it: the same bytes
     rng = np.random.default_rng(cells)
@@ -292,8 +292,8 @@ def test_grid_matches_per_cell_repr_at_the_kernel_threshold(cells):
 def test_large_map_special_values_keep_their_bytes():
     # repr writes these cells in place among the kernel's
     rng = np.random.default_rng(5)
-    detunings, dephasings = np.linspace(-2.0, 2.0, 40), rng.uniform(0.0, 1.0, 30)
-    rates = rng.uniform(1e-3, 1.0, (40, 30))
+    detunings, dephasings = np.linspace(-2.0, 2.0, 160), rng.uniform(0.0, 1.0, 120)
+    rates = rng.uniform(1e-3, 1.0, (160, 120))
     special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 1e17, np.inf, -np.inf, np.nan]
     rates.flat[rng.choice(rates.size, len(special), replace=False)] = special
     text = format_grid_csv(io.ZENO_MAP_CSV_HEADER, detunings, dephasings, rates)

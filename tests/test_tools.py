@@ -161,6 +161,8 @@ def test_bench_alternates_pairs_and_summarizes_them(bench_tool, tmp_path):
     assert [r["first"] for r in runs] == ["parent", "change"] * 2 + ["parent"]
     assert runs[2]["parent"] == {"exit_code": 1, "attempted": 10, "failed": 1,
                                  "metrics": {"items_per_probe": 3, "peak_rss_mb": 50.0}}
+    assert report["workloads"]["w"]["failures"] == {
+        "parent": {"failed": 1, "nonzero_exits": 1}, "change": {"failed": 0, "nonzero_exits": 0}}
     summary = report["workloads"]["w"]["summary"]
     assert set(summary) == {"items_per_probe", "peak_rss_mb"}
     items = summary["items_per_probe"]
@@ -171,6 +173,24 @@ def test_bench_alternates_pairs_and_summarizes_them(bench_tool, tmp_path):
     # equal values win no pair, in either direction
     rss = summary["peak_rss_mb"]
     assert (rss["pairs_won"], rss["median_gain"], rss["gain_exceeds_parent_iqr"]) == (0, 0.0, False)
+
+
+def test_bench_gain_does_not_count_when_the_change_fails_more(bench_tool):
+    def run(value, failed, exit_code=0):
+        return {"exit_code": exit_code, "attempted": 10, "failed": failed,
+                "metrics": {"items_per_probe": value}}
+
+    better = {"items_per_probe": "higher"}
+    runs = [{"seed": s, "parent": run(s, 0), "change": run(2 * s, 0)} for s in (1, 2, 3)]
+    assert bench_tool.summarize(runs, better)["items_per_probe"]["gain_exceeds_parent_iqr"]
+    runs[1]["change"] = run(4, 1, exit_code=1)
+    assert bench_tool.failures(runs)["change"] == {"failed": 1, "nonzero_exits": 1}
+    items = bench_tool.summarize(runs, better)["items_per_probe"]
+    assert items["pairs_won"] == 3 and not items["gain_exceeds_parent_iqr"]
+    # a run that printed no result line fails by its exit code alone
+    runs[1]["change"] = {"exit_code": 1, "attempted": None, "failed": None, "metrics": {}}
+    assert bench_tool.failures(runs)["change"] == {"failed": 0, "nonzero_exits": 1}
+    assert not bench_tool.summarize(runs, better)["items_per_probe"]["gain_exceeds_parent_iqr"]
 
 
 def test_bench_seed_lists(bench_tool):

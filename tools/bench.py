@@ -9,13 +9,14 @@ from one seed to the next.  Each run's last stdout line is its JSON
 result.  Run from the repository root:
 
     python3 tools/bench.py --parent HEAD --workload zeno-map \\
-        --seeds 101-110 --seconds 20 --out BENCH_37.json
+        --seeds 101-110 --out BENCH_37.json
 
-The output holds every run (its metrics, exit code and failed/attempted
-counts), a summary per workload and end-to-end metric (the medians and
-quartiles of both sides, and the pairs the change won, "better" as
-``BENCHMARK.json`` declares it) and the package's
-``environment_fingerprint()``.  The tool reads ``BENCHMARK.json`` and
+Each run lasts ``BENCHMARK.json``'s ``run_seconds``.  The output holds
+every run (its metrics, exit code and failed/attempted counts), per
+workload each side's failed invocations and nonzero exits, a summary per
+end-to-end metric (the medians and quartiles of both sides, and the
+pairs the change won, "better" as ``BENCHMARK.json`` declares it) and
+the package's ``environment_fingerprint()``.  The tool reads ``BENCHMARK.json`` and
 runs ``perfbench/run.py``; it changes neither.
 """
 from __future__ import annotations
@@ -63,12 +64,24 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     }
 
 
+def failures(runs: list[dict]) -> dict:
+    """Each side's failed invocations and runs that exited nonzero."""
+    return {side: {"failed": sum(r[side]["failed"] or 0 for r in runs),
+                   "nonzero_exits": sum(r[side]["exit_code"] != 0 for r in runs)}
+            for side in ("parent", "change")}
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: medians and quartiles of each side, and pairs won.
 
     ``runs`` holds one ``{"seed", "parent", "change"}`` entry per pair;
-    a pair counts for a metric only when both of its runs report it.
+    a pair counts for a metric only when both of its runs report it.  A
+    gain does not count (``gain_exceeds_parent_iqr`` is false) when the
+    change failed more invocations, or exited nonzero more often, than
+    the parent.
     """
+    failed = failures(runs)
+    fails_more = any(failed["change"][k] > failed["parent"][k] for k in failed["parent"])
     summary = {}
     for name, direction in better.items():
         pairs = [(r["parent"]["metrics"][name], r["change"]["metrics"][name])
@@ -88,7 +101,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs),
             "pairs_won": sum(sign * (change - parent) > 0 for parent, change in pairs),
             "median_gain": gain / abs(sides["parent"]["median"]) if sides["parent"]["median"] else None,
-            "gain_exceeds_parent_iqr": gain > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "gain_exceeds_parent_iqr": (not fails_more
+                                        and gain > sides["parent"]["q3"] - sides["parent"]["q1"]),
         }
     return summary
 
@@ -110,7 +124,8 @@ def bench(parent: Path, change: Path, benchmark: dict, workloads: list[str],
                 log(f"{workload} seed={seed} {side}: exit {pair[side]['exit_code']} "
                     f"{json.dumps(pair[side]['metrics'])}")
             runs.append(pair)
-        report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
+        report["workloads"][workload] = {"runs": runs, "failures": failures(runs),
+                                         "summary": summarize(runs, better)}
     return report
 
 
@@ -127,7 +142,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -136,12 +150,15 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         extract_revision(args.parent, Path(tmp))
-        report = bench(Path(tmp), ROOT, benchmark, args.workload, args.seeds, args.seconds)
+        report = bench(Path(tmp), ROOT, benchmark, args.workload, args.seeds,
+                       benchmark["run_seconds"])
     revision = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                               capture_output=True, text=True, check=True).stdout.strip()
     report = {"parent": revision, **report, "environment": environment_fingerprint()}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, result in report["workloads"].items():
+        print(f"{workload:<18} failed/nonzero exits: " + ", ".join(
+            f"{side} {f['failed']}/{f['nonzero_exits']}" for side, f in result["failures"].items()))
         for name, s in result["summary"].items():
             print(f"{workload:<18} {name:<22} parent {s['parent']['median']:.6g} "
                   f"change {s['change']['median']:.6g} won {s['pairs_won']}/{s['pairs']}")
