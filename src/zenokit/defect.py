@@ -114,6 +114,7 @@ def resonant_purcell(coupling: float, kappa: float) -> float:
     """
     if not kappa > 0:
         raise DomainError(f"mode decay rate must be > 0, got {kappa}")
+    require_finite(kappa, "mode decay rate")
     return 4.0 * coupling**2 / kappa
 
 
@@ -125,6 +126,7 @@ def zeno_jump_rate(rabi: float, measurement_rate: float) -> float:
     """
     if not measurement_rate > 0:
         raise DomainError(f"measurement rate must be > 0, got {measurement_rate}")
+    require_finite(measurement_rate, "measurement rate")
     return rabi**2 / measurement_rate
 
 

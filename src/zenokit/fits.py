@@ -43,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,6 +135,7 @@ class RamseyTrace(Trace):
     def __post_init__(self):
         if not self.offset_freq >= 0:
             raise DomainError(f"offset_freq must be >= 0 MHz, got {self.offset_freq}")
+        require_finite(self.offset_freq, "offset_freq")
         super().__post_init__()
         span_periods = (self.times[-1] - self.times[0]) * self.offset_freq
         if self.offset_freq > 0 and span_periods < 1.5:
@@ -835,6 +836,7 @@ def fit_swap_chevron(times, populations, f_guess: float) -> tuple[float, float, 
     """
     if not f_guess > 0:
         raise DomainError(f"f_guess must be > 0 MHz, got {f_guess}")
+    require_finite(f_guess, "f_guess")
     times, populations = _samples(times, populations, 8)
     if (times[-1] - times[0]) * f_guess < 2.0:
         raise DomainError("linecut must span >= 2 expected oscillation periods")
@@ -926,6 +928,7 @@ def rate_from_fixed_delay(p1: float, t_delay: float) -> float:
     """
     if not t_delay > 0:
         raise DomainError(f"delay must be > 0, got {t_delay}")
+    require_finite(t_delay, "delay")
     if not 0.0 < p1 <= 1.0:
         raise DomainError(f"population must be in (0, 1], got {p1}")
     return -math.log(p1) / t_delay + 0.0

@@ -8,13 +8,13 @@ Nature 405, 546, 2000):
 
     Gamma = integral  gamma_q(omega) * L(omega; center, half_width) domega
 
-Measured spectra only cover a finite window, so the raw integral over
-the window is divided by the analytic weight the Lorentzian carries
-inside it (an arctan expression).  This amounts to assuming that outside
-the window gamma_q is well approximated by its in-window average.  In
-the zero-dephasing limit the Lorentzian collapses to a delta function
-and the result reduces to the spectrum evaluated at the qubit frequency
-(Fermi's golden rule).
+A measured spectrum only covers a finite window, the table's own range,
+so the raw integral over the window is divided by the analytic weight
+the Lorentzian carries inside it (an arctan expression).  This amounts
+to assuming that outside the window gamma_q is well approximated by its
+in-window average.  In the zero-dephasing limit the Lorentzian
+collapses to a delta function and the result reduces to the spectrum
+evaluated at the qubit frequency (Fermi's golden rule).
 
 The window integral is exact, with no quadrature grid.  A tabulated
 spectrum is linear between its nodes, and each segment's integral
@@ -110,6 +110,7 @@ class ReadoutCalibration:
             raise DomainError(f"calibrated amplitude range must be >= 0, got {self.max_epsilon}")
         if self.max_epsilon is not None and self.max_epsilon > 0:
             eps = self.max_epsilon
+            require_finite(eps, "calibrated amplitude range")
             try:
                 quartic = abs(self.stark_quartic) * eps**4
             except OverflowError:
@@ -333,15 +334,13 @@ def _log1p(x: np.ndarray) -> np.ndarray:
 
 
 def _tabulated_integral(
-    spectrum: TabulatedSpectrum, centers: np.ndarray, hws: np.ndarray, lo: float, hi: float
+    spectrum: TabulatedSpectrum, centers: np.ndarray, hws: np.ndarray
 ) -> np.ndarray:
     """Exact integrals of the linear-interpolated table times each filter.
 
-    Returns one raw rate per ``(centers[i], hws[i])``.  The nodes are
-    ``[lo, omegas strictly inside (lo, hi), hi]``, so no segment has zero
-    length, and their values come from ``rate_at``, so a window past the
-    table integrates its held end rates; nodes, values and slopes are
-    shared by every context.  On a segment
+    Returns one raw rate per ``(centers[i], hws[i])``, integrated over
+    the table's own segments, whose nodes, values and slopes every
+    context shares.  On a segment
     ``[u0, u1]`` (``u = omega - center``) with slope ``s`` and
     ``a = f(u0) - s * u0`` the integral is
     ``a * atan2((u1 - u0) * hw, hw**2 + u0 * u1) / pi
@@ -350,9 +349,7 @@ def _tabulated_integral(
     elements; every operation is elementwise and each row is summed on
     its own, so a context's bits do not depend on its block.
     """
-    omegas = spectrum.omegas
-    nodes = np.concatenate(([lo], omegas[(omegas > lo) & (omegas < hi)], [hi]))
-    f = spectrum.rate_at(nodes)
+    nodes, f = spectrum.omegas, spectrum.rates
     du = np.diff(nodes)
     slope = np.diff(f) / du
     centers = np.asarray(centers, dtype=float)
@@ -430,7 +427,10 @@ def decay_rate(
     context : MeasurementContext
         Shifted frequency and dephasing at this readout strength.
     window : (float, float), optional
-        Integration window in rad/us; defaults per ``default_window``.
+        Integration window in rad/us for a parametric spectrum; defaults
+        per ``default_window``.  A tabulated spectrum is integrated over
+        its own range, and a window given with it raises
+        :class:`DomainError`.
     resolution : int
         Ignored and unchecked: the integral is exact.  Kept so existing
         callers keep working.
@@ -448,13 +448,17 @@ def decay_rate(
     segment for a tabulated spectrum, and as ``background * norm`` plus
     one partial-fraction integral per peak for a parametric one.
     """
+    if window is not None and isinstance(spectrum, TabulatedSpectrum):
+        raise DomainError("a tabulated spectrum is integrated over its own range, not a window")
     if context.dephasing < DELTA_LIMIT:
         rate = float(spectrum.rate_at(context.freq))
         return KkResult(context=context, raw_rate=rate, norm=1.0, rate=rate)
     if isinstance(spectrum, TabulatedSpectrum):
-        return _tabulated_results(spectrum, [context], window)[0]
+        return _tabulated_results(spectrum, [context])[0]
 
-    lo, hi = _window_bounds(spectrum, context, window)
+    lo, hi = map(float, default_window(spectrum, context) if window is None else window)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"invalid integration window [{lo}, {hi}]")
     center, hw = context.freq, context.dephasing
     norm = window_normalization(context, (lo, hi))
     raw = spectrum.background * norm
@@ -463,32 +467,14 @@ def decay_rate(
     return KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
 
 
-def _window_bounds(
-    spectrum: BathSpectrum, context: MeasurementContext, window: tuple[float, float] | None
-) -> tuple[float, float]:
-    if window is None:
-        window = default_window(spectrum, context)
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"invalid integration window [{lo}, {hi}]")
-    return lo, hi
-
-
 def _tabulated_results(
-    spectrum: TabulatedSpectrum,
-    contexts: Sequence[MeasurementContext],
-    window: tuple[float, float] | None,
+    spectrum: TabulatedSpectrum, contexts: Sequence[MeasurementContext]
 ) -> list[KkResult]:
-    """:func:`decay_rate` of contexts above ``DELTA_LIMIT``, in one pass.
-
-    A tabulated spectrum's window does not depend on the context, so the
-    first context's window serves all.
-    """
-    lo, hi = _window_bounds(spectrum, contexts[0], window)
-    norms = [window_normalization(c, (lo, hi)) for c in contexts]  # a weight of 0 is refused first
-    raws = _tabulated_integral(
-        spectrum, [c.freq for c in contexts], [c.dephasing for c in contexts], lo, hi
-    )
+    """:func:`decay_rate` of contexts above ``DELTA_LIMIT``, in one pass."""
+    window = default_window(spectrum, contexts[0])
+    norms = [window_normalization(c, window) for c in contexts]  # a weight of 0 is refused first
+    centers, hws = [c.freq for c in contexts], [c.dephasing for c in contexts]
+    raws = _tabulated_integral(spectrum, centers, hws)
     return [
         KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
         for context, raw, norm in zip(contexts, raws.tolist(), norms)
@@ -524,7 +510,7 @@ def sweep(
     measured = [c for c in contexts if c.dephasing >= DELTA_LIMIT]
     if not (isinstance(spectrum, TabulatedSpectrum) and measured):
         return [decay_rate(spectrum, c) for c in contexts]
-    batch = iter(_tabulated_results(spectrum, measured, None))
+    batch = iter(_tabulated_results(spectrum, measured))
     return [
         next(batch) if c.dephasing >= DELTA_LIMIT else decay_rate(spectrum, c) for c in contexts
     ]

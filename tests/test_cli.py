@@ -294,26 +294,6 @@ class TestPredict:
             "gamma_per_us",
         ]
 
-    def test_window_past_the_table_holds_its_end_rates(self):
-        # the one edge rule: past either end the table holds its end rate,
-        # so a window past its ends gives, for every context of the predict
-        # fixture, the bits of the table padded with those rates at the
-        # window's edges and integrated over its own range
-        payload = json.loads((DATA / "predict_config.json").read_text())
-        qubit = payload["qubit_freq_mhz"]
-        calibration = read_calibration_json(DATA / payload["calibration_json"])
-        freqs, rates = read_columns_csv(DATA / payload["spectrum_csv"], SPECTRUM_CSV_HEADER)
-        window = mhz_to_angular(np.array([4860.0, 4910.0]) - qubit)
-        table = zk.TabulatedSpectrum(mhz_to_angular(freqs - qubit), rates)
-        padded = zk.TabulatedSpectrum(
-            mhz_to_angular(np.r_[4860.0, freqs, 4910.0] - qubit), np.r_[rates[0], rates, rates[-1]]
-        )
-        assert window[0] < table.omega_min and table.omega_max < window[1]
-        for eps in payload["amplitudes"]:
-            context = zk.MeasurementContext.from_calibration(calibration, 0.0, eps)
-            held = zk.decay_rate(table, context, window=tuple(window))
-            assert held == zk.decay_rate(padded, context)
-
     def test_missing_input_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(

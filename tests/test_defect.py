@@ -275,6 +275,16 @@ NON_FINITE_FIELDS = {
     "decay_rate_map.detunings": lambda: zk.decay_rate_map([0.0, NAN], [1.0], DEFECT),
     "photons_from_stark.stark_shift": lambda: zk.photons_from_stark(NAN, 1.0),
     "ParametricSpectrum.background": lambda: zk.ParametricSpectrum(background=INF),
+    "RamseyTrace.offset_freq": lambda: zk.RamseyTrace(
+        np.linspace(0.0, 1.0, 8), np.zeros(8), offset_freq=INF
+    ),
+    "fit_swap_chevron.f_guess": lambda: zk.fit_swap_chevron([], [], f_guess=INF),
+    "rate_from_fixed_delay.t_delay": lambda: zk.rate_from_fixed_delay(0.5, INF),
+    "resonant_purcell.kappa": lambda: zk.resonant_purcell(1.0, INF),
+    "zeno_jump_rate.measurement_rate": lambda: zk.zeno_jump_rate(1.0, INF),
+    "ReadoutCalibration.max_epsilon": lambda: zk.ReadoutCalibration(
+        stark_quad=1.0, stark_quartic=0.0, dephasing_quad=1.0, chi=1.0, max_epsilon=INF
+    ),
 }
 
 
