@@ -459,11 +459,10 @@ def decay_rate(
     lo, hi = map(float, default_window(spectrum, context) if window is None else window)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid integration window [{lo}, {hi}]")
-    center, hw = context.freq, context.dephasing
     norm = window_normalization(context, (lo, hi))
     raw = spectrum.background * norm
     for peak in spectrum.peaks:
-        raw += _peak_integral(peak, center, hw, lo, hi)
+        raw += _peak_integral(peak, context.freq, context.dephasing, lo, hi)
     return KkResult(context=context, raw_rate=raw, norm=norm, rate=raw / norm)
 
 
