@@ -6,6 +6,9 @@ otherwise go unseen until then.  ``tools/code_lines.py`` gives the size
 figures that the change log cites, and ``tools/bench.py`` the committed
 benchmark pairs; it is checked here against a fake benchmark script, so
 its parsing, pairing and medians are checked without timing anything.
+``tools/traffic.py`` lists the lines the benchmark workloads never run;
+its line collection is checked on a throwaway module, so no workload
+runs here.
 """
 import importlib.util
 import subprocess
@@ -196,3 +199,50 @@ def test_bench_gain_does_not_count_when_the_change_fails_more(bench_tool):
 def test_bench_seed_lists(bench_tool):
     assert bench_tool.parse_seeds("7") == [7]
     assert bench_tool.parse_seeds("101-103,9") == [101, 102, 103, 9]
+
+
+# 14 lines: a module docstring and a module-level comprehension (both run
+# at import), then one function that is called and one that is not
+TRAFFIC_FIXTURE = '''\
+"""A module docstring."""
+SQUARES = [k * k for k in range(3)]
+
+
+def used(x):
+    """Called once, with x > 0."""
+    if x > 0:
+        return x
+    return -x
+
+
+def unused(x):
+    """Never called."""
+    return [k for k in range(x)]
+'''
+
+
+@pytest.fixture(scope="module")
+def traffic_tool():
+    sys.path.insert(0, str(ROOT / "tools"))  # traffic.py imports code_lines
+    try:
+        spec = importlib.util.spec_from_file_location("traffic", ROOT / "tools" / "traffic.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    return module
+
+
+def test_traffic_reports_the_function_lines_no_call_ran(traffic_tool, tmp_path):
+    path = tmp_path / "shape.py"
+    path.write_text(TRAFFIC_FIXTURE, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("shape", path)
+    shape = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shape)
+    seen = traffic_tool.traced(lambda: shape.used(2), str(tmp_path))
+    lines = traffic_tool.executable_lines(path)
+    assert lines == {5, 7, 8, 9, 12, 14}
+    assert seen == {str(path): {5, 7, 8}}
+    unrun = sorted(lines - seen[str(path)])
+    assert traffic_tool.ranges(unrun) == "9, 12, 14"
+    assert traffic_tool.ranges([1, 2, 3, 7, 9, 10]) == "1-3, 7, 9-10"
